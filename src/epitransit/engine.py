@@ -142,11 +142,6 @@ def hazard_vector(state: CompartmentState, matrix: ContactMatrix, params: Epidem
     return _hazard_kernel(params.beta, state.S, _exposure(state, matrix, params))
 
 
-def hazard(state: CompartmentState, matrix: ContactMatrix, params: EpidemicParams, j: int) -> float:
-    """Outbreak probability at location j for the current day."""
-    return float(hazard_vector(state, matrix, params)[j])
-
-
 def sir_step(state: CompartmentState, params: EpidemicParams) -> CompartmentState:
     """Advance the deterministic dynamics one day in locations with cases.
 

@@ -134,15 +134,8 @@ class ContactMatrix:
         return len(self.table)
 
     @property
-    def self_flows(self) -> np.ndarray:
-        return np.diagonal(self.m).copy()
-
-    @property
     def distance_matrix(self) -> np.ndarray:
         return self.table.distance_matrix
-
-    def total_trips(self) -> float:
-        return float(self.m.sum())
 
     def cross_trips(self) -> float:
         """Total daily trips between distinct locations."""

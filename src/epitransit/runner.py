@@ -1,10 +1,15 @@
 """Scenario configuration, paired sweeps, aggregation, and exports.
 
-A sweep runs, per disease and per (band, k, theta) cell, paired
-simulations on the full matrix and on its transit subsample. Pairs
-share the seed location and the introduction RNG stream so metric
-differences isolate the matrix effect. Every run is reconstructible
-from its ledger entry plus the scenario config.
+A sweep pairs every full-mobility run with a run on a transit-thinned
+copy of the matrix, for each disease and each (band, k, theta) cell.
+It runs in two steps. ``plan_cells`` validates the bands, enumerates
+the cells and calibrates each once; calibration does not depend on the
+disease. Execution then goes disease by disease: the baselines first,
+then, per planned cell, the thinned matrix, the transit runs and the
+comparisons. Pairs share the seed location and the introduction RNG
+stream so metric differences isolate the matrix effect.
+``replay_run`` rebuilds any ledger entry with the same helpers, so
+every run is reconstructible from its entry plus the scenario config.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -82,6 +87,8 @@ class ScenarioConfig:
                 raise ValueError(f"disease {d.name}: require beta > 0 and gamma in (0, 1]")
         if self.city is None and self.matrix_npz is None:
             raise ValueError("either a synthetic city spec or a matrix file is required")
+        for label in self.delta_bands:
+            transit.DeltaBand.from_label(label)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -109,9 +116,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScenarioConfig":
-        kwargs = dict(d)
+        kwargs = _known_keys(cls, d, "config")
         if "diseases" in kwargs:
-            kwargs["diseases"] = [Disease(**x) for x in kwargs["diseases"]]
+            kwargs["diseases"] = [Disease(**_known_keys(Disease, x, "disease")) for x in kwargs["diseases"]]
         if kwargs.get("pairs") is not None:
             kwargs["pairs"] = [tuple(p) for p in kwargs["pairs"]]
         if "k_range" in kwargs:
@@ -119,18 +126,26 @@ class ScenarioConfig:
         if "theta_range" in kwargs:
             kwargs["theta_range"] = tuple(kwargs["theta_range"])
         if "compare" in kwargs:
-            cmp_kwargs = dict(kwargs["compare"])
+            cmp_kwargs = _known_keys(metrics.CompareConfig, kwargs["compare"], "compare")
             if cmp_kwargs.get("thresholds") is not None:
                 cmp_kwargs["thresholds"] = tuple(cmp_kwargs["thresholds"])
             kwargs["compare"] = metrics.CompareConfig(**cmp_kwargs)
         if kwargs.get("city") is not None:
-            kwargs["city"] = CityConfig(**kwargs["city"])
+            kwargs["city"] = CityConfig(**_known_keys(CityConfig, kwargs["city"], "city"))
         return cls(**kwargs)
 
     @classmethod
     def from_json_file(cls, path) -> "ScenarioConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _known_keys(cls, d: dict, where: str) -> dict:
+    """A copy of d, after checking that every key is a field of cls."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return dict(d)
 
 
 def _seed_seq(master: int, tag: int, *rest) -> np.random.SeedSequence:
@@ -227,125 +242,171 @@ def _cell_aggregates(reports: list, thresholds) -> dict:
     return agg
 
 
-def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> SweepResult:
-    """Execute the full paired-sweep structure.
+@dataclass(frozen=True)
+class PlannedCell:
+    """One calibrated (band, k, theta) cell of a sweep.
 
-    Per disease, the full-mobility baseline is run once per
-    (seed draw, replicate) and reused across every (band, k, theta)
-    cell, mirroring the 1 + n_pairs run structure. Cells whose mode
-    share is unreachable are skipped and logged.
+    ``pair_index`` is the pair's position in ``band_pairs`` for its band;
+    a band's histogram is taken from its first pair only.
+    """
+
+    band_index: int
+    band: str
+    pair_index: int
+    k: int
+    theta: int
+    model: transit.GammaTripModel
+
+
+def plan_cells(config: ScenarioConfig, matrix: ContactMatrix) -> tuple[list, list]:
+    """Calibrate every (band, k, theta) cell once.
+
+    Returns the feasible cells as ``PlannedCell``s and one infeasible
+    entry per cell whose mode share is unreachable, both in band then
+    pair order. No cell depends on the disease.
+    """
+    bands = [transit.DeltaBand.from_label(label) for label in config.delta_bands]
+    cells, infeasible = [], []
+    for band_index, band in enumerate(bands):
+        for pair_index, (k, theta) in enumerate(band_pairs(config, band)):
+            try:
+                model = _calibrated_model(config, matrix, k, theta)
+            except transit.InfeasibleModeShare as exc:
+                log.warning("cell (%s, k=%d, theta=%d) infeasible: %s", band.label, k, theta, exc)
+                infeasible.append(
+                    {"band": band.label, "k": k, "theta": theta, "achievable": exc.achievable}
+                )
+                continue
+            cells.append(PlannedCell(band_index, band.label, pair_index, k, theta, model))
+    return cells, infeasible
+
+
+def _calibrated_model(config: ScenarioConfig, matrix: ContactMatrix, k, theta) -> transit.GammaTripModel:
+    return transit.calibrate(transit.GammaTripModel(k=k, theta=theta, mu=config.mu), matrix)
+
+
+def _thin(config: ScenarioConfig, matrix: ContactMatrix, band_index: int, model) -> ContactMatrix:
+    """The transit matrix of a cell; its seed does not depend on the disease."""
+    seed = _seed_seq(config.master_seed, _TAG_TRANSIT, band_index, model.k, model.theta)
+    return transit.sample_transit_matrix(matrix, model, seed)
+
+
+def _params(config: ScenarioConfig, disease: Disease) -> engine.EpidemicParams:
+    return engine.EpidemicParams(
+        beta=disease.beta,
+        gamma=disease.gamma,
+        horizon=config.horizon,
+        extinction_threshold=config.extinction_threshold,
+        hazard_variant=config.hazard_variant,
+    )
+
+
+def _run(config: ScenarioConfig, matrix: ContactMatrix, params, seed_location: int, s: int, r: int):
+    """Replicate r of seed draw s; both arms of a pair share its stream."""
+    return engine.run_simulation(
+        matrix, params, seed_location, _seed_seq(config.master_seed, _TAG_INTRO, s, r)
+    )
+
+
+def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> SweepResult:
+    """Plan the cells, then run every disease over them.
+
+    ``plan_cells`` calibrates each (band, k, theta) once. Per disease,
+    the full-mobility baseline is run once per (seed draw, replicate)
+    and reused across every cell, mirroring the 1 + n_pairs run
+    structure; each cell then runs its transit arm and compares the
+    pair. A pair whose comparison raises ``NoAdmissibleLag`` stays out
+    of the ledger and the aggregates, is counted in its cell's
+    ``failed_comparisons`` and still takes a ``run_index``.
     """
     if matrix is None:
         matrix = base_matrix(config)
-    master = config.master_seed
-
+    planned, infeasible = plan_cells(config, matrix)
     seed_locs = [
         engine.seed_outbreak(
-            matrix, config.seed_rule, np.random.default_rng(_seed_seq(master, _TAG_SEED_LOC, s))
+            matrix, config.seed_rule, np.random.default_rng(_seed_seq(config.master_seed, _TAG_SEED_LOC, s))
         )
         for s in range(config.seed_draws)
     ]
 
     cells = []
     ledger = []
-    infeasible = []
     histograms = {"full": _hist_dict(transit.distance_histogram(matrix))}
     example_curves = {}
     total_runs = 0
     run_index = 0
 
     for disease in config.diseases:
-        params = engine.EpidemicParams(
-            beta=disease.beta,
-            gamma=disease.gamma,
-            horizon=config.horizon,
-            extinction_threshold=config.extinction_threshold,
-            hazard_variant=config.hazard_variant,
-        )
-        baselines = {}
-        for s in range(config.seed_draws):
-            for r in range(config.replicates):
-                baselines[(s, r)] = engine.run_simulation(
-                    matrix, params, seed_locs[s], _seed_seq(master, _TAG_INTRO, s, r)
-                )
+        params = _params(config, disease)
+        baselines = {
+            (s, r): _run(config, matrix, params, seed_locs[s], s, r)
+            for s in range(config.seed_draws)
+            for r in range(config.replicates)
+        }
         total_runs += len(baselines)
 
-        for band_idx, band_label in enumerate(config.delta_bands):
-            band = transit.DeltaBand.from_label(band_label)
-            for pair_idx, (k, theta) in enumerate(band_pairs(config, band)):
-                model = transit.GammaTripModel(k=k, theta=theta, mu=config.mu)
-                try:
-                    model = transit.calibrate(model, matrix)
-                except transit.InfeasibleModeShare as exc:
-                    log.warning("cell (%s, k=%d, theta=%d) infeasible: %s", band_label, k, theta, exc)
-                    infeasible.append(
-                        {"disease": disease.name, "band": band_label, "k": k, "theta": theta,
-                         "achievable": exc.achievable}
-                    )
-                    continue
-                sub = transit.sample_transit_matrix(
-                    matrix, model, _seed_seq(master, _TAG_TRANSIT, band_idx, k, theta)
-                )
-                hist_key = f"{band_label}:k{k}:t{theta}"
-                if pair_idx == 0 and hist_key not in histograms:
-                    histograms[hist_key] = _hist_dict(transit.distance_histogram(sub))
+        for cell in planned:
+            sub = _thin(config, matrix, cell.band_index, cell.model)
+            hist_key = f"{cell.band}:k{cell.k}:t{cell.theta}"
+            if cell.pair_index == 0 and hist_key not in histograms:
+                histograms[hist_key] = _hist_dict(transit.distance_histogram(sub))
 
-                reports = []
-                for s in range(config.seed_draws):
-                    for r in range(config.replicates):
-                        ptt = engine.run_simulation(
-                            sub, params, seed_locs[s], _seed_seq(master, _TAG_INTRO, s, r)
-                        )
-                        total_runs += 1
-                        mpt = baselines[(s, r)]
-                        try:
-                            report = metrics.compare(ptt, mpt, config.compare)
-                        except metrics.NoAdmissibleLag:
-                            log.warning("run %d: series too short to compare; censored", run_index)
-                            run_index += 1
-                            continue
-                        reports.append(report)
-                        ledger.append(
-                            {
-                                "run_index": run_index,
-                                "disease": disease.name,
-                                "beta": disease.beta,
-                                "gamma": disease.gamma,
-                                "band": band_label,
-                                "band_index": band_idx,
-                                "k": k,
-                                "theta": theta,
-                                "lambda": model.lam,
-                                "seed_draw": s,
-                                "replicate": r,
-                                "seed_location_index": seed_locs[s],
-                                "seed_location": matrix.table.ids[seed_locs[s]],
-                                "report": report.to_json_dict(),
-                            }
-                        )
-                        run_index += 1
-                        if disease.name not in example_curves:
-                            example_curves[disease.name] = {
-                                "band": band_label,
-                                "k": k,
-                                "theta": theta,
-                                "seed_draw": s,
-                                "replicate": r,
-                                "ptt_prevalence": [float(v) for v in ptt.prevalence],
-                                "mpt_prevalence": [float(v) for v in mpt.prevalence],
-                            }
-                cell = {
+            reports = []
+            failed = 0
+            for (s, r), mpt in baselines.items():
+                ptt = _run(config, sub, params, seed_locs[s], s, r)
+                total_runs += 1
+                try:
+                    report = metrics.compare(ptt, mpt, config.compare)
+                except metrics.NoAdmissibleLag:
+                    log.warning("run %d: series too short to compare; censored", run_index)
+                    failed += 1
+                    run_index += 1
+                    continue
+                reports.append(report)
+                ledger.append(
+                    {
+                        "run_index": run_index,
+                        "disease": disease.name,
+                        "beta": disease.beta,
+                        "gamma": disease.gamma,
+                        "band": cell.band,
+                        "band_index": cell.band_index,
+                        "k": cell.k,
+                        "theta": cell.theta,
+                        "lambda": cell.model.lam,
+                        "seed_draw": s,
+                        "replicate": r,
+                        "seed_location_index": seed_locs[s],
+                        "seed_location": matrix.table.ids[seed_locs[s]],
+                        "report": report.to_json_dict(),
+                    }
+                )
+                run_index += 1
+                if disease.name not in example_curves:
+                    example_curves[disease.name] = {
+                        "band": cell.band,
+                        "k": cell.k,
+                        "theta": cell.theta,
+                        "seed_draw": s,
+                        "replicate": r,
+                        "ptt_prevalence": [float(v) for v in ptt.prevalence],
+                        "mpt_prevalence": [float(v) for v in mpt.prevalence],
+                    }
+            cells.append(
+                {
                     "disease": disease.name,
                     "beta": disease.beta,
                     "gamma": disease.gamma,
                     "r0": disease.r0,
-                    "band": band_label,
-                    "k": k,
-                    "theta": theta,
-                    "lambda": model.lam,
+                    "band": cell.band,
+                    "k": cell.k,
+                    "theta": cell.theta,
+                    "lambda": cell.model.lam,
                     "aggregates": _cell_aggregates(reports, config.compare.thresholds),
+                    "failed_comparisons": failed,
                 }
-                cells.append(cell)
+            )
 
     return SweepResult(
         config=config.to_json_dict(),
@@ -359,30 +420,18 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
 
 
 def replay_run(config: ScenarioConfig, entry: dict, matrix: ContactMatrix | None = None) -> metrics.ComparisonReport:
-    """Reproduce one ledger entry's comparison bit-exactly."""
+    """Reproduce one ledger entry's comparison bit-exactly, through the
+    sweep's own calibration, thinning and run helpers."""
     if matrix is None:
         matrix = base_matrix(config)
-    master = config.master_seed
     disease = next(d for d in config.diseases if d.name == entry["disease"])
-    params = engine.EpidemicParams(
-        beta=disease.beta,
-        gamma=disease.gamma,
-        horizon=config.horizon,
-        extinction_threshold=config.extinction_threshold,
-        hazard_variant=config.hazard_variant,
+    params = _params(config, disease)
+    model = _calibrated_model(config, matrix, entry["k"], entry["theta"])
+    sub = _thin(config, matrix, entry["band_index"], model)
+    s, r, loc = entry["seed_draw"], entry["replicate"], entry["seed_location_index"]
+    return metrics.compare(
+        _run(config, sub, params, loc, s, r), _run(config, matrix, params, loc, s, r), config.compare
     )
-    model = transit.calibrate(
-        transit.GammaTripModel(k=entry["k"], theta=entry["theta"], mu=config.mu), matrix
-    )
-    sub = transit.sample_transit_matrix(
-        matrix, model, _seed_seq(master, _TAG_TRANSIT, entry["band_index"], entry["k"], entry["theta"])
-    )
-    s, r = entry["seed_draw"], entry["replicate"]
-    intro = _seed_seq(master, _TAG_INTRO, s, r)
-    loc = entry["seed_location_index"]
-    ptt = engine.run_simulation(sub, params, loc, intro)
-    mpt = engine.run_simulation(matrix, params, loc, _seed_seq(master, _TAG_INTRO, s, r))
-    return metrics.compare(ptt, mpt, config.compare)
 
 
 def _fmt(value) -> str:
@@ -411,12 +460,14 @@ def export_results(result: SweepResult, out_dir) -> list:
         cols = ["disease", "beta", "gamma", "r0", "band", "k", "theta", "lambda"]
         for name in stat_names:
             cols += [f"{name}_mean", f"{name}_sd", f"{name}_n", f"{name}_censored"]
+        cols.append("failed_comparisons")
         fh.write(",".join(cols) + "\n")
         for cell in result.cells:
             row = [_fmt(cell[c]) for c in ("disease", "beta", "gamma", "r0", "band", "k", "theta", "lambda")]
             for name in stat_names:
                 agg = cell["aggregates"][name]
                 row += [_fmt(agg["mean"]), _fmt(agg["sd"]), _fmt(agg["n"]), _fmt(agg["censored"])]
+            row.append(_fmt(cell["failed_comparisons"]))
             fh.write(",".join(row) + "\n")
     written.append(path)
 
@@ -479,6 +530,7 @@ def export_results(result: SweepResult, out_dir) -> list:
                 "total_runs": result.total_runs,
                 "n_cells": len(result.cells),
                 "n_ledger": len(result.ledger),
+                "failed_comparisons": sum(c["failed_comparisons"] for c in result.cells),
                 "infeasible_cells": result.infeasible_cells,
                 "config": result.config,
                 "histogram_p95_km": {k: v["p95_km"] for k, v in result.histograms.items()},

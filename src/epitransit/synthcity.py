@@ -18,7 +18,6 @@ from .mobility import (
     ContactMatrix,
     Location,
     LocationTable,
-    build_contact_matrix,
     derive_populations,
 )
 
@@ -103,11 +102,3 @@ def write_city_csvs(table: LocationTable, matrix: ContactMatrix, locations_path,
         for j, k in zip(dest_idx, origin_idx):
             writer.writerow([table.ids[k], table.ids[j], 8, int(matrix.m[j, k])])
 
-
-def roundtrip_check(table: LocationTable, matrix: ContactMatrix, locations_path, trips_path) -> bool:
-    """True when the written CSVs rebuild to the same matrix."""
-    from .mobility import load_trips
-
-    table2, trips = load_trips(trips_path, locations_path)
-    rebuilt = build_contact_matrix(table2, trips)
-    return bool(np.array_equal(rebuilt.m, matrix.m))

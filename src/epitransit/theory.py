@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .mobility import ContactMatrix, matrix_from_flows
+from .mobility import ContactMatrix
 
 VARIANTS = ("r0_consistent", "as_printed")
 
@@ -112,50 +112,3 @@ def write_ranking_csv(
             ratio = repr(theta_t / theta) if theta > 0 else ""
             fh.write(f"{src_id},{dest_id},{theta!r},{theta_t!r},{ratio}\n")
 
-
-def monte_carlo_invasion(
-    beta: float,
-    gamma: float,
-    m_ji: float,
-    n_i: float,
-    n_j: float,
-    replicates: int = 10_000,
-    seed: int = 0,
-    hazard_variant: str = "as_printed",
-    pairs_per_run: int = 250,
-    max_days: int = 5_000,
-    x_floor: float = 1e-9,
-) -> float:
-    """Engine-based estimate of the pair invasion probability.
-
-    Sets up independent (infected i, virgin j) pairs as blocks of a
-    block-diagonal contact matrix, starts i entirely infected, and runs
-    the daily introduction machinery until i's prevalence has decayed
-    away. Returns the fraction of j locations that ever saw a case.
-    """
-    params = engine.EpidemicParams(
-        beta=beta, gamma=gamma, horizon=max_days, hazard_variant=hazard_variant
-    )
-    rng = np.random.default_rng(seed)
-    invaded = 0
-    done = 0
-    while done < replicates:
-        batch = min(pairs_per_run, replicates - done)
-        n = 2 * batch
-        m = np.zeros((n, n))
-        pops = np.empty(n)
-        pops[0::2] = n_i
-        pops[1::2] = n_j
-        m[np.arange(1, n, 2), np.arange(0, n, 2)] = m_ji
-        matrix = matrix_from_flows(m, populations=pops)
-        state = engine.CompartmentState.fully_susceptible(matrix.populations)
-        state.I[0::2] = n_i
-        state.S[0::2] = 0.0
-        state.onset_day[0::2] = 0
-        for _ in range(max_days):
-            if state.I.max() < x_floor * n_i:
-                break
-            state = engine.advance_day(state, matrix, params, rng)
-        invaded += int(np.count_nonzero(state.onset_day[1::2] >= 0))
-        done += batch
-    return invaded / replicates

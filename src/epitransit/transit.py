@@ -175,12 +175,16 @@ def calibrate(model: GammaTripModel, matrix: ContactMatrix) -> GammaTripModel:
     share; including them would make any realistic share unreachable
     because the gamma density vanishes at the origin for k > 1.
     """
+    lam = compute_lambda(model, *_inter_location_trips(matrix))
+    return replace(model, lam=lam)
+
+
+def _inter_location_trips(matrix: ContactMatrix):
+    """(distances, counts) of the nonzero off-diagonal entries, row-major."""
     off = ~np.eye(matrix.n, dtype=bool)
     counts = matrix.m[off]
-    distances = matrix.distance_matrix[off]
     keep = counts > 0
-    lam = compute_lambda(model, distances[keep], counts[keep])
-    return replace(model, lam=lam)
+    return matrix.distance_matrix[off][keep], counts[keep]
 
 
 def label_probabilities(model: GammaTripModel, distances) -> np.ndarray:
@@ -221,12 +225,6 @@ class DistanceHistogram:
     masses: np.ndarray
     p95_km: float
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("bin_left_km,bin_right_km,mass\n")
-            for lo, hi, mass in zip(self.bin_edges[:-1], self.bin_edges[1:], self.masses):
-                fh.write(f"{float(lo)!r},{float(hi)!r},{float(mass)!r}\n")
-
 
 def distance_histogram(matrix: ContactMatrix, bin_km: float = 5.0) -> DistanceHistogram:
     """Normalized trip-distance histogram and 95th percentile distance.
@@ -234,11 +232,7 @@ def distance_histogram(matrix: ContactMatrix, bin_km: float = 5.0) -> DistanceHi
     Weighted by trip counts over inter-location entries; self-flows are
     excluded since they carry no distance.
     """
-    off = ~np.eye(matrix.n, dtype=bool)
-    counts = matrix.m[off]
-    distances = matrix.distance_matrix[off]
-    keep = counts > 0
-    counts, distances = counts[keep], distances[keep]
+    distances, counts = _inter_location_trips(matrix)
     if counts.size == 0:
         return DistanceHistogram(np.array([0.0, bin_km]), np.array([0.0]), 0.0)
     max_d = float(distances.max())

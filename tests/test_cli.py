@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from epitransit import engine
 from epitransit.cli import main
 from epitransit.mobility import load_matrix_npz
 from epitransit.runner import ScenarioConfig, Disease
@@ -149,3 +150,24 @@ class TestSweepAndExport:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config.to_json_dict()))
         assert main(["sweep", "--config", str(config_path)]) == 2
+
+    def test_sweep_unknown_key_is_validation_error(self, tmp_path):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps({"seed_draws": 1, "replicates": 1, "bogus": 3}))
+        assert main(["sweep", "--config", str(config_path), "--output-dir", str(tmp_path / "o")]) == 1
+
+    def test_sweep_unknown_band_fails_before_any_run(self, tmp_path, monkeypatch):
+        runs = []
+        original = engine.run_simulation
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_simulation", counted)
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(
+            json.dumps({"seed_draws": 1, "replicates": 1, "delta_bands": ["low", "nope"]})
+        )
+        assert main(["sweep", "--config", str(config_path), "--output-dir", str(tmp_path / "o")]) == 1
+        assert runs == []

@@ -8,7 +8,7 @@ from epitransit.engine import (
     EpidemicParams,
     _hazard_kernel,
     advance_day,
-    hazard,
+    hazard_vector,
     introduce,
     run_simulation,
     seed_outbreak,
@@ -43,14 +43,14 @@ class TestHazard:
     def test_zero_when_no_infection_anywhere(self):
         m = two_location_matrix()
         params = EpidemicParams(beta=0.5, gamma=0.5)
-        assert hazard(fresh_state(m), m, params, 0) == 0.0
+        assert hazard_vector(fresh_state(m), m, params)[0] == 0.0
 
     def test_zero_when_beta_zero(self):
         m = two_location_matrix()
         state = fresh_state(m)
         state.seed(1)
         params = EpidemicParams(beta=0.0, gamma=0.5)
-        assert hazard(state, m, params, 0) == 0.0
+        assert hazard_vector(state, m, params)[0] == 0.0
 
     def test_saturated_limit(self):
         # direct evaluation: beta*S/(1+beta*S) with the exponential term at 1
@@ -60,7 +60,7 @@ class TestHazard:
         state.S[1] = 0.0
         state.S[0] = 1000.0
         params = EpidemicParams(beta=0.5, gamma=0.5)
-        assert hazard(state, m, params, 0) == pytest.approx(500.0 / 501.0, abs=1e-4)
+        assert hazard_vector(state, m, params)[0] == pytest.approx(500.0 / 501.0, abs=1e-4)
 
     def test_matches_scalar_formula(self):
         rng = np.random.default_rng(8)
@@ -83,7 +83,7 @@ class TestHazard:
                 if variant == "as_printed":
                     inner *= state.S[j]
                 expected = beta * state.S[j] * (1 - math.exp(-inner)) / (1 + beta * state.S[j])
-                assert hazard(state, m, params, j) == pytest.approx(expected, rel=1e-12)
+                assert hazard_vector(state, m, params)[j] == pytest.approx(expected, rel=1e-12)
 
     def test_bounds_under_fuzz(self):
         rng = np.random.default_rng(9)
@@ -163,7 +163,7 @@ class TestIntroduce:
         state.I[1] = 50.0
         state.S[1] = 50.0
         params = EpidemicParams(beta=0.5, gamma=0.5)
-        h = hazard(state, m, params, 0)
+        h = hazard_vector(state, m, params)[0]
         assert h == pytest.approx(0.3, rel=1e-12)
         rng = np.random.default_rng(123)
         hits = sum(

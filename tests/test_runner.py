@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from epitransit import transit
 from epitransit.metrics import CompareConfig, ComparisonReport
+from epitransit.mobility import matrix_from_flows
 from epitransit.runner import (
     Disease,
     ScenarioConfig,
@@ -36,6 +38,33 @@ def tiny_config(**overrides):
     return ScenarioConfig(**defaults)
 
 
+TWO_DISEASES = [Disease("h1n1", 0.5, 1 / 3), Disease("varicella", 1.55, 0.2)]
+# two pairs in each band: k*theta = 15 and 14 (low), 32 and 36 (mediate)
+TWO_BAND_PAIRS = [(3, 5), (2, 7), (2, 16), (3, 12)]
+
+
+@pytest.fixture(scope="module")
+def two_disease_sweep():
+    """A two-disease, two-band sweep, with the calibrate and thinning calls
+    it made counted."""
+    config = tiny_config(diseases=TWO_DISEASES, delta_bands=["low", "mediate"], pairs=TWO_BAND_PAIRS)
+    matrix = base_matrix(config)
+    calls = {"calibrate": 0, "sample_transit_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(transit, name, counted(name, getattr(transit, name)))
+        result = run_sweep(config, matrix=matrix)
+    return config, matrix, result, calls
+
+
 class TestConfig:
     def test_json_roundtrip(self):
         config = tiny_config()
@@ -56,6 +85,18 @@ class TestConfig:
             tiny_config(diseases=[Disease("bad", -1.0, 0.5)])
         with pytest.raises(ValueError):
             tiny_config(city=None)
+        with pytest.raises(ValueError, match="nope"):
+            tiny_config(delta_bands=["low", "nope"])
+
+    @pytest.mark.parametrize("section", [None, "diseases", "compare", "city"])
+    def test_unknown_key_names_it(self, section):
+        d = tiny_config().to_json_dict()
+        target = d if section is None else d[section]
+        if section == "diseases":
+            target = target[0]
+        target["bogus"] = 3
+        with pytest.raises(ValueError, match="bogus"):
+            ScenarioConfig.from_json_dict(d)
 
     def test_band_pair_selection(self):
         config = tiny_config(pairs=None, max_pairs=4)
@@ -92,6 +133,20 @@ class TestRunSweep:
         for stats in agg.values():
             assert stats["n"] + stats["censored"] == 6
 
+    def test_plan_calibrates_each_cell_once(self, two_disease_sweep):
+        config, _, result, calls = two_disease_sweep
+        assert len(result.cells) == len(config.diseases) * len(TWO_BAND_PAIRS)
+        assert calls["calibrate"] == len(TWO_BAND_PAIRS)
+        assert calls["sample_transit_matrix"] == len(config.diseases) * len(TWO_BAND_PAIRS)
+
+    def test_replay_reproduces_every_entry(self, two_disease_sweep):
+        config, matrix, result, _ = two_disease_sweep
+        assert {e["disease"] for e in result.ledger} == {"h1n1", "varicella"}
+        assert {e["band"] for e in result.ledger} == {"low", "mediate"}
+        assert len(result.ledger) == 2 * len(TWO_BAND_PAIRS) * 6
+        for entry in result.ledger:
+            assert replay_run(config, entry, matrix=matrix).to_json_dict() == entry["report"]
+
     def test_replay_reproduces_reports_bit_exactly(self):
         config = tiny_config()
         matrix = base_matrix(config)
@@ -104,15 +159,29 @@ class TestRunSweep:
         # all locations at identical coordinates: every trip distance is
         # exactly 0, where the k>1 density vanishes, so no cell can reach
         # the mode share
-        from epitransit.mobility import matrix_from_flows
-
-        flows = np.full((6, 6), 10.0)
-        matrix = matrix_from_flows(flows, populations=np.full(6, 100.0))
-        result = run_sweep(tiny_config(), matrix=matrix)
+        matrix = matrix_from_flows(np.full((6, 6), 10.0), populations=np.full(6, 100.0))
+        config = tiny_config(diseases=TWO_DISEASES, delta_bands=["low", "mediate"], pairs=TWO_BAND_PAIRS)
+        result = run_sweep(config, matrix=matrix)
         assert result.cells == []
         assert result.ledger == []
-        assert len(result.infeasible_cells) == 1
-        assert result.infeasible_cells[0]["achievable"] == 0.0
+        assert result.total_runs == 2 * 6  # the baselines only
+        # one entry per cell, not per disease
+        assert [(c["band"], c["k"], c["theta"]) for c in result.infeasible_cells] == [
+            ("low", 3, 5), ("low", 2, 7), ("mediate", 2, 16), ("mediate", 3, 12)
+        ]
+        assert all(c["achievable"] == 0.0 and "disease" not in c for c in result.infeasible_cells)
+
+    def test_failed_comparisons_counted(self, tmp_path):
+        # five days leave fewer than min_overlap days to compare
+        result = run_sweep(tiny_config(horizon=5))
+        assert result.ledger == []
+        assert [c["failed_comparisons"] for c in result.cells] == [6]
+        assert all(a["n"] == a["censored"] == 0 for a in result.cells[0]["aggregates"].values())
+        export_results(result, tmp_path)
+        assert json.loads((tmp_path / "summary.json").read_text())["failed_comparisons"] == 6
+        header, row = (tmp_path / "cells.csv").read_text().splitlines()
+        assert header.endswith(",failed_comparisons")
+        assert row.endswith(",6")
 
     def test_sweep_result_json_roundtrip(self, tmp_path):
         result = run_sweep(tiny_config())
@@ -141,6 +210,14 @@ class TestExports:
         assert (tmp_path / "distance_hist_full.csv").exists()
         assert (tmp_path / "metrics_vs_r0.csv").exists()
         assert (tmp_path / "summary.json").exists()
+
+    def test_histogram_csv(self, tmp_path):
+        result = run_sweep(tiny_config())
+        export_results(result, tmp_path)
+        lines = (tmp_path / "distance_hist_full.csv").read_text().splitlines()
+        assert lines[0] == "bin_left_km,bin_right_km,mass"
+        assert len(lines) > 1
+        assert len(lines) - 1 == len(result.histograms["full"]["masses"])
 
     def test_reexport_is_byte_identical(self, tmp_path):
         result = run_sweep(tiny_config())

@@ -208,13 +208,6 @@ class TestDistanceHistogram:
         sub = sample_transit_matrix(small_city, model, 5)
         assert distance_histogram(sub).p95_km < distance_histogram(small_city).p95_km
 
-    def test_csv_export(self, small_city, tmp_path):
-        path = tmp_path / "hist.csv"
-        distance_histogram(small_city).to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "bin_left_km,bin_right_km,mass"
-        assert len(lines) > 1
-
     def test_weighted_percentile(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
         weights = np.array([1.0, 1.0, 1.0, 97.0])
