@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -174,28 +175,37 @@ def _cmd_sweep(args) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     result.save_json(os.path.join(config.output_dir, "sweep_result.json"))
     written = runner.export_results(result, config.output_dir)
-    if not result.ledger:
+    if not result.cells:
         print("sweep produced no feasible cells")
         return EXIT_INFEASIBLE
-    print(f"{result.total_runs} simulations; wrote {len(written) + 1} files to {config.output_dir}")
+    failed = sum(c["failed_comparisons"] for c in result.cells)
+    print(
+        f"{result.total_runs} simulations, {failed} failed comparison(s); "
+        f"wrote {len(written) + 1} files to {config.output_dir}"
+    )
     return EXIT_OK
+
+
+_PREVALENCE_COLUMNS = ("day", "prevalence", "frac_locations_infected")
 
 
 def _read_prevalence_csv(path):
     days, prev, frac = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            days.append(int(row["day"]))
-            prev.append(float(row["prevalence"]))
-            frac.append(float(row["frac_locations_infected"]))
+        reader = csv.DictReader(fh)
+        missing = [c for c in _PREVALENCE_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValidationError(f"{path}: header lacks column(s) {', '.join(missing)}")
+        for rownum, row in enumerate(reader, start=2):
+            try:
+                days.append(int(row["day"]))
+                prev.append(float(row["prevalence"]))
+                frac.append(float(row["frac_locations_infected"]))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{path}: row {rownum}: {exc}") from None
     if not days:
         raise ValidationError(f"{path}: empty prevalence series")
-
-    class _Run:
-        prevalence = np.array(prev)
-        frac_locations = np.array(frac)
-
-    return _Run()
+    return SimpleNamespace(prevalence=np.array(prev), frac_locations=np.array(frac))
 
 
 def _cmd_compare(args) -> int:

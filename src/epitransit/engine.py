@@ -13,8 +13,11 @@ Locations with cases evolve deterministically:
 
     S' = S - beta*S*I/N,  I' = I + beta*S*I/N - gamma*I,  R' = R + gamma*I
 
-Compartments are real-valued; runs end when total infecteds drop below
-an extinction threshold, since real-valued I never reaches exactly 0.
+The deterministic update is applied to every location at once: where
+I = 0 both flows are exactly zero, so virgin and burned-out locations
+come out unchanged without being masked out. Compartments are
+real-valued; runs end when total infecteds drop below an extinction
+threshold, since real-valued I never reaches exactly 0.
 """
 
 from __future__ import annotations
@@ -76,10 +79,10 @@ class CompartmentState:
     def fully_susceptible(cls, populations: np.ndarray) -> "CompartmentState":
         n = populations.shape[0]
         return cls(
-            S=populations.astype(float).copy(),
+            S=populations.astype(float),
             I=np.zeros(n),
             R=np.zeros(n),
-            N=populations.astype(float).copy(),
+            N=populations.astype(float),
         )
 
     def copy(self) -> "CompartmentState":
@@ -100,68 +103,53 @@ class CompartmentState:
             self.onset_day[j] = self.day
 
     @property
-    def x(self) -> np.ndarray:
-        """Per-location infected fraction I/N."""
-        return self.I / self.N
-
-    @property
     def virgin_mask(self) -> np.ndarray:
         """Locations that have never seen a case."""
         return (self.I == 0.0) & (self.R == 0.0)
-
-    @property
-    def infected_mask(self) -> np.ndarray:
-        return self.I > 0.0
 
 
 def _hazard_kernel(beta, S, inner):
     """Outbreak probability from transmission rate, susceptibles, and
     the summed exposure term inside the exponential. Clamped to [0, 1]."""
-    beta = np.asarray(beta, dtype=float)
-    S = np.asarray(S, dtype=float)
-    inner = np.asarray(inner, dtype=float)
     with np.errstate(over="ignore"):
         h = beta * S * (-np.expm1(-inner)) / (1.0 + beta * S)
     return np.clip(h, 0.0, 1.0)
 
 
-def _exposure(state: CompartmentState, matrix: ContactMatrix, params: EpidemicParams) -> np.ndarray:
-    """Inner exponent of the hazard for every location, self-flow excluded."""
-    x = state.x
-    flow_in = matrix.m @ x - np.diagonal(matrix.m) * x
-    if params.hazard_variant == "as_printed":
-        return flow_in * state.S
-    return flow_in
-
-
 def hazard_vector(state: CompartmentState, matrix: ContactMatrix, params: EpidemicParams) -> np.ndarray:
     """Daily outbreak probability for every location.
 
-    Only meaningful for virgin locations; callers mask accordingly.
+    The exposure sum excludes each location's self-flow. Only meaningful
+    for virgin locations; callers mask accordingly.
     """
-    return _hazard_kernel(params.beta, state.S, _exposure(state, matrix, params))
+    x = state.I / state.N
+    inner = matrix.m @ x - np.diagonal(matrix.m) * x
+    if params.hazard_variant == "as_printed":
+        inner = inner * state.S
+    return _hazard_kernel(params.beta, state.S, inner)
 
 
 def sir_step(state: CompartmentState, params: EpidemicParams) -> CompartmentState:
-    """Advance the deterministic dynamics one day in locations with cases.
+    """Advance the deterministic dynamics one day, as one whole-array update.
 
     New infections are capped at the available susceptibles: the update
     overshoots S for beta*I/N > 1, which is a discretization artifact,
     not an epidemic one. Any residual float round-off below zero is
     clamped with the deficit rebalanced into R so S+I+R stays at N.
-    Virgin and burned-out locations pass through unchanged.
+    Where I = 0 the new infections min(0, S) and recoveries are exactly
+    zero, so virgin and burned-out locations pass through bit-identical.
     """
-    new = state.copy()
-    new.day = state.day + 1
-    mask = state.infected_mask
-    if not mask.any():
-        return new
-    S, I, N = state.S[mask], state.I[mask], state.N[mask]
-    new_inf = np.minimum(params.beta * S * I / N, S)
+    S, I = state.S, state.I
+    new_inf = np.minimum(params.beta * S * I / state.N, S)
     recov = params.gamma * I
-    new.S[mask] = S - new_inf
-    new.I[mask] = I + new_inf - recov
-    new.R[mask] = state.R[mask] + recov
+    new = CompartmentState(
+        S=S - new_inf,
+        I=I + new_inf - recov,
+        R=state.R + recov,
+        N=state.N,
+        day=state.day + 1,
+        onset_day=state.onset_day.copy(),
+    )
     for arr in (new.S, new.I):
         neg = arr < 0.0
         if neg.any():
@@ -207,7 +195,7 @@ def advance_day(
 ) -> CompartmentState:
     """One full day: deterministic step plus stochastic introductions.
 
-    The two halves touch disjoint location sets (I > 0 versus virgin)
+    The two halves change disjoint location sets (I > 0 versus virgin)
     and both read day-t values, so composing them is an exact
     simultaneous update.
     """
@@ -283,10 +271,9 @@ def run_simulation(
 
     n = matrix.n
     total_pop = float(matrix.populations.sum())
-    prevalence, frac_loc, tot_s, tot_i, tot_r = [], [], [], [], []
+    frac_loc, tot_s, tot_i, tot_r = [], [], [], []
 
     def record(s):
-        prevalence.append(s.I.sum() / total_pop)
         frac_loc.append(np.count_nonzero(s.onset_day >= 0) / n)
         tot_s.append(s.S.sum())
         tot_i.append(s.I.sum())
@@ -294,14 +281,14 @@ def run_simulation(
 
     record(state)
     for _ in range(params.horizon):
-        if state.I.sum() < params.extinction_threshold:
+        if tot_i[-1] < params.extinction_threshold:
             break
         state = advance_day(state, matrix, params, rng)
         record(state)
 
-    final_size = float((total_pop - state.S.sum()) / total_pop)
+    final_size = float((total_pop - tot_s[-1]) / total_pop)
     return PrevalenceSeries(
-        prevalence=np.array(prevalence),
+        prevalence=np.array(tot_i) / total_pop,
         frac_locations=np.array(frac_loc),
         total_S=np.array(tot_s),
         total_I=np.array(tot_i),

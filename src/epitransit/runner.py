@@ -18,7 +18,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -78,12 +78,20 @@ class ScenarioConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for name in ("seed_draws", "replicates", "horizon", "master_seed"):
+            if not metrics._is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.seed_draws < 1 or self.replicates < 1:
             raise ValueError("seed_draws and replicates must be >= 1")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.max_pairs is not None and not (metrics._is_int(self.max_pairs) and self.max_pairs >= 0):
+            raise ValueError(f"max_pairs must be null or an integer >= 0, got {self.max_pairs!r}")
         if not self.diseases:
             raise ValueError("at least one disease required")
         for d in self.diseases:
-            if d.beta <= 0 or not 0.0 < d.gamma <= 1.0:
+            numeric = metrics._is_real(d.beta) and metrics._is_real(d.gamma)
+            if not numeric or d.beta <= 0 or not 0.0 < d.gamma <= 1.0:
                 raise ValueError(f"disease {d.name}: require beta > 0 and gamma in (0, 1]")
         if self.city is None and self.matrix_npz is None:
             raise ValueError("either a synthetic city spec or a matrix file is required")
@@ -141,10 +149,19 @@ class ScenarioConfig:
 
 
 def _known_keys(cls, d: dict, where: str) -> dict:
-    """A copy of d, after checking that every key is a field of cls."""
+    """A copy of d, after checking that every key is a field of cls and
+    that every field without a default is given."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    missing = [
+        f.name for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in d
+    ]
+    if missing:
+        raise ValueError(f"missing {where} key(s): {', '.join(missing)}")
     return dict(d)
 
 
@@ -168,6 +185,11 @@ def band_pairs(config: ScenarioConfig, band: transit.DeltaBand) -> list:
     if config.max_pairs is not None:
         pairs = pairs[: config.max_pairs]
     return pairs
+
+
+# Per-cell scalars, in cells.csv column order.
+_CELL_COLUMNS = ("disease", "beta", "gamma", "r0", "band", "k", "theta", "lambda")
+_CELL_KEYS = _CELL_COLUMNS + ("aggregates", "failed_comparisons")
 
 
 @dataclass
@@ -195,7 +217,12 @@ class SweepResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SweepResult":
-        return cls(**d)
+        kwargs = _known_keys(cls, d, "sweep result")
+        for cell in kwargs["cells"]:
+            missing = [key for key in _CELL_KEYS if key not in cell]
+            if missing:
+                raise ValueError(f"sweep result cell lacks key(s): {', '.join(missing)}")
+        return cls(**kwargs)
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -457,13 +484,13 @@ def export_results(result: SweepResult, out_dir) -> list:
     ]
     path = os.path.join(out_dir, "cells.csv")
     with open(path, "w", encoding="utf-8") as fh:
-        cols = ["disease", "beta", "gamma", "r0", "band", "k", "theta", "lambda"]
+        cols = list(_CELL_COLUMNS)
         for name in stat_names:
             cols += [f"{name}_mean", f"{name}_sd", f"{name}_n", f"{name}_censored"]
         cols.append("failed_comparisons")
         fh.write(",".join(cols) + "\n")
         for cell in result.cells:
-            row = [_fmt(cell[c]) for c in ("disease", "beta", "gamma", "r0", "band", "k", "theta", "lambda")]
+            row = [_fmt(cell[c]) for c in _CELL_COLUMNS]
             for name in stat_names:
                 agg = cell["aggregates"][name]
                 row += [_fmt(agg["mean"]), _fmt(agg["sd"]), _fmt(agg["n"]), _fmt(agg["censored"])]

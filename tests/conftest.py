@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from epitransit.mobility import Location, LocationTable, matrix_from_flows
 from epitransit.synthcity import CityConfig, generate_synthetic_city
+
+# Deterministic property tests: the same examples on every run, no example
+# database, and no per-example deadline on a loaded host.
+settings.register_profile("epitransit", derandomize=True, database=None, deadline=None, max_examples=60)
+settings.load_profile("epitransit")
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from epitransit import engine
+from epitransit import engine, runner
 from epitransit.cli import main
 from epitransit.mobility import load_matrix_npz
 from epitransit.runner import ScenarioConfig, Disease
@@ -75,6 +75,15 @@ class TestSimulateCompareTheory:
             "early_warning", "peak_timing", "peak_magnitude",
             "situational_awareness", "locations_timing",
         }
+
+    def test_compare_csv_without_column_fails(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("day,prevalence,frac_locations_infected\n0,0.1,0.5\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("day,prevalence\n0,0.1\n")
+        code = main(["compare", "--ptt", str(bad), "--mpt", str(good), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "frac_locations_infected" in capsys.readouterr().err
 
     def test_theory_ranking(self, city_dir, tmp_path):
         out = tmp_path / "ranking.csv"
@@ -156,7 +165,21 @@ class TestSweepAndExport:
         config_path.write_text(json.dumps({"seed_draws": 1, "replicates": 1, "bogus": 3}))
         assert main(["sweep", "--config", str(config_path), "--output-dir", str(tmp_path / "o")]) == 1
 
-    def test_sweep_unknown_band_fails_before_any_run(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"delta_bands": ["low", "nope"]},
+            {"seed_draws": "2"},
+            {"diseases": [{"name": "x"}]},
+            {"horizon": "300"},
+            {"compare": {"level": 2.0}},
+            {"compare": {"min_overlap": 0}},
+            {"max_pairs": -1},
+        ],
+        ids=["unknown_band", "string_seed_draws", "disease_missing_keys", "string_horizon",
+             "level_above_one", "zero_min_overlap", "negative_max_pairs"],
+    )
+    def test_sweep_bad_config_fails_before_any_run(self, tmp_path, monkeypatch, capsys, bad):
         runs = []
         original = engine.run_simulation
 
@@ -166,8 +189,47 @@ class TestSweepAndExport:
 
         monkeypatch.setattr(engine, "run_simulation", counted)
         config_path = tmp_path / "bad.json"
-        config_path.write_text(
-            json.dumps({"seed_draws": 1, "replicates": 1, "delta_bands": ["low", "nope"]})
-        )
+        config_path.write_text(json.dumps({"seed_draws": 1, "replicates": 1, **bad}))
         assert main(["sweep", "--config", str(config_path), "--output-dir", str(tmp_path / "o")]) == 1
         assert runs == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_sweep_with_only_failed_comparisons_succeeds(self, tmp_path, capsys):
+        # horizon 5 leaves series too short for the 10-day minimum overlap
+        config = ScenarioConfig(
+            diseases=[Disease("h1n1", 0.5, 1 / 3)],
+            delta_bands=["low"],
+            pairs=[(3, 5)],
+            seed_draws=2,
+            replicates=1,
+            horizon=5,
+            master_seed=11,
+            city=CityConfig(n_locations=40, extent_km=80.0, pop_median=600.0, trips_per_capita=0.6),
+            output_dir=str(tmp_path / "out"),
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_json_dict()))
+        assert main(["sweep", "--config", str(config_path)]) == 0
+        assert "2 failed comparison(s)" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["n_cells"] == 1 and summary["n_ledger"] == 0
+
+    def test_export_of_result_without_failed_comparisons_fails(self, tmp_path, capsys):
+        config = ScenarioConfig(
+            diseases=[Disease("h1n1", 0.5, 1 / 3)],
+            delta_bands=["low"],
+            pairs=[(3, 5)],
+            seed_draws=1,
+            replicates=1,
+            horizon=60,
+            city=CityConfig(n_locations=30, extent_km=60.0, trips_per_capita=0.8),
+        )
+        saved = runner.run_sweep(config).to_json_dict()
+        for cell in saved["cells"]:
+            del cell["failed_comparisons"]
+        result_path = tmp_path / "sweep_result.json"
+        result_path.write_text(json.dumps(saved))
+        out = tmp_path / "re"
+        assert main(["export", "--result", str(result_path), "--out-dir", str(out)]) == 1
+        assert "failed_comparisons" in capsys.readouterr().err
+        assert not out.exists()
