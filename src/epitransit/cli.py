@@ -52,12 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("synth-city", help="generate a synthetic city")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--extent-km", type=float, default=60.0)
-    p.add_argument("--pop-median", type=float, default=500.0)
-    p.add_argument("--pop-sigma", type=float, default=1.0)
-    p.add_argument("--trips-per-capita", type=float, default=0.6)
-    p.add_argument("--d0-km", type=float, default=10.0)
+    p.add_argument("--n", type=int, default=CityConfig.n_locations)
+    p.add_argument("--extent-km", type=float, default=CityConfig.extent_km)
+    p.add_argument("--pop-median", type=float, default=CityConfig.pop_median)
+    p.add_argument("--pop-sigma", type=float, default=CityConfig.pop_sigma)
+    p.add_argument("--trips-per-capita", type=float, default=CityConfig.trips_per_capita)
+    p.add_argument("--d0-km", type=float, default=CityConfig.d0_km)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out-dir", required=True)
 
@@ -65,11 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="matrix .npz from ingest or synth-city")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--horizon", type=int, default=300)
-    p.add_argument("--extinction-threshold", type=float, default=1e-3)
-    p.add_argument("--hazard-variant", choices=engine.HAZARD_VARIANTS, default="as_printed")
+    p.add_argument("--horizon", type=int, default=engine.EpidemicParams.horizon)
+    p.add_argument("--extinction-threshold", type=float, default=engine.EpidemicParams.extinction_threshold)
+    p.add_argument("--hazard-variant", choices=engine.HAZARD_VARIANTS, default=engine.EpidemicParams.hazard_variant)
     p.add_argument("--seed-rule", default="proportional",
-                   help="proportional, most_populous, or a fixed location index")
+                   help=f"one of {', '.join(engine.SEED_RULES)}, or a fixed location index")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True, help="prevalence CSV path")
 
@@ -81,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two prevalence CSVs")
     p.add_argument("--ptt", required=True, help="transit-driven prevalence CSV")
     p.add_argument("--mpt", required=True, help="full-mobility prevalence CSV")
-    p.add_argument("--level", type=float, default=0.01)
-    p.add_argument("--max-lag", type=int, default=None)
-    p.add_argument("--thresholds", type=float, nargs="*", default=[0.2, 0.8])
+    p.add_argument("--level", type=float, default=metrics.CompareConfig.level)
+    p.add_argument("--max-lag", type=int, default=metrics.CompareConfig.max_lag)
+    p.add_argument("--thresholds", type=float, nargs="*", default=metrics.CompareConfig.thresholds)
     p.add_argument("--out", required=True, help="report JSON path")
 
     p = sub.add_parser("theory", help="invasion probability ranking from a source location")
@@ -139,7 +139,7 @@ def _cmd_synth_city(args) -> int:
 
 
 def _parse_seed_rule(text):
-    if text in ("proportional", "most_populous"):
+    if text in engine.SEED_RULES:
         return text
     try:
         return int(text)
@@ -211,9 +211,7 @@ def _read_prevalence_csv(path):
 def _cmd_compare(args) -> int:
     ptt = _read_prevalence_csv(args.ptt)
     mpt = _read_prevalence_csv(args.mpt)
-    cfg = metrics.CompareConfig(
-        level=args.level, max_lag=args.max_lag, thresholds=tuple(args.thresholds)
-    )
+    cfg = metrics.CompareConfig(level=args.level, max_lag=args.max_lag, thresholds=args.thresholds)
     report = metrics.compare(ptt, mpt, cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)

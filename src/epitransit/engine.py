@@ -27,11 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import is_int, is_real
 from .mobility import ContactMatrix
 
 log = logging.getLogger(__name__)
 
 HAZARD_VARIANTS = ("as_printed", "no_inner_s")
+# Named seed rules of seed_outbreak; an integer location index is the other form.
+SEED_RULES = ("proportional", "most_populous")
 
 
 @dataclass(frozen=True)
@@ -45,12 +48,16 @@ class EpidemicParams:
     hazard_variant: str = "as_printed"
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        if not is_real(self.beta) or self.beta < 0:
+            raise ValueError(f"beta must be a number >= 0, got {self.beta!r}")
+        if not is_real(self.gamma) or not 0.0 < self.gamma <= 1.0:
+            raise ValueError(f"gamma must be in (0, 1], got {self.gamma!r}")
+        if not is_int(self.horizon) or self.horizon < 1:
+            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        if not is_real(self.extinction_threshold) or self.extinction_threshold < 0:
+            raise ValueError(f"extinction_threshold must be a number >= 0, got {self.extinction_threshold!r}")
         if self.hazard_variant not in HAZARD_VARIANTS:
-            raise ValueError(f"hazard_variant must be one of {HAZARD_VARIANTS}")
+            raise ValueError(f"hazard_variant must be one of {HAZARD_VARIANTS}, got {self.hazard_variant!r}")
 
     @property
     def r0(self) -> float:
@@ -205,8 +212,8 @@ def advance_day(
 def seed_outbreak(matrix: ContactMatrix, rule, rng: np.random.Generator) -> int:
     """Pick the initially infected location.
 
-    rule is "proportional" (probability N_j / sum N), "most_populous",
-    or an integer index for a fixed choice.
+    rule is a name in SEED_RULES, "proportional" (probability N_j / sum N)
+    or "most_populous", or an integer index for a fixed choice.
     """
     if isinstance(rule, (int, np.integer)):
         j = int(rule)
@@ -233,7 +240,6 @@ class PrevalenceSeries:
     onset_days: np.ndarray
     final_size: float
     seed_location: int
-    rng_seed: object
 
     def __len__(self) -> int:
         return self.prevalence.shape[0]
@@ -262,8 +268,6 @@ def run_simulation(
     threshold. Identical (matrix, params, seed_rule, rng_seed) inputs
     reproduce the series bit for bit.
     """
-    if params.horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {params.horizon}")
     rng = np.random.default_rng(rng_seed)
     state = CompartmentState.fully_susceptible(matrix.populations)
     seed_loc = seed_outbreak(matrix, seed_rule, rng)
@@ -296,5 +300,4 @@ def run_simulation(
         onset_days=state.onset_day.copy(),
         final_size=final_size,
         seed_location=seed_loc,
-        rng_seed=rng_seed,
     )

@@ -6,10 +6,11 @@ mean the transit-driven simulation lags the full-mobility one.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .checks import is_int, is_real
 
 
 class NoAdmissibleLag(ValueError):
@@ -96,23 +97,18 @@ class CompareConfig:
     thresholds: tuple = (0.2, 0.8)
 
     def __post_init__(self):
-        if not _is_real(self.level) or not 0.0 < self.level < 1.0:
+        if not is_real(self.level) or not 0.0 < self.level < 1.0:
             raise ValueError(f"compare level must be in (0, 1), got {self.level!r}")
-        if self.max_lag is not None and not (_is_int(self.max_lag) and self.max_lag >= 0):
+        if self.max_lag is not None and not (is_int(self.max_lag) and self.max_lag >= 0):
             raise ValueError(f"compare max_lag must be null or an integer >= 0, got {self.max_lag!r}")
-        if not (_is_int(self.min_overlap) and self.min_overlap >= 1):
+        if not (is_int(self.min_overlap) and self.min_overlap >= 1):
             raise ValueError(f"compare min_overlap must be an integer >= 1, got {self.min_overlap!r}")
+        if not isinstance(self.thresholds, (list, tuple)):
+            raise ValueError(f"compare thresholds must be a list, got {self.thresholds!r}")
         for thr in self.thresholds:
-            if not _is_real(thr) or not 0.0 < thr <= 1.0:
+            if not is_real(thr) or not 0.0 < thr <= 1.0:
                 raise ValueError(f"compare thresholds must be in (0, 1], got {thr!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+        object.__setattr__(self, "thresholds", tuple(self.thresholds))
 
 
 @dataclass(frozen=True)

@@ -142,14 +142,22 @@ class ContactMatrix:
         return float(self.m.sum() - np.trace(self.m))
 
 
+def _dict_reader(fh, path, expected: list) -> csv.DictReader:
+    """A DictReader whose header must read ``expected`` once stripped of
+    padding; rows are keyed by the stripped names."""
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
+        raise ValidationError(f"{path}: expected header '{','.join(expected)}', got {reader.fieldnames}")
+    reader.fieldnames = expected
+    return reader
+
+
 def load_locations(path) -> LocationTable:
     """Read a ``id,lat,lon`` CSV into a LocationTable."""
     locations = []
     errors = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["id", "lat", "lon"]:
-            raise ValidationError(f"{path}: expected header 'id,lat,lon', got {reader.fieldnames}")
+        reader = _dict_reader(fh, path, ["id", "lat", "lon"])
         for rownum, row in enumerate(reader, start=2):
             try:
                 locations.append(Location(row["id"], float(row["lat"]), float(row["lon"])))
@@ -174,12 +182,7 @@ def load_trips(trip_file, locations_file):
     errors = []
     n_rows = 0
     with open(trip_file, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["origin", "destination", "hour", "count"]
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
-            raise ValidationError(
-                f"{trip_file}: expected header 'origin,destination,hour,count', got {reader.fieldnames}"
-            )
+        reader = _dict_reader(fh, trip_file, ["origin", "destination", "hour", "count"])
         for rownum, row in enumerate(reader, start=2):
             n_rows += 1
             try:

@@ -2,8 +2,8 @@
 
 A sweep pairs every full-mobility run with a run on a transit-thinned
 copy of the matrix, for each disease and each (band, k, theta) cell.
-It runs in two steps. ``plan_cells`` validates the bands, enumerates
-the cells and calibrates each once; calibration does not depend on the
+It runs in two steps. ``plan_cells`` enumerates the cells and
+calibrates each once; calibration does not depend on the
 disease. Execution then goes disease by disease: the baselines first,
 then, per planned cell, the thinned matrix, the transit runs and the
 comparisons. Pairs share the seed location and the introduction RNG
@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import engine, metrics, transit
+from .checks import is_int, is_real
 from .mobility import ContactMatrix, load_matrix_npz
 from .synthcity import CityConfig, generate_synthetic_city
 
@@ -51,6 +51,12 @@ class Disease:
     beta: float
     gamma: float
 
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"disease name must be a string, got {self.name!r}")
+        if not (is_real(self.beta) and self.beta > 0 and is_real(self.gamma) and 0.0 < self.gamma <= 1.0):
+            raise ValueError(f"disease {self.name}: require beta > 0 and gamma in (0, 1]")
+
     @property
     def r0(self) -> float:
         return self.beta / self.gamma
@@ -58,6 +64,19 @@ class Disease:
 
 @dataclass
 class ScenarioConfig:
+    """The settings of one sweep, checked in full on construction, before
+    any city is generated or loaded. Each value takes its default from, and
+    is checked by, the type that uses it: ``Disease`` (name, beta, gamma);
+    ``engine.EpidemicParams``, built per disease (``horizon``,
+    ``extinction_threshold``, ``hazard_variant``); ``DeltaBand.from_label``
+    (``delta_bands``); ``GammaTripModel``, built for every explicit pair or
+    else every pair ``band_pairs`` yields (``mu``, k, theta); ``CompareConfig``
+    and ``CityConfig``. Checked here: the counts, ``master_seed``,
+    ``max_pairs``, the list shapes, the city or matrix file, and ``seed_rule``
+    (in ``engine.SEED_RULES`` or an integer; ``engine.seed_outbreak`` checks an
+    index against the matrix). Ranges and pairs become tuples.
+    """
+
     diseases: list = field(default_factory=lambda: [Disease(*d) for d in DISEASE_DEFAULTS])
     delta_bands: list = field(default_factory=lambda: ["low", "mediate", "high"])
     mu: float = transit.DEFAULT_MODE_SHARE
@@ -69,74 +88,55 @@ class ScenarioConfig:
     replicates: int = 30
     seed_rule: str = "proportional"
     master_seed: int = 1
-    horizon: int = 300
-    extinction_threshold: float = 1e-3
-    hazard_variant: str = "as_printed"
+    horizon: int = engine.EpidemicParams.horizon
+    extinction_threshold: float = engine.EpidemicParams.extinction_threshold
+    hazard_variant: str = engine.EpidemicParams.hazard_variant
     compare: metrics.CompareConfig = field(default_factory=metrics.CompareConfig)
     city: CityConfig | None = field(default_factory=CityConfig)
     matrix_npz: str | None = None
     output_dir: str = "out"
 
     def __post_init__(self):
-        for name in ("seed_draws", "replicates", "horizon", "master_seed"):
-            if not metrics._is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.seed_draws < 1 or self.replicates < 1:
-            raise ValueError("seed_draws and replicates must be >= 1")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.max_pairs is not None and not (metrics._is_int(self.max_pairs) and self.max_pairs >= 0):
+        for name, low in (("seed_draws", 1), ("replicates", 1), ("master_seed", 0)):
+            if not (is_int(getattr(self, name)) and getattr(self, name) >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
+        if self.max_pairs is not None and not (is_int(self.max_pairs) and self.max_pairs >= 0):
             raise ValueError(f"max_pairs must be null or an integer >= 0, got {self.max_pairs!r}")
+        if self.seed_rule not in engine.SEED_RULES and not is_int(self.seed_rule):
+            raise ValueError(f"seed_rule must be one of {engine.SEED_RULES} or an integer, got {self.seed_rule!r}")
+        self.diseases = _as_list(self.diseases, "diseases")
+        self.delta_bands = _as_list(self.delta_bands, "delta_bands")
+        for name in ("k_range", "theta_range"):
+            setattr(self, name, tuple(_as_list(getattr(self, name), name, 2)))
+            if not all(is_int(v) for v in getattr(self, name)):
+                raise ValueError(f"{name} must hold integers, got {getattr(self, name)!r}")
+        if self.pairs is not None:
+            self.pairs = [tuple(_as_list(p, "each pair", 2)) for p in _as_list(self.pairs, "pairs")]
+        for name in ("matrix_npz", "output_dir"):
+            if getattr(self, name) is not None and not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if self.city is None and self.matrix_npz is None:
+            raise ValueError("either a synthetic city spec or a matrix file is required")
         if not self.diseases:
             raise ValueError("at least one disease required")
         for d in self.diseases:
-            numeric = metrics._is_real(d.beta) and metrics._is_real(d.gamma)
-            if not numeric or d.beta <= 0 or not 0.0 < d.gamma <= 1.0:
-                raise ValueError(f"disease {d.name}: require beta > 0 and gamma in (0, 1]")
-        if self.city is None and self.matrix_npz is None:
-            raise ValueError("either a synthetic city spec or a matrix file is required")
-        for label in self.delta_bands:
-            transit.DeltaBand.from_label(label)
+            _params(self, d)
+        bands = [transit.DeltaBand.from_label(label) for label in self.delta_bands]
+        pairs = self.pairs if self.pairs is not None else [p for b in bands for p in band_pairs(self, b)]
+        for k, theta in pairs:
+            transit.GammaTripModel(k, theta, self.mu)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "diseases": [asdict(d) for d in self.diseases],
-            "delta_bands": list(self.delta_bands),
-            "mu": self.mu,
-            "k_range": list(self.k_range),
-            "theta_range": list(self.theta_range),
-            "pairs": [list(p) for p in self.pairs] if self.pairs is not None else None,
-            "max_pairs": self.max_pairs,
-            "seed_draws": self.seed_draws,
-            "replicates": self.replicates,
-            "seed_rule": self.seed_rule,
-            "master_seed": self.master_seed,
-            "horizon": self.horizon,
-            "extinction_threshold": self.extinction_threshold,
-            "hazard_variant": self.hazard_variant,
-            "compare": asdict(self.compare),
-            "city": asdict(self.city) if self.city is not None else None,
-            "matrix_npz": self.matrix_npz,
-            "output_dir": self.output_dir,
-        }
-        out["compare"]["thresholds"] = list(out["compare"]["thresholds"])
-        return out
+        # through JSON text, so that every tuple comes back as a list
+        return json.loads(json.dumps(asdict(self)))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScenarioConfig":
         kwargs = _known_keys(cls, d, "config")
-        if "diseases" in kwargs:
+        if isinstance(kwargs.get("diseases"), list):
             kwargs["diseases"] = [Disease(**_known_keys(Disease, x, "disease")) for x in kwargs["diseases"]]
-        if kwargs.get("pairs") is not None:
-            kwargs["pairs"] = [tuple(p) for p in kwargs["pairs"]]
-        if "k_range" in kwargs:
-            kwargs["k_range"] = tuple(kwargs["k_range"])
-        if "theta_range" in kwargs:
-            kwargs["theta_range"] = tuple(kwargs["theta_range"])
         if "compare" in kwargs:
             cmp_kwargs = _known_keys(metrics.CompareConfig, kwargs["compare"], "compare")
-            if cmp_kwargs.get("thresholds") is not None:
-                cmp_kwargs["thresholds"] = tuple(cmp_kwargs["thresholds"])
             kwargs["compare"] = metrics.CompareConfig(**cmp_kwargs)
         if kwargs.get("city") is not None:
             kwargs["city"] = CityConfig(**_known_keys(CityConfig, kwargs["city"], "city"))
@@ -146,6 +146,12 @@ class ScenarioConfig:
     def from_json_file(cls, path) -> "ScenarioConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _as_list(value, name: str, length: int | None = None) -> list:
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise ValueError(f"{name} must be a list{f' of {length} values' if length else ''}, got {value!r}")
+    return list(value)
 
 
 def _known_keys(cls, d: dict, where: str) -> dict:
@@ -205,15 +211,8 @@ class SweepResult:
     example_curves: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "cells": self.cells,
-            "ledger": self.ledger,
-            "infeasible_cells": self.infeasible_cells,
-            "total_runs": self.total_runs,
-            "histograms": self.histograms,
-            "example_curves": self.example_curves,
-        }
+        # shallow on purpose: asdict would deep-copy the whole ledger
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SweepResult":
@@ -295,7 +294,10 @@ def plan_cells(config: ScenarioConfig, matrix: ContactMatrix) -> tuple[list, lis
     bands = [transit.DeltaBand.from_label(label) for label in config.delta_bands]
     cells, infeasible = [], []
     for band_index, band in enumerate(bands):
-        for pair_index, (k, theta) in enumerate(band_pairs(config, band)):
+        pairs = band_pairs(config, band)
+        if not pairs:
+            log.warning("no (k, theta) pairs with mean in band %s", band.label)
+        for pair_index, (k, theta) in enumerate(pairs):
             try:
                 model = _calibrated_model(config, matrix, k, theta)
             except transit.InfeasibleModeShare as exc:
@@ -569,22 +571,3 @@ def export_results(result: SweepResult, out_dir) -> list:
         fh.write("\n")
     written.append(path)
     return written
-
-
-def expected_run_count(config: ScenarioConfig) -> int:
-    """The combinatorial run total: diseases x draws x replicates x (1 + pairs)."""
-    n_pairs = sum(
-        len(band_pairs(config, transit.DeltaBand.from_label(b))) for b in config.delta_bands
-    )
-    return len(config.diseases) * config.seed_draws * config.replicates * (1 + n_pairs)
-
-
-def bootstrap_mean_ci(values, n_boot: int = 2000, alpha: float = 0.05, seed: int = 0):
-    """Percentile bootstrap CI for the mean of a sample."""
-    values = np.asarray([v for v in values if v is not None], dtype=float)
-    if values.size == 0:
-        raise ValueError("no uncensored values")
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(values, size=(n_boot, values.size), replace=True).mean(axis=1)
-    lo, hi = np.quantile(draws, [alpha / 2, 1 - alpha / 2])
-    return float(lo), float(hi)

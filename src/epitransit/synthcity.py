@@ -9,10 +9,11 @@ balance recovers the drawn populations.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .checks import is_int, is_real
 from .mobility import (
     HOURS_PER_DAY,
     ContactMatrix,
@@ -36,8 +37,11 @@ class CityConfig:
     center_lon: float = 0.0
 
     def __post_init__(self):
-        if self.n_locations < 2:
-            raise ValueError("need at least 2 locations")
+        if not is_int(self.n_locations) or self.n_locations < 2:
+            raise ValueError(f"city n_locations must be an integer >= 2, got {self.n_locations!r}")
+        for f in fields(self)[1:]:  # every field after n_locations is a number
+            if not is_real(getattr(self, f.name)):
+                raise ValueError(f"city {f.name} must be a number, got {getattr(self, f.name)!r}")
         if self.extent_km <= 0:
             raise ValueError("extent_km must be positive")
 

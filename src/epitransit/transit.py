@@ -8,15 +8,13 @@ trips equals the target mode share.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
 
+from .checks import is_real
 from .mobility import ContactMatrix
-
-log = logging.getLogger(__name__)
 
 DELTA_BANDS = {
     "low": (10.0, 20.0),
@@ -50,7 +48,7 @@ class DeltaBand:
 
     @classmethod
     def from_label(cls, label: str) -> "DeltaBand":
-        if label not in DELTA_BANDS:
+        if not isinstance(label, str) or label not in DELTA_BANDS:
             raise ValueError(f"unknown band {label!r}; expected one of {sorted(DELTA_BANDS)}")
         lo, hi = DELTA_BANDS[label]
         return cls(label, lo, hi)
@@ -73,12 +71,12 @@ class GammaTripModel:
     lam: float | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"shape k must be >= 1, got {self.k}")
-        if self.theta < 1:
-            raise ValueError(f"scale theta must be >= 1, got {self.theta}")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError(f"mode share mu must be in (0, 1), got {self.mu}")
+        if not is_real(self.k) or self.k < 1:
+            raise ValueError(f"shape k must be a number >= 1, got {self.k!r}")
+        if not is_real(self.theta) or self.theta < 1:
+            raise ValueError(f"scale theta must be a number >= 1, got {self.theta!r}")
+        if not is_real(self.mu) or not 0.0 < self.mu < 1.0:
+            raise ValueError(f"mode share mu must be in (0, 1), got {self.mu!r}")
 
     @property
     def mean_km(self) -> float:
@@ -115,16 +113,14 @@ def gamma_pdf(d, k: float, theta: float):
 def enumerate_param_pairs(band: DeltaBand, k_range=DEFAULT_K_RANGE, theta_range=DEFAULT_THETA_RANGE):
     """All integer (k, theta) whose mean k*theta falls in the closed band.
 
-    Returned in ascending (k, theta) order. An empty result is legal and
-    logged.
+    Returned in ascending (k, theta) order. An empty result is legal;
+    ``runner.plan_cells`` logs it.
     """
     pairs = []
     for k in range(int(k_range[0]), int(k_range[1]) + 1):
         for theta in range(int(theta_range[0]), int(theta_range[1]) + 1):
             if band.contains(k * theta):
                 pairs.append((k, theta))
-    if not pairs:
-        log.warning("no integer (k, theta) pairs with mean in band %s", band.label)
     return pairs
 
 

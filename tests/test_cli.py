@@ -40,6 +40,22 @@ class TestSynthCityAndIngest:
         b = load_matrix_npz(out / "matrix.npz")
         assert np.array_equal(a.m, b.m)
 
+    def test_ingest_padded_header_matches_unpadded(self, city_dir, tmp_path):
+        padded = {"locations.csv": "id, lat, lon", "trips.csv": "origin, destination, hour, count"}
+        for name, header in padded.items():
+            rows = (city_dir / name).read_text().splitlines()[1:]
+            (tmp_path / name).write_text("\n".join([header] + rows) + "\n")
+        out = tmp_path / "ingested"
+        code = main(
+            ["ingest", "--trips", str(tmp_path / "trips.csv"),
+             "--locations", str(tmp_path / "locations.csv"), "--out-dir", str(out)]
+        )
+        assert code == 0
+        a = load_matrix_npz(city_dir / "matrix.npz")
+        b = load_matrix_npz(out / "matrix.npz")
+        assert np.array_equal(a.m, b.m)
+        assert np.array_equal(a.populations, b.populations)
+
     def test_ingest_missing_file_is_io_error(self, tmp_path):
         code = main(
             ["ingest", "--trips", "/nonexistent/t.csv", "--locations", "/nonexistent/l.csv",
@@ -175,23 +191,46 @@ class TestSweepAndExport:
             {"compare": {"level": 2.0}},
             {"compare": {"min_overlap": 0}},
             {"max_pairs": -1},
+            {"compare": {"thresholds": 5}},
+            {"k_range": 5},
+            {"city": {"n_locations": "x"}},
+            {"mu": "0.3"},
+            {"mu": 1.5},
+            {"extinction_threshold": "a"},
+            {"hazard_variant": "bogus"},
+            {"seed_rule": "nearest"},
+            {"pairs": [[3]]},
+            {"pairs": [[0, 15]]},
+            {"delta_bands": "low"},
+            {"delta_bands": [["low"]]},
         ],
         ids=["unknown_band", "string_seed_draws", "disease_missing_keys", "string_horizon",
-             "level_above_one", "zero_min_overlap", "negative_max_pairs"],
+             "level_above_one", "zero_min_overlap", "negative_max_pairs", "scalar_thresholds",
+             "scalar_k_range", "string_n_locations", "string_mu", "mu_above_one",
+             "string_extinction_threshold", "unknown_hazard_variant", "unknown_seed_rule",
+             "one_element_pair", "pair_k_zero", "string_delta_bands", "nested_delta_bands"],
     )
     def test_sweep_bad_config_fails_before_any_run(self, tmp_path, monkeypatch, capsys, bad):
-        runs = []
-        original = engine.run_simulation
+        calls = []
 
-        def counted(*args, **kwargs):
-            runs.append(1)
-            return original(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "run_simulation", counted)
+            return wrapper
+
+        monkeypatch.setattr(engine, "run_simulation", counted("run", engine.run_simulation))
+        monkeypatch.setattr(
+            runner, "generate_synthetic_city", counted("city", runner.generate_synthetic_city)
+        )
+        # merged into a sweep that is valid without the bad value
+        config = {"seed_draws": 1, "replicates": 1, "pairs": [[3, 5]], "delta_bands": ["low"],
+                  "city": {"n_locations": 30}}
         config_path = tmp_path / "bad.json"
-        config_path.write_text(json.dumps({"seed_draws": 1, "replicates": 1, **bad}))
+        config_path.write_text(json.dumps({**config, **bad}))
         assert main(["sweep", "--config", str(config_path), "--output-dir", str(tmp_path / "o")]) == 1
-        assert runs == []
+        assert calls == []
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_sweep_with_only_failed_comparisons_succeeds(self, tmp_path, capsys):
