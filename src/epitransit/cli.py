@@ -222,9 +222,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_theory(args) -> int:
     matrix = load_matrix_npz(args.matrix)
-    if args.source not in matrix.table:
+    source = matrix.table.index.get(args.source)
+    if source is None:
         raise ValidationError(f"unknown source location {args.source!r}")
-    source = matrix.table.index[args.source]
     params = engine.EpidemicParams(beta=args.beta, gamma=args.gamma)
     if args.transit_matrix is not None:
         sub = load_matrix_npz(args.transit_matrix)

@@ -15,14 +15,17 @@ Locations with cases evolve deterministically:
 
 The deterministic update is applied to every location at once: where
 I = 0 both flows are exactly zero, so virgin and burned-out locations
-come out unchanged without being masked out. Compartments are
-real-valued; runs end when total infecteds drop below an extinction
-threshold, since real-valued I never reaches exactly 0.
+come out unchanged without being masked out. A run keeps one state and
+advances it in place. Once no location is virgin the hazard cannot act,
+so it is neither computed nor sampled. Compartments are real-valued;
+runs end when total infecteds drop below an extinction threshold, since
+real-valued I never reaches exactly 0.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +140,8 @@ def hazard_vector(state: CompartmentState, matrix: ContactMatrix, params: Epidem
 
 
 def sir_step(state: CompartmentState, params: EpidemicParams) -> CompartmentState:
-    """Advance the deterministic dynamics one day, as one whole-array update.
+    """Advance the deterministic dynamics one day, in place, as one
+    whole-array update; returns ``state``.
 
     New infections are capped at the available susceptibles: the update
     overshoots S for beta*I/N > 1, which is a discretization artifact,
@@ -146,23 +150,23 @@ def sir_step(state: CompartmentState, params: EpidemicParams) -> CompartmentStat
     Where I = 0 the new infections min(0, S) and recoveries are exactly
     zero, so virgin and burned-out locations pass through bit-identical.
     """
-    S, I = state.S, state.I
-    new_inf = np.minimum(params.beta * S * I / state.N, S)
+    S, I, R = state.S, state.I, state.R
+    new_inf = params.beta * S
+    new_inf *= I
+    new_inf /= state.N
+    np.minimum(new_inf, S, out=new_inf)
     recov = params.gamma * I
-    new = CompartmentState(
-        S=S - new_inf,
-        I=I + new_inf - recov,
-        R=state.R + recov,
-        N=state.N,
-        day=state.day + 1,
-        onset_day=state.onset_day.copy(),
-    )
-    for arr in (new.S, new.I):
-        neg = arr < 0.0
-        if neg.any():
-            new.R[neg] += arr[neg]
+    S -= new_inf
+    I += new_inf
+    I -= recov
+    R += recov
+    for arr in (S, I):
+        if arr.min() < 0.0:
+            neg = arr < 0.0
+            R[neg] += arr[neg]
             arr[neg] = 0.0
-    return new
+    state.day += 1
+    return state
 
 
 def introduce(
@@ -170,28 +174,39 @@ def introduce(
     matrix: ContactMatrix,
     params: EpidemicParams,
     rng: np.random.Generator,
-    into: CompartmentState | None = None,
+    step: Callable[[CompartmentState, EpidemicParams], CompartmentState] | None = None,
 ) -> CompartmentState:
-    """Bernoulli introductions into virgin locations.
+    """Bernoulli introductions into virgin locations, in place; returns
+    ``state``.
 
     Each virgin location j gains exactly one case with probability
-    h(t, j). Hazards are computed from ``state`` (day t); outcomes are
-    written into ``into`` (day t+1) when given, so the stochastic and
-    deterministic halves of a day can be composed. One uniform is drawn
-    for every location every day, which keeps paired runs on different
-    matrices consuming the same stream.
+    h(t, j), computed from ``state`` at day t. Then ``step(state,
+    params)``, when given, moves the state to day t+1 in place
+    (``advance_day`` passes ``sir_step``); without it only the day
+    advances. The outcomes are written last, with onset day t+1.
+
+    On every day on which some location is virgin, one uniform is drawn
+    for every location. A location with a case never becomes virgin
+    again, so the draws fill a prefix of the days and day t's uniforms
+    are the same in every run with the same seed: paired runs on
+    different matrices consume the same stream. On a day with no virgin
+    location nothing can be introduced, and neither the hazard nor a
+    uniform is computed.
     """
-    if into is None:
-        into = state.copy()
-        into.day = state.day + 1
-    h = hazard_vector(state, matrix, params)
-    u = rng.random(state.S.shape[0])
-    hits = state.virgin_mask & (u < h)
-    if hits.any():
-        into.I[hits] = 1.0
-        into.S[hits] = state.N[hits] - 1.0
-        into.onset_day[hits] = into.day
-    return into
+    virgin = state.virgin_mask
+    hits = None
+    if virgin.any():
+        h = hazard_vector(state, matrix, params)
+        hits = virgin & (rng.random(state.S.shape[0]) < h)
+    if step is None:
+        state.day += 1
+    else:
+        step(state, params)
+    if hits is not None and hits.any():
+        state.I[hits] = 1.0
+        state.S[hits] = state.N[hits] - 1.0
+        state.onset_day[hits] = state.day
+    return state
 
 
 def advance_day(
@@ -200,13 +215,15 @@ def advance_day(
     params: EpidemicParams,
     rng: np.random.Generator,
 ) -> CompartmentState:
-    """One full day: deterministic step plus stochastic introductions.
+    """One full day, in place: stochastic introductions around the
+    deterministic step; returns ``state``.
 
     The two halves change disjoint location sets (I > 0 versus virgin)
-    and both read day-t values, so composing them is an exact
-    simultaneous update.
+    and both read day-t values, since the introductions are drawn before
+    ``sir_step`` runs and written after it, so composing them is an
+    exact simultaneous update.
     """
-    return introduce(state, matrix, params, rng, into=sir_step(state, params))
+    return introduce(state, matrix, params, rng, step=sir_step)
 
 
 def seed_outbreak(matrix: ContactMatrix, rule, rng: np.random.Generator) -> int:
@@ -287,7 +304,7 @@ def run_simulation(
     for _ in range(params.horizon):
         if tot_i[-1] < params.extinction_threshold:
             break
-        state = advance_day(state, matrix, params, rng)
+        advance_day(state, matrix, params, rng)
         record(state)
 
     final_size = float((total_pop - tot_s[-1]) / total_pop)
@@ -297,7 +314,7 @@ def run_simulation(
         total_S=np.array(tot_s),
         total_I=np.array(tot_i),
         total_R=np.array(tot_r),
-        onset_days=state.onset_day.copy(),
+        onset_days=state.onset_day,
         final_size=final_size,
         seed_location=seed_loc,
     )

@@ -44,7 +44,7 @@ class Location:
             raise ValidationError(f"location {self.id!r}: lon {self.lon} outside [-180, 180]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripRecord:
     """Directed movement count between two locations within one hour slot."""
 
@@ -73,12 +73,6 @@ class LocationTable:
     def __len__(self):
         return len(self.locations)
 
-    def __getitem__(self, loc_id: str) -> Location:
-        return self.locations[self.index[loc_id]]
-
-    def __contains__(self, loc_id: str) -> bool:
-        return loc_id in self.index
-
     @property
     def distance_matrix(self) -> np.ndarray:
         """Pairwise haversine distances in km, computed once and cached."""
@@ -92,12 +86,31 @@ class LocationTable:
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
-    """Great-circle distance in kilometers, vectorized over array inputs."""
+    """Great-circle distance in kilometers, vectorized over array inputs.
+
+    Evaluates 2 R asin(sqrt(sin^2(dp/2) + cos(p1) cos(p2) sin^2(dl/2))) in
+    two broadcast-shaped buffers updated in place, so a pairwise matrix
+    costs two n x n arrays rather than one per intermediate.
+    """
     p1, p2 = np.radians(lat1), np.radians(lat2)
-    dp = np.radians(lat2) - np.radians(lat1)
-    dl = np.radians(lon2) - np.radians(lon1)
-    a = np.sin(dp / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+    dl = np.asarray(np.radians(lon2) - np.radians(lon1))
+    dl /= 2.0
+    np.sin(dl, out=dl)
+    np.square(dl, out=dl)
+    a = np.cos(p1) * np.cos(p2)
+    a *= dl
+    del dl
+    d = np.asarray(np.radians(lat2) - np.radians(lat1))
+    d /= 2.0
+    np.sin(d, out=d)
+    np.square(d, out=d)
+    d += a
+    del a
+    np.clip(d, 0.0, 1.0, out=d)
+    np.sqrt(d, out=d)
+    np.arcsin(d, out=d)
+    d *= 2.0 * EARTH_RADIUS_KM
+    return d if d.ndim else d[()]
 
 
 def trip_distance(a: Location, b: Location) -> float:
@@ -153,14 +166,15 @@ def _dict_reader(fh, path, expected: list) -> csv.DictReader:
 
 
 def load_locations(path) -> LocationTable:
-    """Read a ``id,lat,lon`` CSV into a LocationTable."""
+    """Read a ``id,lat,lon`` CSV into a LocationTable; ids are stripped of
+    padding."""
     locations = []
     errors = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _dict_reader(fh, path, ["id", "lat", "lon"])
         for rownum, row in enumerate(reader, start=2):
             try:
-                locations.append(Location(row["id"], float(row["lat"]), float(row["lon"])))
+                locations.append(Location(row["id"].strip(), float(row["lat"]), float(row["lon"])))
             except (TypeError, ValueError, ValidationError) as exc:
                 errors.append(f"row {rownum}: {exc}")
     _raise_if_errors(path, errors)
@@ -170,14 +184,16 @@ def load_locations(path) -> LocationTable:
 def load_trips(trip_file, locations_file):
     """Load and validate trips against a location table.
 
-    Duplicate (origin, destination, hour) rows are merged by summing
-    counts so sharded inputs ingest idempotently. Any malformed row is
-    collected and reported; one or more malformed rows abort the load
-    with a message identifying them.
+    Ids are stripped of padding and matched against the table; records
+    carry the table's own id strings. Duplicate (origin, destination,
+    hour) rows are merged by summing counts so sharded inputs ingest
+    idempotently. Any malformed row is collected and reported; one or
+    more malformed rows abort the load with a message identifying them.
 
     Returns (LocationTable, list of TripRecord).
     """
     table = load_locations(locations_file)
+    index, ids = table.index, table.ids
     merged: dict[tuple, int] = {}
     errors = []
     n_rows = 0
@@ -186,16 +202,18 @@ def load_trips(trip_file, locations_file):
         for rownum, row in enumerate(reader, start=2):
             n_rows += 1
             try:
-                origin, destination = row["origin"], row["destination"]
                 hour = int(row["hour"])
                 count = int(row["count"])
+                origin, destination = row["origin"].strip(), row["destination"].strip()
             except (TypeError, ValueError) as exc:
                 errors.append(f"row {rownum}: unparseable ({exc})")
                 continue
-            if origin not in table:
+            k = index.get(origin)
+            if k is None:
                 errors.append(f"row {rownum}: unknown origin {origin!r}")
                 continue
-            if destination not in table:
+            j = index.get(destination)
+            if j is None:
                 errors.append(f"row {rownum}: unknown destination {destination!r}")
                 continue
             if not 0 <= hour <= 23:
@@ -204,7 +222,8 @@ def load_trips(trip_file, locations_file):
             if count < 1:
                 errors.append(f"row {rownum}: non-positive count {count}")
                 continue
-            merged[(origin, destination, hour)] = merged.get((origin, destination, hour), 0) + count
+            key = (ids[k], ids[j], hour)
+            merged[key] = merged.get(key, 0) + count
     _raise_if_errors(trip_file, errors)
     n_merged = n_rows - len(merged)
     if n_merged:

@@ -8,10 +8,10 @@ trips equals the target mode share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .checks import is_real
 from .mobility import ContactMatrix
@@ -110,6 +110,68 @@ def gamma_pdf(d, k: float, theta: float):
     return float(out[0]) if scalar else out
 
 
+# Coefficients of the Cephes Math Library's lgam (S. L. Moshier), which
+# scipy.special.gammaln evaluates: a rational fit of log Gamma on [2, 3]
+# and a Stirling series.
+_LGAM_B = (
+    -1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+    -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+    -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6,
+)
+_LGAM_A = (
+    8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+    -2.77777777730099687205e-3, 8.33333333333331927722e-2,
+)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305
+
+
+def _polevl(x: float, coefs) -> float:
+    """coefs[0] x^n + ... + coefs[n] by Horner's rule."""
+    ans = 0.0
+    for c in coefs:
+        ans = ans * x + c
+    return ans
+
+
+def gammaln(x: float) -> float:
+    """log Gamma(x) for x >= 1, as Cephes' lgam computes it, so the value
+    equals scipy.special.gammaln's bit for bit. A non-finite x is returned
+    as it is."""
+    if not math.isfinite(x):
+        return x
+    if x < 1.0:
+        raise ValueError(f"gammaln is implemented for x >= 1, got {x!r}")
+    if x < 13.0:
+        # shift into [2, 3) by the recurrence Gamma(x+1) = x Gamma(x)
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x = x + (p - 2.0)
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        series = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+        return q + series / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
 def enumerate_param_pairs(band: DeltaBand, k_range=DEFAULT_K_RANGE, theta_range=DEFAULT_THETA_RANGE):
     """All integer (k, theta) whose mean k*theta falls in the closed band.
 
@@ -177,10 +239,10 @@ def calibrate(model: GammaTripModel, matrix: ContactMatrix) -> GammaTripModel:
 
 def _inter_location_trips(matrix: ContactMatrix):
     """(distances, counts) of the nonzero off-diagonal entries, row-major."""
-    off = ~np.eye(matrix.n, dtype=bool)
-    counts = matrix.m[off]
-    keep = counts > 0
-    return matrix.distance_matrix[off][keep], counts[keep]
+    rows, cols = np.nonzero(matrix.m)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    return matrix.distance_matrix[rows, cols], matrix.m[rows, cols]
 
 
 def label_probabilities(model: GammaTripModel, distances) -> np.ndarray:
@@ -201,7 +263,7 @@ def sample_transit_matrix(matrix: ContactMatrix, model: GammaTripModel, rng_seed
     """
     probs = label_probabilities(model, matrix.distance_matrix)
     counts = np.asarray(np.rint(matrix.m), dtype=np.int64)
-    if not np.allclose(counts, matrix.m):
+    if not np.array_equal(counts, matrix.m):
         raise ValueError("matrix entries must be integer trip counts for thinning")
     rng = np.random.default_rng(rng_seed)
     kept = rng.binomial(counts, probs).astype(float)

@@ -56,6 +56,22 @@ class TestSynthCityAndIngest:
         assert np.array_equal(a.m, b.m)
         assert np.array_equal(a.populations, b.populations)
 
+    def test_ingest_padded_ids_match_unpadded(self, city_dir, tmp_path):
+        for name in ("locations.csv", "trips.csv"):
+            lines = (city_dir / name).read_text().splitlines()
+            (tmp_path / name).write_text("\n".join(" " + ", ".join(line.split(",")) for line in lines) + "\n")
+        out = tmp_path / "ingested"
+        code = main(
+            ["ingest", "--trips", str(tmp_path / "trips.csv"),
+             "--locations", str(tmp_path / "locations.csv"), "--out-dir", str(out)]
+        )
+        assert code == 0
+        a = load_matrix_npz(city_dir / "matrix.npz")
+        b = load_matrix_npz(out / "matrix.npz")
+        assert np.array_equal(a.m, b.m)
+        assert np.array_equal(a.populations, b.populations)
+        assert b.table.ids == a.table.ids
+
     def test_ingest_missing_file_is_io_error(self, tmp_path):
         code = main(
             ["ingest", "--trips", "/nonexistent/t.csv", "--locations", "/nonexistent/l.csv",

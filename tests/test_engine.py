@@ -167,9 +167,20 @@ class TestIntroduce:
         assert h == pytest.approx(0.3, rel=1e-12)
         rng = np.random.default_rng(123)
         hits = sum(
-            introduce(state, m, params, rng).I[0] == 1.0 for _ in range(10_000)
+            introduce(state.copy(), m, params, rng).I[0] == 1.0 for _ in range(10_000)
         )
         assert hits / 10_000 == pytest.approx(0.3, abs=0.015)
+
+    def test_no_virgin_location_draws_nothing(self):
+        m = two_location_matrix()
+        state = fresh_state(m)
+        state.seed(0)
+        state.S[1], state.R[1] = 99.0, 1.0
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        out = introduce(state, m, EpidemicParams(beta=0.5, gamma=0.5), rng)
+        assert rng.bit_generator.state == before
+        assert out.day == 1 and out.I[0] == 1.0 and out.I[1] == 0.0
 
 
 class TestSeedOutbreak:

@@ -70,6 +70,13 @@ class TestLoadTrips:
         merged = {(t.origin, t.destination, t.hour): t.count for t in trips}
         assert merged[("A", "B", 9)] == 7
 
+    def test_padded_ids_stripped(self, write_csvs):
+        trips_path, locs_path = write_csvs([" A ,0,0", "B,0,1"], ["  A, B ,9,3", "A,B,9,1"])
+        table, trips = load_trips(trips_path, locs_path)
+        assert table.ids == ["A", "B"]
+        assert trips == [TripRecord("A", "B", 9, 4)]
+        assert trips[0].origin is table.ids[0] and trips[0].destination is table.ids[1]
+
     def test_unknown_location(self, write_csvs):
         trips_path, locs_path = write_csvs(["A,0,0"], ["A,Z,9,1"])
         with pytest.raises(ValidationError, match="row 2.*'Z'"):
@@ -208,7 +215,7 @@ class TestDistances:
     def test_distance_matrix_cached_and_consistent(self, square_table):
         d = square_table.distance_matrix
         assert d is square_table.distance_matrix
-        assert d[0, 1] == trip_distance(square_table["A"], square_table["B"])
+        assert d[0, 1] == trip_distance(square_table.locations[0], square_table.locations[1])
 
 
 class TestNetworkStats:

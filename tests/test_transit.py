@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
+import epitransit
 from epitransit.mobility import matrix_from_flows
 from epitransit.transit import (
     DEFAULT_K_RANGE,
@@ -16,6 +21,7 @@ from epitransit.transit import (
     distance_histogram,
     enumerate_param_pairs,
     gamma_pdf,
+    gammaln,
     label_probabilities,
     sample_transit_matrix,
     weighted_percentile,
@@ -65,6 +71,36 @@ class TestGammaPdf:
             theta = int(rng.integers(1, 40))
             total, _ = integrate.quad(lambda d: gamma_pdf(d, k, theta), 0, np.inf, limit=200)
             assert total == pytest.approx(1.0, abs=1e-6)
+
+
+class TestGammaln:
+    def test_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        xs = np.concatenate([
+            np.arange(1.0, 5000.0),  # every integer shape up to 4999
+            rng.uniform(1.0, 60.0, 50_000),
+            rng.uniform(1.0, 1e9, 5_000),  # both Stirling branches and the 1e8 cut
+            1.0 + 1e-3 * np.arange(12_001),  # the recurrence on [1, 13]
+            [12.999999999, 13.0, 999.999, 1000.0, 1e8, 1e8 + 1.0, 1e300, 3e305],
+        ])
+        got = np.array([gammaln(float(x)) for x in xs])
+        np.testing.assert_array_equal(got.view(np.int64), special.gammaln(xs).view(np.int64))
+
+    def test_non_finite_returned_and_below_one_rejected(self):
+        assert gammaln(np.inf) == np.inf
+        assert np.isnan(gammaln(np.nan))
+        with pytest.raises(ValueError):
+            gammaln(0.5)
+
+    def test_package_imports_no_scipy(self):
+        src = pathlib.Path(epitransit.__file__).resolve().parents[1]
+        code = (
+            "import sys, epitransit, epitransit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestEnumeratePairs:
@@ -174,6 +210,13 @@ class TestSampling:
         assert np.array_equal(a.m, b.m)
         c = sample_transit_matrix(small_city, model, 100)
         assert not np.array_equal(a.m, c.m)
+
+    def test_fractional_count_rejected_however_large(self):
+        # 1e6 + 0.4 is within allclose's relative tolerance of 1e6
+        m = matrix_from_flows(np.array([[0.0, 1e6 + 0.4], [3.0, 0.0]]), populations=np.array([10.0, 10.0]))
+        model = dataclasses.replace(GammaTripModel(k=1, theta=5), lam=1.0)
+        with pytest.raises(ValueError, match="integer trip counts"):
+            sample_transit_matrix(m, model, 1)
 
     def test_unset_lambda_rejected(self, small_city):
         with pytest.raises(ValueError, match="lam"):
