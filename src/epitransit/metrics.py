@@ -43,6 +43,10 @@ def peak(series):
     return day, float(x[day])
 
 
+# Far wider than the round-off between the one-pass and the per-lag sums.
+_SA_CANDIDATE_RTOL = 1e-9
+
+
 def situational_awareness(x, y, max_lag: int, min_overlap: int = 10) -> float:
     """One minus the lag-minimized normalized mean absolute error.
 
@@ -50,27 +54,62 @@ def situational_awareness(x, y, max_lag: int, min_overlap: int = 10) -> float:
     over the overlap of their day ranges; overlaps shorter than
     min_overlap are disqualified to prevent degenerate alignments.
     x is the transit series, y the full-mobility series.
+
+    Every admissible lag's ratio is first computed in one array pass.
+    Only the lags within a relative 1e-9 of that pass's minimum are then
+    summed again one by one, in ``_lag_ratio``'s order. Both sums run
+    over non-negative terms, so they differ by round-off of about L eps
+    relative for L terms. The true minimizing lag is therefore always
+    summed again, and the result equals a loop over every lag bit for
+    bit.
     """
     xa, ya = _prevalence(x), _prevalence(y)
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    best = None
-    for lag in range(-max_lag, max_lag + 1):
-        t0 = max(0, -lag)
-        t1 = min(xa.size - 1, ya.size - 1 - lag)
-        if t1 - t0 + 1 < min_overlap:
-            continue
-        xs = xa[t0 : t1 + 1]
-        ys = ya[t0 + lag : t1 + lag + 1]
-        denom = float(np.abs(xs + ys).sum())
-        ratio = float(np.abs(xs - ys).sum()) / denom if denom > 0 else 0.0
-        if best is None or ratio < best:
-            best = ratio
-    if best is None:
+    if min_overlap < 1:
+        raise ValueError("min_overlap must be >= 1")
+    nx, ny = xa.size, ya.size
+    # only lags in [1 - nx, ny - 1] leave any overlap
+    lags = np.arange(max(-max_lag, 1 - nx), min(max_lag, ny - 1) + 1)
+    lags = lags[np.minimum(nx, ny - lags) - np.maximum(0, -lags) >= min_overlap]
+    if lags.size == 0:
         raise NoAdmissibleLag(
             f"no lag in [-{max_lag}, {max_lag}] leaves an overlap of {min_overlap}+ days"
         )
-    return 1.0 - best
+    ratios = _lag_ratios(xa, ya, lags)
+    candidates = lags[ratios <= ratios.min() * (1.0 + _SA_CANDIDATE_RTOL)]
+    return 1.0 - min(_lag_ratio(xa, ya, int(lag)) for lag in candidates)
+
+
+def _lag_ratio(xa: np.ndarray, ya: np.ndarray, lag: int) -> float:
+    """sum |x - y| / sum |x + y| over the days x[t] and y[t + lag] share,
+    or 0 where the denominator is 0."""
+    t0 = max(0, -lag)
+    t1 = min(xa.size - 1, ya.size - 1 - lag)
+    xs = xa[t0 : t1 + 1]
+    ys = ya[t0 + lag : t1 + lag + 1]
+    denom = float(np.abs(xs + ys).sum())
+    return float(np.abs(xs - ys).sum()) / denom if denom > 0 else 0.0
+
+
+def _lag_ratios(xa: np.ndarray, ya: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """``_lag_ratio`` for all of ``lags`` at once, each in [1 - nx, ny - 1],
+    up to round-off.
+
+    Row i holds y shifted by lags[i] against x, padded with zeros that a
+    mask leaves out of the sums.
+    """
+    nx, ny = xa.size, ya.size
+    padded = np.zeros(2 * nx + ny)
+    padded[nx : nx + ny] = ya
+    inside = np.zeros(padded.size, dtype=bool)
+    inside[nx : nx + ny] = True
+    rows = nx + lags
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, nx)[rows]
+    mask = np.lib.stride_tricks.sliding_window_view(inside, nx)[rows]
+    num = np.add.reduce(np.abs(xa - shifted), axis=1, where=mask)
+    den = np.add.reduce(np.abs(xa + shifted), axis=1, where=mask)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
 def locations_timing(x_run, y_run, thresholds):

@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -149,6 +150,26 @@ class ContactMatrix:
     @property
     def distance_matrix(self) -> np.ndarray:
         return self.table.distance_matrix
+
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat indices, distances in km) of the nonzero entries, row-major.
+
+        Indices are int32 when the matrix has fewer than 2**31 entries;
+        ``m.take(index)`` reads their counts, which are not cached.
+        Distances are computed for these entries only and equal
+        ``distance_matrix`` there, so calibration, histograms and thinning
+        never fill the dense n x n distance cache.
+        """
+        index = np.flatnonzero(self.m)
+        if self.m.size < 2**31:
+            index = index.astype(np.int32)
+        rows, cols = np.divmod(index, self.n)
+        t = self.table
+        distances = haversine_km(t.lat[rows], t.lon[rows], t.lat[cols], t.lon[cols])
+        index.flags.writeable = False
+        distances.flags.writeable = False
+        return index, distances
 
     def cross_trips(self) -> float:
         """Total daily trips between distinct locations."""

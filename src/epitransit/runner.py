@@ -4,10 +4,11 @@ A sweep pairs every full-mobility run with a run on a transit-thinned
 copy of the matrix, for each disease and each (band, k, theta) cell.
 It runs in two steps. ``plan_cells`` enumerates the cells and
 calibrates each once; calibration does not depend on the
-disease. Execution then goes disease by disease: the baselines first,
-then, per planned cell, the thinned matrix, the transit runs and the
-comparisons. Pairs share the seed location and the introduction RNG
-stream so metric differences isolate the matrix effect.
+disease. Execution then runs every disease's baselines, and goes cell
+by cell: each cell is thinned once, and every disease runs its transit
+arm and comparisons on that one matrix, since thinning does not depend
+on the disease either. Pairs share the seed location and the
+introduction RNG stream so metric differences isolate the matrix effect.
 ``replay_run`` rebuilds any ledger entry with the same helpers, so
 every run is reconstructible from its entry plus the scenario config.
 """
@@ -72,7 +73,8 @@ class ScenarioConfig:
     (``delta_bands``); ``GammaTripModel``, built for every explicit pair or
     else every pair ``band_pairs`` yields (``mu``, k, theta); ``CompareConfig``
     and ``CityConfig``. Checked here: the counts, ``master_seed``,
-    ``max_pairs``, the list shapes, the city or matrix file, and ``seed_rule``
+    ``max_pairs``, the list shapes, unique disease names (a replay and the
+    exports find a disease by name), the city or matrix file, and ``seed_rule``
     (in ``engine.SEED_RULES`` or an integer; ``engine.seed_outbreak`` checks an
     index against the matrix). Ranges and pairs become tuples.
     """
@@ -121,6 +123,10 @@ class ScenarioConfig:
             raise ValueError("at least one disease required")
         for d in self.diseases:
             _params(self, d)
+        names = [d.name for d in self.diseases]
+        dupes = sorted({name for name in names if names.count(name) > 1})
+        if dupes:
+            raise ValueError(f"duplicate disease name(s): {', '.join(dupes)}")
         bands = [transit.DeltaBand.from_label(label) for label in self.delta_bands]
         pairs = self.pairs if self.pairs is not None else [p for b in bands for p in band_pairs(self, b)]
         for k, theta in pairs:
@@ -338,15 +344,20 @@ def _run(config: ScenarioConfig, matrix: ContactMatrix, params, seed_location: i
 
 
 def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> SweepResult:
-    """Plan the cells, then run every disease over them.
+    """Plan the cells, run the baselines, then run every cell once.
 
     ``plan_cells`` calibrates each (band, k, theta) once. Per disease,
     the full-mobility baseline is run once per (seed draw, replicate)
     and reused across every cell, mirroring the 1 + n_pairs run
-    structure; each cell then runs its transit arm and compares the
-    pair. A pair whose comparison raises ``NoAdmissibleLag`` stays out
-    of the ledger and the aggregates, is counted in its cell's
-    ``failed_comparisons`` and still takes a ``run_index``.
+    structure. Each cell is then thinned once, and every disease runs
+    its transit arm on that one matrix and compares each pair. Disease
+    d, cell c, seed draw s and replicate r take ``run_index``
+    ((d C + c) D + s) R + r, for C feasible cells, D draws and R
+    replicates, and cells, ledger and example curves are listed disease
+    by disease, so the result does not depend on the execution order. A
+    pair whose comparison raises ``NoAdmissibleLag`` stays out of the
+    ledger and the aggregates, is counted in its cell's
+    ``failed_comparisons`` and still takes its ``run_index``.
     """
     if matrix is None:
         matrix = base_matrix(config)
@@ -357,43 +368,37 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
         )
         for s in range(config.seed_draws)
     ]
+    pairs = [(s, r) for s in range(config.seed_draws) for r in range(config.replicates)]
+    params = [_params(config, disease) for disease in config.diseases]
+    baselines = [[_run(config, matrix, p, seed_locs[s], s, r) for s, r in pairs] for p in params]
+    total_runs = len(params) * len(pairs)
 
-    cells = []
-    ledger = []
+    # per disease, in cell order
+    cells = [[] for _ in config.diseases]
+    ledgers = [[] for _ in config.diseases]
+    curves = [None] * len(config.diseases)
     histograms = {"full": _hist_dict(transit.distance_histogram(matrix))}
-    example_curves = {}
-    total_runs = 0
-    run_index = 0
 
-    for disease in config.diseases:
-        params = _params(config, disease)
-        baselines = {
-            (s, r): _run(config, matrix, params, seed_locs[s], s, r)
-            for s in range(config.seed_draws)
-            for r in range(config.replicates)
-        }
-        total_runs += len(baselines)
+    for c, cell in enumerate(planned):
+        sub = _thin(config, matrix, cell.band_index, cell.model)
+        if cell.pair_index == 0:
+            histograms[f"{cell.band}:k{cell.k}:t{cell.theta}"] = _hist_dict(transit.distance_histogram(sub))
 
-        for cell in planned:
-            sub = _thin(config, matrix, cell.band_index, cell.model)
-            hist_key = f"{cell.band}:k{cell.k}:t{cell.theta}"
-            if cell.pair_index == 0 and hist_key not in histograms:
-                histograms[hist_key] = _hist_dict(transit.distance_histogram(sub))
-
+        for d, disease in enumerate(config.diseases):
             reports = []
             failed = 0
-            for (s, r), mpt in baselines.items():
-                ptt = _run(config, sub, params, seed_locs[s], s, r)
+            for (s, r), mpt in zip(pairs, baselines[d]):
+                run_index = ((d * len(planned) + c) * config.seed_draws + s) * config.replicates + r
+                ptt = _run(config, sub, params[d], seed_locs[s], s, r)
                 total_runs += 1
                 try:
                     report = metrics.compare(ptt, mpt, config.compare)
                 except metrics.NoAdmissibleLag:
                     log.warning("run %d: series too short to compare; censored", run_index)
                     failed += 1
-                    run_index += 1
                     continue
                 reports.append(report)
-                ledger.append(
+                ledgers[d].append(
                     {
                         "run_index": run_index,
                         "disease": disease.name,
@@ -411,9 +416,8 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
                         "report": report.to_json_dict(),
                     }
                 )
-                run_index += 1
-                if disease.name not in example_curves:
-                    example_curves[disease.name] = {
+                if curves[d] is None:
+                    curves[d] = {
                         "band": cell.band,
                         "k": cell.k,
                         "theta": cell.theta,
@@ -422,7 +426,7 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
                         "ptt_prevalence": [float(v) for v in ptt.prevalence],
                         "mpt_prevalence": [float(v) for v in mpt.prevalence],
                     }
-            cells.append(
+            cells[d].append(
                 {
                     "disease": disease.name,
                     "beta": disease.beta,
@@ -436,15 +440,18 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
                     "failed_comparisons": failed,
                 }
             )
+        del sub  # release this cell's matrix before the next is thinned
 
     return SweepResult(
         config=config.to_json_dict(),
-        cells=cells,
-        ledger=ledger,
+        cells=[row for rows in cells for row in rows],
+        ledger=[entry for entries in ledgers for entry in entries],
         infeasible_cells=infeasible,
         total_runs=total_runs,
         histograms=histograms,
-        example_curves=example_curves,
+        example_curves={
+            disease.name: curve for disease, curve in zip(config.diseases, curves) if curve is not None
+        },
     )
 
 

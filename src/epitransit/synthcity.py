@@ -20,6 +20,7 @@ from .mobility import (
     Location,
     LocationTable,
     derive_populations,
+    haversine_km,
 )
 
 KM_PER_DEGREE = 111.19492664455873  # 6371 km * pi / 180
@@ -68,7 +69,7 @@ def generate_synthetic_city(config: CityConfig, rng_seed) -> tuple[LocationTable
 
     pops = np.maximum(rng.lognormal(np.log(config.pop_median), config.pop_sigma, n), 1.0)
 
-    d = table.distance_matrix
+    d = haversine_km(table.lat[:, None], table.lon[:, None], table.lat[None, :], table.lon[None, :])
     kernel = pops[:, None] * pops[None, :] * np.exp(-d / config.d0_km)
     np.fill_diagonal(kernel, 0.0)
     target_total = config.trips_per_capita * pops.sum()

@@ -239,10 +239,9 @@ def calibrate(model: GammaTripModel, matrix: ContactMatrix) -> GammaTripModel:
 
 def _inter_location_trips(matrix: ContactMatrix):
     """(distances, counts) of the nonzero off-diagonal entries, row-major."""
-    rows, cols = np.nonzero(matrix.m)
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
-    return matrix.distance_matrix[rows, cols], matrix.m[rows, cols]
+    index, distances = matrix.entries
+    off = index % (matrix.n + 1) != 0  # diagonal flat indices are multiples of n + 1
+    return distances[off], matrix.m.take(index[off])
 
 
 def label_probabilities(model: GammaTripModel, distances) -> np.ndarray:
@@ -257,18 +256,24 @@ def sample_transit_matrix(matrix: ContactMatrix, model: GammaTripModel, rng_seed
 
     Each of the c trips on an entry is kept independently, so the kept
     count is Binomial(c, min(1, lambda F(d))). Self-flow trips sit at
-    d = 0. Populations are copied from the input matrix: the comparison
-    is about reduced flows, not reduced populations. Output is
-    bit-reproducible for a fixed seed.
+    d = 0. Draws are made over the nonzero entries only, in row-major
+    order: a Binomial(0, p) draw consumes no random numbers, so this
+    gives the same matrix as drawing over all n^2 entries. Populations
+    are copied from the input matrix: the comparison is about reduced
+    flows, not reduced populations. Output is bit-reproducible for a
+    fixed seed.
     """
-    probs = label_probabilities(model, matrix.distance_matrix)
-    counts = np.asarray(np.rint(matrix.m), dtype=np.int64)
-    if not np.array_equal(counts, matrix.m):
+    index, distances = matrix.entries
+    probs = label_probabilities(model, distances)
+    values = matrix.m.take(index)
+    counts = np.asarray(np.rint(values), dtype=np.int64)
+    if not np.array_equal(counts, values):
         raise ValueError("matrix entries must be integer trip counts for thinning")
     rng = np.random.default_rng(rng_seed)
-    kept = rng.binomial(counts, probs).astype(float)
+    kept = np.zeros(matrix.m.size)
+    kept[index] = rng.binomial(counts, probs)
     return ContactMatrix(
-        m=kept,
+        m=kept.reshape(matrix.m.shape),
         populations=matrix.populations.copy(),
         table=matrix.table,
         population_clamp_count=matrix.population_clamp_count,

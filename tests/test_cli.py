@@ -219,12 +219,14 @@ class TestSweepAndExport:
             {"pairs": [[0, 15]]},
             {"delta_bands": "low"},
             {"delta_bands": [["low"]]},
+            {"diseases": [{"name": "flu", "beta": 0.5, "gamma": 0.2}, {"name": "flu", "beta": 1.5, "gamma": 0.2}]},
         ],
         ids=["unknown_band", "string_seed_draws", "disease_missing_keys", "string_horizon",
              "level_above_one", "zero_min_overlap", "negative_max_pairs", "scalar_thresholds",
              "scalar_k_range", "string_n_locations", "string_mu", "mu_above_one",
              "string_extinction_threshold", "unknown_hazard_variant", "unknown_seed_rule",
-             "one_element_pair", "pair_k_zero", "string_delta_bands", "nested_delta_bands"],
+             "one_element_pair", "pair_k_zero", "string_delta_bands", "nested_delta_bands",
+             "duplicate_disease_names"],
     )
     def test_sweep_bad_config_fails_before_any_run(self, tmp_path, monkeypatch, capsys, bad):
         calls = []

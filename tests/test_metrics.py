@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from epitransit.metrics import (
     CompareConfig,
@@ -86,7 +89,43 @@ def sa_oracle(x, y, max_lag, min_overlap=10):
     return None if best is None else 1.0 - best
 
 
+def sa_per_lag(x, y, max_lag, min_overlap=10):
+    """The per-lag loop of NumPy sums that situational_awareness must equal
+    bit for bit."""
+    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    best = None
+    for lag in range(-max_lag, max_lag + 1):
+        t0 = max(0, -lag)
+        t1 = min(xa.size - 1, ya.size - 1 - lag)
+        if t1 - t0 + 1 < min_overlap:
+            continue
+        xs = xa[t0 : t1 + 1]
+        ys = ya[t0 + lag : t1 + lag + 1]
+        denom = float(np.abs(xs + ys).sum())
+        ratio = float(np.abs(xs - ys).sum()) / denom if denom > 0 else 0.0
+        if best is None or ratio < best:
+            best = ratio
+    return None if best is None else 1.0 - best
+
+
+# prevalence-like values, with exact ties, repeats and all-zero stretches
+prevalences = hnp.arrays(
+    np.float64,
+    st.integers(0, 60),
+    elements=st.one_of(st.sampled_from([0.0, 0.1, 0.25]), st.floats(0.0, 1.0)),
+)
+
+
 class TestSituationalAwareness:
+    @given(x=prevalences, y=prevalences, max_lag=st.integers(0, 70), min_overlap=st.integers(1, 15))
+    def test_equals_the_per_lag_loop_bit_for_bit(self, x, y, max_lag, min_overlap):
+        expected = sa_per_lag(x, y, max_lag, min_overlap)
+        if expected is None:
+            with pytest.raises(NoAdmissibleLag):
+                situational_awareness(x, y, max_lag, min_overlap)
+        else:
+            assert situational_awareness(x, y, max_lag, min_overlap) == expected
+
     def test_identical_series(self):
         x = np.linspace(0, 0.2, 40)
         assert situational_awareness(x, x, 5) == pytest.approx(1.0)
@@ -127,6 +166,10 @@ class TestSituationalAwareness:
     def test_too_short_series(self):
         with pytest.raises(NoAdmissibleLag):
             situational_awareness(np.ones(4), np.ones(4), 2)
+
+    def test_min_overlap_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="min_overlap"):
+            situational_awareness(np.ones(20), np.ones(20), 2, min_overlap=0)
 
 
 class TestLocationsTiming:

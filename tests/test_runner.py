@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -111,6 +113,8 @@ class TestConfig:
             tiny_config(city=None)
         with pytest.raises(ValueError, match="nope"):
             tiny_config(delta_bands=["low", "nope"])
+        with pytest.raises(ValueError, match="duplicate disease name"):
+            tiny_config(diseases=[Disease("flu", 0.5, 0.2), Disease("flu", 1.5, 0.2)])
 
     @pytest.mark.parametrize("section", [None, "diseases", "compare", "city"])
     def test_unknown_key_names_it(self, section):
@@ -161,7 +165,38 @@ class TestRunSweep:
         config, _, result, calls = two_disease_sweep
         assert len(result.cells) == len(config.diseases) * len(TWO_BAND_PAIRS)
         assert calls["calibrate"] == len(TWO_BAND_PAIRS)
-        assert calls["sample_transit_matrix"] == len(config.diseases) * len(TWO_BAND_PAIRS)
+        assert calls["sample_transit_matrix"] == len(TWO_BAND_PAIRS)
+
+    def test_run_index_is_closed_form(self, caplog):
+        # at horizon 5 and a 6-day minimum overlap, a comparison fails when
+        # either arm of "brief" dies out early, which depends on its
+        # introductions; h1n1's comparisons all succeed
+        diseases = [TWO_DISEASES[0], Disease("brief", 3e-4, 1.0)]
+        config = tiny_config(
+            diseases=diseases, delta_bands=["low", "mediate"], pairs=TWO_BAND_PAIRS,
+            horizon=5, compare=CompareConfig(min_overlap=6),
+        )
+        with caplog.at_level(logging.WARNING, logger="epitransit.runner"):
+            result = run_sweep(config)
+        n_cells, draws, reps = len(TWO_BAND_PAIRS), config.seed_draws, config.replicates
+        names = [d.name for d in diseases]
+        indices = [e["run_index"] for e in result.ledger]
+        assert indices == [
+            ((names.index(e["disease"]) * n_cells + TWO_BAND_PAIRS.index((e["k"], e["theta"]))) * draws
+             + e["seed_draw"]) * reps + e["replicate"]
+            for e in result.ledger
+        ]
+        assert indices == sorted(indices)
+        failed = [int(m.group(1)) for m in (re.match(r"run (\d+):", r.getMessage()) for r in caplog.records) if m]
+        per_pair = draws * reps
+        assert len(failed) == sum(c["failed_comparisons"] for c in result.cells) > 0
+        assert {e["disease"] for e in result.ledger} == set(names)
+        # every index is taken once, by a ledger entry or a failed comparison
+        assert sorted(indices + failed) == list(range(len(result.cells) * per_pair))
+        # and a failure falls in the block of its (disease, cell)
+        assert [c["failed_comparisons"] for c in result.cells] == [
+            sum(i // per_pair == block for i in failed) for block in range(len(result.cells))
+        ]
 
     def test_replay_reproduces_every_entry(self, two_disease_sweep):
         config, matrix, result, _ = two_disease_sweep
