@@ -17,7 +17,11 @@ The deterministic update is applied to every location at once: where
 I = 0 both flows are exactly zero, so virgin and burned-out locations
 come out unchanged without being masked out. A run keeps one state and
 advances it in place. Once no location is virgin the hazard cannot act,
-so it is neither computed nor sampled. Compartments are real-valued;
+so it is neither computed nor sampled; while a quarter of the locations
+or fewer are virgin, only their rows of the matrix are read.
+Such a row's sum can differ from the whole product's in the last bit
+(BLAS groups rows), which moves an introduction only if its uniform
+falls within that bit of the hazard. Compartments are real-valued;
 runs end when total infecteds drop below an extinction threshold, since
 real-valued I never reaches exactly 0.
 """
@@ -126,17 +130,26 @@ def _hazard_kernel(beta, S, inner):
     return np.clip(h, 0.0, 1.0)
 
 
-def hazard_vector(state: CompartmentState, matrix: ContactMatrix, params: EpidemicParams) -> np.ndarray:
-    """Daily outbreak probability for every location.
+def hazard_vector(
+    state: CompartmentState, matrix: ContactMatrix, params: EpidemicParams, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Daily outbreak probability for every location, or for the
+    locations indexed by ``rows`` only, in that order.
 
     The exposure sum excludes each location's self-flow. Only meaningful
-    for virgin locations; callers mask accordingly.
+    for virgin locations; callers mask accordingly. With ``rows``, only
+    those rows of the matrix are read.
     """
     x = state.I / state.N
-    inner = matrix.m @ x - np.diagonal(matrix.m) * x
+    if rows is None:
+        inner = matrix.m @ x - np.diagonal(matrix.m) * x
+        S = state.S
+    else:
+        inner = matrix.m[rows] @ x - matrix.m[rows, rows] * x[rows]
+        S = state.S[rows]
     if params.hazard_variant == "as_printed":
-        inner = inner * state.S
-    return _hazard_kernel(params.beta, state.S, inner)
+        inner = inner * S
+    return _hazard_kernel(params.beta, S, inner)
 
 
 def sir_step(state: CompartmentState, params: EpidemicParams) -> CompartmentState:
@@ -191,18 +204,23 @@ def introduce(
     are the same in every run with the same seed: paired runs on
     different matrices consume the same stream. On a day with no virgin
     location nothing can be introduced, and neither the hazard nor a
-    uniform is computed.
+    uniform is computed. While a quarter of the locations or fewer are
+    virgin, the hazard is computed for those locations only.
     """
-    virgin = state.virgin_mask
+    virgin = np.flatnonzero(state.virgin_mask)
     hits = None
-    if virgin.any():
-        h = hazard_vector(state, matrix, params)
-        hits = virgin & (rng.random(state.S.shape[0]) < h)
+    if virgin.size:
+        n = state.S.shape[0]
+        if 4 * virgin.size <= n:
+            h = hazard_vector(state, matrix, params, virgin)
+        else:
+            h = hazard_vector(state, matrix, params)[virgin]
+        hits = virgin[rng.random(n)[virgin] < h]
     if step is None:
         state.day += 1
     else:
         step(state, params)
-    if hits is not None and hits.any():
+    if hits is not None and hits.size:
         state.I[hits] = 1.0
         state.S[hits] = state.N[hits] - 1.0
         state.onset_day[hits] = state.day

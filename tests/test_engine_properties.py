@@ -71,6 +71,28 @@ def sparse_cities(draw):
     return matrix_from_flows(flows * links, populations=populations)
 
 
+@given(
+    matrix=sparse_cities(),
+    beta=st.floats(0.0, 20.0),
+    variant=st.sampled_from(HAZARD_VARIANTS),
+    data=st.data(),
+)
+def test_hazard_on_virgin_rows_matches_the_whole_vector(matrix, beta, variant, data):
+    n = matrix.n
+    infected = data.draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 0.5, 1.0, 7.0, 250.0])))
+    state = CompartmentState.fully_susceptible(matrix.populations)
+    state.I = np.minimum(infected, state.N)
+    state.S = state.N - state.I
+    virgin = np.flatnonzero(state.virgin_mask)
+    picked = data.draw(st.sets(st.sampled_from(virgin)) if virgin.size else st.just(set()))
+    rows = np.array(sorted(picked), dtype=np.intp)
+    params = EpidemicParams(beta=beta, gamma=0.5, hazard_variant=variant)
+    # a row's sum may group its terms differently from the whole product's,
+    # so the two agree to round-off, not bit for bit
+    whole = hazard_vector(state, matrix, params)[rows]
+    np.testing.assert_allclose(hazard_vector(state, matrix, params, rows), whole, rtol=1e-12, atol=0.0)
+
+
 def copying_reference(matrix, params, seed_rule, rng_seed):
     """One run that builds a new state every day and draws n uniforms every
     day, virgin locations or not; returns what run_simulation reports."""
