@@ -15,10 +15,13 @@ Locations with cases evolve deterministically:
 
 The deterministic update is applied to every location at once: where
 I = 0 both flows are exactly zero, so virgin and burned-out locations
-come out unchanged without being masked out. A run keeps one state and
-advances it in place. Once no location is virgin the hazard cannot act,
-so it is neither computed nor sampled; while a quarter of the locations
-or fewer are virgin, only their rows of the matrix are read.
+come out unchanged without being masked out. A run keeps one state, with
+S, I and R as the rows of one (3, n) block, and advances it in place; a
+day's totals are recorded by one reduction over the block. Once no
+location is virgin the hazard cannot act, so the run skips the
+introduction step: no virgin mask, hazard or uniform is computed, and
+the day is the deterministic update alone. While a quarter of the
+locations or fewer are virgin, only their rows of the matrix are read.
 Such a row's sum can differ from the whole product's in the last bit
 (BLAS groups rows), which moves an introduction only if its uniform
 falls within that bit of the hazard. Compartments are real-valued;
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,43 +74,48 @@ class EpidemicParams:
         return self.beta / self.gamma
 
 
-@dataclass
+def _row(i: int, name: str) -> property:
+    def get(self) -> np.ndarray:
+        return self.rows[i]
+
+    def set(self, value) -> None:
+        self.rows[i][...] = value
+
+    return property(get, set, doc=f"{name} per location: row {i} of ``SIR``; assigning copies into it.")
+
+
 class CompartmentState:
     """Per-location S/I/R counts at one day, plus onset bookkeeping.
 
+    S, I and R are the rows of one (3, n) float array ``SIR``, which the
+    constructor fills with copies of its S, I and R, so a day's three
+    totals take one reduction. ``rows`` holds the views of those rows, and
+    ``S``, ``I`` and ``R`` return them; writing through them, or assigning
+    to them, changes the block. ``flows`` is a (2, n) scratch array that
+    ``sir_step`` reuses for new infections and recoveries.
     ``onset_day[j]`` is the first day location j had I > 0, or -1.
     """
 
-    S: np.ndarray
-    I: np.ndarray
-    R: np.ndarray
-    N: np.ndarray
-    day: int = 0
-    onset_day: np.ndarray = field(default=None)
+    S = _row(0, "Susceptibles")
+    I = _row(1, "Infecteds")
+    R = _row(2, "Recovereds")
 
-    def __post_init__(self):
-        if self.onset_day is None:
-            self.onset_day = np.full(self.S.shape, -1, dtype=np.int64)
+    def __init__(self, S, I, R, N, day: int = 0, onset_day: np.ndarray | None = None):
+        self.SIR = np.array((S, I, R), dtype=float)
+        self.rows = tuple(self.SIR)
+        self.flows = np.empty((2, self.SIR.shape[1]))
+        self.N = N
+        self.day = day
+        self.onset_day = np.full(self.SIR.shape[1], -1, dtype=np.int64) if onset_day is None else onset_day
 
     @classmethod
     def fully_susceptible(cls, populations: np.ndarray) -> "CompartmentState":
         n = populations.shape[0]
-        return cls(
-            S=populations.astype(float),
-            I=np.zeros(n),
-            R=np.zeros(n),
-            N=populations.astype(float),
-        )
+        N = populations.astype(float)
+        return cls(S=N, I=np.zeros(n), R=np.zeros(n), N=N)
 
     def copy(self) -> "CompartmentState":
-        return CompartmentState(
-            S=self.S.copy(),
-            I=self.I.copy(),
-            R=self.R.copy(),
-            N=self.N,
-            day=self.day,
-            onset_day=self.onset_day.copy(),
-        )
+        return CompartmentState(*self.SIR, N=self.N, day=self.day, onset_day=self.onset_day.copy())
 
     def seed(self, j: int) -> None:
         """Place one infected case into location j."""
@@ -156,25 +164,30 @@ def sir_step(state: CompartmentState, params: EpidemicParams) -> CompartmentStat
     """Advance the deterministic dynamics one day, in place, as one
     whole-array update; returns ``state``.
 
-    New infections are capped at the available susceptibles: the update
-    overshoots S for beta*I/N > 1, which is a discretization artifact,
-    not an epidemic one. Any residual float round-off below zero is
-    clamped with the deficit rebalanced into R so S+I+R stays at N.
-    Where I = 0 the new infections min(0, S) and recoveries are exactly
-    zero, so virgin and burned-out locations pass through bit-identical.
+    New infections and recoveries are written into ``state.flows`` and
+    applied to the S/I/R block in two calls: I and R gain them, then S and
+    I lose them, so each compartment sees the same operations in the same
+    order as S - inf, I + inf - rec and R + rec. New infections are capped
+    at the available susceptibles: the update overshoots S for
+    beta*I/N > 1, which is a discretization artifact, not an epidemic
+    one. One minimum over the S and I rows finds any residual float
+    round-off below zero, which is clamped with the deficit rebalanced
+    into R so S+I+R stays at N. Where I = 0 the new infections min(0, S)
+    and recoveries are exactly zero, so virgin and burned-out locations
+    pass through bit-identical.
     """
-    S, I, R = state.S, state.I, state.R
-    new_inf = params.beta * S
+    SIR, flows = state.SIR, state.flows
+    S, I, R = state.rows
+    new_inf, recov = flows
+    np.multiply(S, params.beta, out=new_inf)
     new_inf *= I
     new_inf /= state.N
     np.minimum(new_inf, S, out=new_inf)
-    recov = params.gamma * I
-    S -= new_inf
-    I += new_inf
-    I -= recov
-    R += recov
-    for arr in (S, I):
-        if arr.min() < 0.0:
+    np.multiply(I, params.gamma, out=recov)
+    SIR[1:] += flows
+    SIR[:2] -= flows
+    if SIR[:2].min() < 0.0:
+        for arr in (S, I):
             neg = arr < 0.0
             R[neg] += arr[neg]
             arr[neg] = 0.0
@@ -302,6 +315,13 @@ def run_simulation(
     until the horizon or until total infecteds fall below the extinction
     threshold. Identical (matrix, params, seed_rule, rng_seed) inputs
     reproduce the series bit for bit.
+
+    A day is recorded by one reduction, ``SIR.sum(axis=1)``, into a
+    buffer that doubles when full, so memory follows the days simulated,
+    not the horizon. While some location is virgin a day is
+    ``advance_day`` and the onset fraction is recounted. Once none is,
+    no introduction can happen and none draws a uniform, so a day is
+    ``sir_step`` alone and the fraction stays exactly 1.0.
     """
     rng = np.random.default_rng(rng_seed)
     state = CompartmentState.fully_susceptible(matrix.populations)
@@ -310,28 +330,34 @@ def run_simulation(
 
     n = matrix.n
     total_pop = float(matrix.populations.sum())
-    frac_loc, tot_s, tot_i, tot_r = [], [], [], []
+    SIR, onset_day = state.SIR, state.onset_day
+    totals = np.empty((min(params.horizon + 1, 256), 3))
+    SIR.sum(axis=1, out=totals[0])
+    onsets = np.count_nonzero(onset_day >= 0)
+    frac_loc = [onsets / n]
+    days = 0
+    while days < params.horizon and not totals[days, 1] < params.extinction_threshold:
+        if onsets < n:
+            advance_day(state, matrix, params, rng)
+            onsets = np.count_nonzero(onset_day >= 0)
+            frac_loc.append(onsets / n)
+        else:
+            sir_step(state, params)
+        days += 1
+        if days == totals.shape[0]:
+            totals = np.concatenate((totals, np.empty((min(days, params.horizon + 1 - days), 3))))
+        SIR.sum(axis=1, out=totals[days])
 
-    def record(s):
-        frac_loc.append(np.count_nonzero(s.onset_day >= 0) / n)
-        tot_s.append(s.S.sum())
-        tot_i.append(s.I.sum())
-        tot_r.append(s.R.sum())
-
-    record(state)
-    for _ in range(params.horizon):
-        if tot_i[-1] < params.extinction_threshold:
-            break
-        advance_day(state, matrix, params, rng)
-        record(state)
-
-    final_size = float((total_pop - tot_s[-1]) / total_pop)
+    frac = np.ones(days + 1)
+    frac[: len(frac_loc)] = frac_loc
+    total_S, total_I, total_R = totals[: days + 1].T.copy()
+    final_size = float((total_pop - total_S[-1]) / total_pop)
     return PrevalenceSeries(
-        prevalence=np.array(tot_i) / total_pop,
-        frac_locations=np.array(frac_loc),
-        total_S=np.array(tot_s),
-        total_I=np.array(tot_i),
-        total_R=np.array(tot_r),
+        prevalence=total_I / total_pop,
+        frac_locations=frac,
+        total_S=total_S,
+        total_I=total_I,
+        total_R=total_R,
         onset_days=state.onset_day,
         final_size=final_size,
         seed_location=seed_loc,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,23 +57,31 @@ class TripRecord:
 
 
 class LocationTable:
-    """Indexed set of locations with cached pairwise distances."""
+    """Indexed set of locations, kept as columns (``ids``, ``lat``,
+    ``lon``), with cached pairwise distances."""
 
     def __init__(self, locations):
-        locations = list(locations)
-        ids = [loc.id for loc in locations]
+        ids, lat, lon = [], [], []
+        for loc in locations:
+            ids.append(loc.id)
+            lat.append(loc.lat)
+            lon.append(loc.lon)
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValidationError(f"duplicate location ids: {dupes[:5]}")
-        self.locations = locations
         self.ids = ids
-        self.index = {loc.id: i for i, loc in enumerate(locations)}
-        self.lat = np.array([loc.lat for loc in locations], dtype=float)
-        self.lon = np.array([loc.lon for loc in locations], dtype=float)
+        self.index = {loc_id: i for i, loc_id in enumerate(ids)}
+        self.lat = np.array(lat, dtype=float)
+        self.lon = np.array(lon, dtype=float)
         self._distance_matrix = None
 
     def __len__(self):
-        return len(self.locations)
+        return len(self.ids)
+
+    @property
+    def locations(self) -> list[Location]:
+        """The locations as ``Location`` records, built on each access."""
+        return [Location(i, float(a), float(o)) for i, a, o in zip(self.ids, self.lat, self.lon)]
 
     @property
     def distance_matrix(self) -> np.ndarray:
@@ -170,6 +179,18 @@ class ContactMatrix:
         index.flags.writeable = False
         distances.flags.writeable = False
         return index, distances
+
+    @contextmanager
+    def entries_scope(self):
+        """A block that owns the ``entries`` it computes: on leaving it,
+        a cache that was not there on entry is dropped again, so the
+        matrix keeps no more memory than it came in with."""
+        cached = "entries" in self.__dict__
+        try:
+            yield self
+        finally:
+            if not cached:
+                self.__dict__.pop("entries", None)
 
     def cross_trips(self) -> float:
         """Total daily trips between distinct locations."""

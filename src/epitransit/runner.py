@@ -357,10 +357,17 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
     by disease, so the result does not depend on the execution order. A
     pair whose comparison raises ``NoAdmissibleLag`` stays out of the
     ledger and the aggregates, is counted in its cell's
-    ``failed_comparisons`` and still takes its ``run_index``.
+    ``failed_comparisons`` and still takes its ``run_index``. The
+    matrix's ``entries``, if the sweep computes them, last as long as
+    the sweep.
     """
     if matrix is None:
         matrix = base_matrix(config)
+    with matrix.entries_scope():
+        return _sweep(config, matrix)
+
+
+def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
     planned, infeasible = plan_cells(config, matrix)
     seed_locs = [
         engine.seed_outbreak(

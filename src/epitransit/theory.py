@@ -37,12 +37,6 @@ class PairInvasion:
     linear_approx: float
     p_transmit: float | None = None
 
-    @property
-    def relative_gap(self) -> float:
-        if self.linear_approx == 0.0:
-            return 0.0
-        return abs(self.p_invade - self.linear_approx) / self.linear_approx
-
 
 def transmission_probability(
     beta: float, gamma: float, m_ji: float, n_i: float, n_j: float, variant: str = "r0_consistent"

@@ -78,10 +78,6 @@ class GammaTripModel:
         if not is_real(self.mu) or not 0.0 < self.mu < 1.0:
             raise ValueError(f"mode share mu must be in (0, 1), got {self.mu!r}")
 
-    @property
-    def mean_km(self) -> float:
-        return self.k * self.theta
-
     def pdf(self, d):
         return gamma_pdf(d, self.k, self.theta)
 

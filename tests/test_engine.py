@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,19 @@ class TestRunSimulation:
         series = run_simulation(small_city, params, "most_populous", 17)
         assert np.all(np.diff(series.frac_locations) >= 0)
         assert np.all((series.prevalence >= 0) & (series.prevalence <= 1))
+
+    def test_memory_follows_the_days_simulated_not_the_horizon(self):
+        # dies out after about 340 days however far the horizon lies
+        m = two_location_matrix()
+        params = EpidemicParams(beta=0.0, gamma=0.02, horizon=10**9)
+        tracemalloc.start()
+        try:
+            series = run_simulation(m, params, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 300 < len(series) < 400
+        assert peak < 64 * 1024
 
     def test_csv_export(self, small_city, tmp_path):
         params = EpidemicParams(beta=0.5, gamma=1 / 3, horizon=50)

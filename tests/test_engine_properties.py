@@ -2,10 +2,11 @@
 the in-place engine against a reference that copies the state every day."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from epitransit import engine
 from epitransit.engine import (
     HAZARD_VARIANTS,
     CompartmentState,
@@ -148,10 +149,98 @@ def copying_reference(matrix, params, seed_rule, rng_seed):
 def test_run_matches_a_copying_reference_bit_for_bit(matrix, beta, gamma, variant, horizon, rng_seed):
     params = EpidemicParams(beta=beta, gamma=gamma, horizon=horizon, hazard_variant=variant)
     series = run_simulation(matrix, params, "proportional", rng_seed)
-    expected = copying_reference(matrix, params, "proportional", rng_seed)
+    assert_matches(series, copying_reference(matrix, params, "proportional", rng_seed))
+
+
+def assert_matches(series, expected):
     for name, value in expected.items():
         got = getattr(series, name)
         if isinstance(value, np.ndarray):
             assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
         else:
             assert got == value, name
+
+
+@st.composite
+def large_cities(draw):
+    """Cities above NumPy's 128-element pairwise-summation block, with a
+    random share of their flows zeroed; built from a drawn seed, since
+    drawing up to 160,000 flows one by one is slow."""
+    n = draw(st.integers(min_value=129, max_value=400))
+    density = draw(st.floats(0.01, 1.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    flows = rng.uniform(0.0, 500.0, (n, n)) * (rng.random((n, n)) < density)
+    populations = rng.uniform(POPULATION_FLOOR, 5000.0, n)
+    return matrix_from_flows(flows, populations=populations)
+
+
+@settings(max_examples=10)
+@given(
+    matrix=large_cities(),
+    beta=st.floats(0.0, 20.0),
+    gamma=st.floats(0.01, 1.0),
+    variant=st.sampled_from(HAZARD_VARIANTS),
+    horizon=st.integers(min_value=1, max_value=400),
+    rng_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_run_matches_a_copying_reference_at_real_sizes(matrix, beta, gamma, variant, horizon, rng_seed):
+    params = EpidemicParams(beta=beta, gamma=gamma, horizon=horizon, hazard_variant=variant)
+    series = run_simulation(matrix, params, "proportional", rng_seed)
+    assert_matches(series, copying_reference(matrix, params, "proportional", rng_seed))
+
+
+@given(
+    n=st.integers(min_value=1, max_value=5000),
+    spread=st.integers(min_value=0, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_block_row_sums_equal_one_dimensional_sums_bit_for_bit(n, spread, seed):
+    # run_simulation records a day as SIR.sum(axis=1, out=row); the series
+    # must read as if each compartment had been summed on its own
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((3, n)) * 2.0 ** rng.integers(-spread, spread + 1, (3, n))
+    record = np.empty((2, 3))
+    block.sum(axis=1, out=record[1])
+    assert record[1].tobytes() == np.array([row.sum() for row in block]).tobytes()
+
+
+def test_no_introduction_step_once_every_location_has_a_case(monkeypatch):
+    n = 30
+    matrix = matrix_from_flows(np.full((n, n), 0.1), populations=np.full(n, 1000.0))
+    params = EpidemicParams(beta=2.0, gamma=0.1, horizon=2000)
+    introduced, hazards, generators, steps = [], [], [], []
+    introduce, hazard_vector, step = engine.introduce, engine.hazard_vector, engine.sir_step
+
+    def counted_introduce(state, matrix, params, rng, step=None):
+        introduced.append(state.day)
+        generators.append(rng)
+        return introduce(state, matrix, params, rng, step)
+
+    def counted_hazard_vector(state, matrix, params, rows=None):
+        hazards.append(state.day)
+        return hazard_vector(state, matrix, params, rows)
+
+    def watched_step(state, params):
+        # the day stepped from, and the generator once that day's uniforms are drawn
+        steps.append((state.day, generators[0].bit_generator.state))
+        return step(state, params)
+
+    monkeypatch.setattr(engine, "introduce", counted_introduce)
+    monkeypatch.setattr(engine, "hazard_vector", counted_hazard_vector)
+    monkeypatch.setattr(engine, "sir_step", watched_step)
+    series = engine.run_simulation(matrix, params, 0, 7)
+
+    full = int(np.argmax(series.frac_locations == 1.0))
+    assert series.frac_locations[full] == 1.0 and 1 < full <= 5
+    assert len(series) > full + 100
+    assert len(set(generators)) == 1
+    # introductions and hazards act on the days before `full` only
+    assert introduced == list(range(full)) and max(hazards) < full
+    # the uniforms drawn on day full - 1 are the last ones
+    after = [state for day, state in steps if day >= full - 1]
+    assert len(after) == len(series) - full
+    assert all(state == after[0] for state in after)
+    assert steps[0][1] != after[0]
+    assert generators[0].bit_generator.state == after[0]
+    monkeypatch.undo()
+    assert_matches(series, copying_reference(matrix, params, 0, 7))

@@ -154,6 +154,18 @@ class TestContactMatrix:
         assert np.array_equal(combined.m, separate)
         assert combined.m.sum() == sum(t.count for t in a + b)
 
+    def test_entries_scope_drops_only_a_cache_it_computed(self, square_table):
+        m = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5), TripRecord("C", "D", 9, 2)])
+        with m.entries_scope():
+            index, distances = m.entries
+            assert m.entries[0] is index
+        assert "entries" not in vars(m)
+        kept = m.entries
+        with m.entries_scope():
+            assert m.entries is kept
+        assert m.entries is kept
+        assert np.array_equal(m.entries[0], index) and np.array_equal(m.entries[1], distances)
+
 
 class TestDerivePopulations:
     def test_isolated_self_flow(self):

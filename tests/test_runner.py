@@ -161,6 +161,16 @@ class TestRunSweep:
         for stats in agg.values():
             assert stats["n"] + stats["censored"] == 6
 
+    def test_sweep_leaves_the_matrix_as_it_found_it(self, two_disease_sweep):
+        # the entries cache it computed lasts as long as the sweep
+        matrix = two_disease_sweep[1]
+        assert "entries" not in vars(matrix)
+        config = tiny_config()
+        matrix = base_matrix(config)
+        kept = matrix.entries
+        run_sweep(config, matrix=matrix)
+        assert matrix.entries is kept
+
     def test_plan_calibrates_each_cell_once(self, two_disease_sweep):
         config, _, result, calls = two_disease_sweep
         assert len(result.cells) == len(config.diseases) * len(TWO_BAND_PAIRS)

