@@ -1,5 +1,6 @@
 """JSON-value type checks shared by the config types; a bool is neither."""
 
+import math
 import numbers
 
 
@@ -8,4 +9,11 @@ def is_int(value) -> bool:
 
 
 def is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite number that a float can hold. ``json`` parses ``NaN`` and
+    ``Infinity``, which no config value accepts."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False

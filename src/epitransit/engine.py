@@ -11,22 +11,26 @@ is kept as printed (the default), with a conventional alternative
 selectable via ``hazard_variant="no_inner_s"`` for sensitivity checks.
 Locations with cases evolve deterministically:
 
-    S' = S - beta*S*I/N,  I' = I + beta*S*I/N - gamma*I,  R' = R + gamma*I
+    S' = S - min(beta*S*I/N, S),  I' = I + min(beta*S*I/N, S) - gamma*I,  R' = R + gamma*I
 
 The deterministic update is applied to every location at once: where
 I = 0 both flows are exactly zero, so virgin and burned-out locations
 come out unchanged without being masked out. A run keeps one state, with
-S, I and R as the rows of one (3, n) block, and advances it in place; a
-day's totals are recorded by one reduction over the block. Once no
-location is virgin the hazard cannot act, so the run skips the
-introduction step: no virgin mask, hazard or uniform is computed, and
-the day is the deterministic update alone. While a quarter of the
-locations or fewer are virgin, only their rows of the matrix are read.
-Such a row's sum can differ from the whole product's in the last bit
-(BLAS groups rows), which moves an introduction only if its uniform
-falls within that bit of the hazard. Compartments are real-valued;
-runs end when total infecteds drop below an extinction threshold, since
-real-valued I never reaches exactly 0.
+S, I and R as the rows of one (3, n) block, and advances it in place in
+six whole-array calls; a day's totals are recorded by one reduction over
+the block. S and I never go below zero, so the update needs no clamp:
+new infections are capped at S; recoveries gamma*I are at most I since
+gamma <= 1, and I + new infections is at least I; and a seeded location
+starts at S = N - 1 >= 0, since populations are at least
+``POPULATION_FLOOR``. Once no location is virgin the hazard cannot act,
+so the run skips the introduction step: no virgin mask, hazard or
+uniform is computed, and the day is the deterministic update alone.
+While a quarter of the locations or fewer are virgin, only their rows of
+the matrix are read. Such a row's sum can differ from the whole
+product's in the last bit (BLAS groups rows), which moves an
+introduction only if its uniform falls within that bit of the hazard.
+Compartments are real-valued; runs end when total infecteds drop below
+an extinction threshold, since real-valued I never reaches exactly 0.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,19 +64,27 @@ class EpidemicParams:
 
     def __post_init__(self):
         if not is_real(self.beta) or self.beta < 0:
-            raise ValueError(f"beta must be a number >= 0, got {self.beta!r}")
+            raise ValueError(f"beta must be a finite number >= 0, got {self.beta!r}")
         if not is_real(self.gamma) or not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma!r}")
         if not is_int(self.horizon) or self.horizon < 1:
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if not is_real(self.extinction_threshold) or self.extinction_threshold < 0:
-            raise ValueError(f"extinction_threshold must be a number >= 0, got {self.extinction_threshold!r}")
+            raise ValueError(f"extinction_threshold must be a finite number >= 0, got {self.extinction_threshold!r}")
         if self.hazard_variant not in HAZARD_VARIANTS:
             raise ValueError(f"hazard_variant must be one of {HAZARD_VARIANTS}, got {self.hazard_variant!r}")
 
     @property
     def r0(self) -> float:
         return self.beta / self.gamma
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """(beta, gamma) as a read-only (2, 1) float column, built once:
+        ``sir_step`` multiplies the S and I rows by it in one call."""
+        rates = np.array(((self.beta,), (self.gamma,)), dtype=float)
+        rates.flags.writeable = False
+        return rates
 
 
 def _row(i: int, name: str) -> property:
@@ -91,9 +104,15 @@ class CompartmentState:
     constructor fills with copies of its S, I and R, so a day's three
     totals take one reduction. ``rows`` holds the views of those rows, and
     ``S``, ``I`` and ``R`` return them; writing through them, or assigning
-    to them, changes the block. ``flows`` is a (2, n) scratch array that
+    to them, changes the block. ``SI`` (rows S and I) and ``IR`` (rows I
+    and R) are views of the block as well, built once, which ``sir_step``
+    updates by one call each. ``flows`` is a (2, n) scratch array that
     ``sir_step`` reuses for new infections and recoveries.
     ``onset_day[j]`` is the first day location j had I > 0, or -1.
+
+    ``sir_step`` and the introductions keep S and I at zero or above
+    without a clamp, as long as they start there and N is at least
+    ``POPULATION_FLOOR`` (see the module docstring).
     """
 
     S = _row(0, "Susceptibles")
@@ -103,6 +122,8 @@ class CompartmentState:
     def __init__(self, S, I, R, N, day: int = 0, onset_day: np.ndarray | None = None):
         self.SIR = np.array((S, I, R), dtype=float)
         self.rows = tuple(self.SIR)
+        self.SI = self.SIR[:2]
+        self.IR = self.SIR[1:]
         self.flows = np.empty((2, self.SIR.shape[1]))
         self.N = N
         self.day = day
@@ -162,35 +183,30 @@ def hazard_vector(
 
 def sir_step(state: CompartmentState, params: EpidemicParams) -> CompartmentState:
     """Advance the deterministic dynamics one day, in place, as one
-    whole-array update; returns ``state``.
+    whole-array update in six NumPy calls; returns ``state``.
 
-    New infections and recoveries are written into ``state.flows`` and
-    applied to the S/I/R block in two calls: I and R gain them, then S and
-    I lose them, so each compartment sees the same operations in the same
-    order as S - inf, I + inf - rec and R + rec. New infections are capped
-    at the available susceptibles: the update overshoots S for
-    beta*I/N > 1, which is a discretization artifact, not an epidemic
-    one. One minimum over the S and I rows finds any residual float
-    round-off below zero, which is clamped with the deficit rebalanced
-    into R so S+I+R stays at N. Where I = 0 the new infections min(0, S)
-    and recoveries are exactly zero, so virgin and burned-out locations
-    pass through bit-identical.
+    One multiply of the S and I rows by the (beta, gamma) column
+    ``params.rates`` writes both rows of ``state.flows``: beta*S, which
+    becomes the new infections once multiplied by I, divided by N and
+    capped at S, and the recoveries gamma*I. Then ``IR += flows`` and
+    ``SI -= flows``: I and R gain them, then S and I lose them, so each
+    compartment sees the same operations in the same order as
+    S - inf, I + inf - rec and R + rec. The cap at S keeps S at zero or
+    above: the uncapped update overshoots S for beta*I/N > 1, which is a
+    discretization artifact, not an epidemic one. I stays at zero or
+    above too, since gamma <= 1 makes gamma*I at most I and adding new
+    infections leaves I + inf at least I, so no clamp is needed. Where
+    I = 0 the new infections min(0, S) and recoveries are exactly zero,
+    so virgin and burned-out locations pass through bit-identical.
     """
-    SIR, flows = state.SIR, state.flows
-    S, I, R = state.rows
-    new_inf, recov = flows
-    np.multiply(S, params.beta, out=new_inf)
-    new_inf *= I
+    flows = state.flows
+    new_inf = flows[0]
+    np.multiply(state.SI, params.rates, out=flows)
+    new_inf *= state.I
     new_inf /= state.N
-    np.minimum(new_inf, S, out=new_inf)
-    np.multiply(I, params.gamma, out=recov)
-    SIR[1:] += flows
-    SIR[:2] -= flows
-    if SIR[:2].min() < 0.0:
-        for arr in (S, I):
-            neg = arr < 0.0
-            R[neg] += arr[neg]
-            arr[neg] = 0.0
+    np.minimum(new_inf, state.S, out=new_inf)
+    state.IR += flows
+    state.SI -= flows
     state.day += 1
     return state
 

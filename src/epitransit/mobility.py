@@ -134,7 +134,9 @@ class ContactMatrix:
 
     ``m[j, k]`` holds trips from location ``k`` to location ``j``. The
     matrix and population vector are immutable so simulation replicates
-    can share one instance without copying.
+    can share one instance without copying. Counts must be >= 0 and not
+    NaN; populations must be finite and at least POPULATION_FLOOR, which
+    the engine relies on to keep S and I at zero or above.
     """
 
     m: np.ndarray
@@ -143,12 +145,16 @@ class ContactMatrix:
     population_clamp_count: int = 0
 
     def __post_init__(self):
-        if self.m.shape != (len(self.table), len(self.table)):
-            raise ValidationError(
-                f"matrix shape {self.m.shape} does not match {len(self.table)} locations"
-            )
-        if np.any(self.m < 0):
-            raise ValidationError("contact matrix has negative entries")
+        n = len(self.table)
+        if self.m.shape != (n, n):
+            raise ValidationError(f"matrix shape {self.m.shape} does not match {n} locations")
+        # one pass over the n^2 counts: min() is NaN if any count is
+        if self.m.size and not self.m.min() >= 0.0:
+            raise ValidationError("contact matrix has negative or NaN entries")
+        if self.populations.shape != (n,):
+            raise ValidationError(f"populations shape {self.populations.shape} does not match {n} locations")
+        if not (np.all(self.populations >= POPULATION_FLOOR) and np.all(np.isfinite(self.populations))):
+            raise ValidationError(f"populations must be finite and at least {POPULATION_FLOOR}")
         self.m.flags.writeable = False
         self.populations.flags.writeable = False
 

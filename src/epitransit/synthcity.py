@@ -42,7 +42,7 @@ class CityConfig:
             raise ValueError(f"city n_locations must be an integer >= 2, got {self.n_locations!r}")
         for f in fields(self)[1:]:  # every field after n_locations is a number
             if not is_real(getattr(self, f.name)):
-                raise ValueError(f"city {f.name} must be a number, got {getattr(self, f.name)!r}")
+                raise ValueError(f"city {f.name} must be a finite number, got {getattr(self, f.name)!r}")
         if self.extent_km <= 0:
             raise ValueError("extent_km must be positive")
 

@@ -72,9 +72,9 @@ class GammaTripModel:
 
     def __post_init__(self):
         if not is_real(self.k) or self.k < 1:
-            raise ValueError(f"shape k must be a number >= 1, got {self.k!r}")
+            raise ValueError(f"shape k must be a finite number >= 1, got {self.k!r}")
         if not is_real(self.theta) or self.theta < 1:
-            raise ValueError(f"scale theta must be a number >= 1, got {self.theta!r}")
+            raise ValueError(f"scale theta must be a finite number >= 1, got {self.theta!r}")
         if not is_real(self.mu) or not 0.0 < self.mu < 1.0:
             raise ValueError(f"mode share mu must be in (0, 1), got {self.mu!r}")
 

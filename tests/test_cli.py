@@ -108,6 +108,37 @@ class TestSimulateCompareTheory:
             "situational_awareness", "locations_timing",
         }
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda a: {"populations": np.r_[0.5, a["populations"][1:]]},
+            lambda a: {"populations": np.r_[np.nan, a["populations"][1:]]},
+            lambda a: {"populations": a["populations"][:-1]},
+            lambda a: {"m": a["m"] * np.nan},
+        ],
+        ids=["population_below_floor", "nan_population", "short_populations", "nan_counts"],
+    )
+    def test_simulate_bad_matrix_fails_before_any_run(self, city_dir, tmp_path, monkeypatch, capsys, change):
+        with np.load(city_dir / "matrix.npz") as data:
+            arrays = dict(data)
+        arrays.update(change(arrays))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        calls = []
+        monkeypatch.setattr(engine, "run_simulation", lambda *a, **k: calls.append(a))
+        code = main(["simulate", "--matrix", str(bad), "--beta", "1.55", "--gamma", "0.2",
+                     "--out", str(tmp_path / "a.csv")])
+        assert code == 1 and calls == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("beta", ["inf", "nan"])
+    def test_simulate_non_finite_beta_fails_before_any_run(self, city_dir, tmp_path, monkeypatch, beta):
+        calls = []
+        monkeypatch.setattr(engine, "run_simulation", lambda *a, **k: calls.append(a))
+        code = main(["simulate", "--matrix", str(city_dir / "matrix.npz"), "--beta", beta,
+                     "--gamma", "0.2", "--out", str(tmp_path / "a.csv")])
+        assert code == 1 and calls == []
+
     def test_compare_csv_without_column_fails(self, tmp_path, capsys):
         good = tmp_path / "good.csv"
         good.write_text("day,prevalence,frac_locations_infected\n0,0.1,0.5\n")
@@ -220,13 +251,19 @@ class TestSweepAndExport:
             {"delta_bands": "low"},
             {"delta_bands": [["low"]]},
             {"diseases": [{"name": "flu", "beta": 0.5, "gamma": 0.2}, {"name": "flu", "beta": 1.5, "gamma": 0.2}]},
+            {"diseases": [{"name": "flu", "beta": float("inf"), "gamma": 0.2}]},
+            {"extinction_threshold": float("nan")},
+            {"city": {"n_locations": 30, "extent_km": float("inf")}},
+            {"city": {"n_locations": 30, "extent_km": 10**400}},
+            {"pairs": [[3, float("inf")]]},
         ],
         ids=["unknown_band", "string_seed_draws", "disease_missing_keys", "string_horizon",
              "level_above_one", "zero_min_overlap", "negative_max_pairs", "scalar_thresholds",
              "scalar_k_range", "string_n_locations", "string_mu", "mu_above_one",
              "string_extinction_threshold", "unknown_hazard_variant", "unknown_seed_rule",
              "one_element_pair", "pair_k_zero", "string_delta_bands", "nested_delta_bands",
-             "duplicate_disease_names"],
+             "duplicate_disease_names", "infinite_beta", "nan_extinction_threshold",
+             "infinite_extent_km", "huge_int_extent_km", "infinite_theta"],
     )
     def test_sweep_bad_config_fails_before_any_run(self, tmp_path, monkeypatch, capsys, bad):
         calls = []

@@ -2,7 +2,7 @@
 the in-place engine against a reference that copies the state every day."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,6 +21,9 @@ from epitransit.mobility import POPULATION_FLOOR, matrix_from_flows
 
 DAYS = 40
 
+# location 0 sits at the floor, so seeding it leaves S = 0
+FLOOR_CITY = matrix_from_flows(np.full((3, 3), 50.0), populations=np.array([POPULATION_FLOOR, 40.0, 3000.0]))
+
 
 @st.composite
 def cities(draw):
@@ -38,6 +41,11 @@ def cities(draw):
     seed_loc=st.integers(min_value=0, max_value=11),
     rng_seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# the cases nearest to S or I going below zero: recoveries that take all of
+# I, a seeded S of 0, and new infections capped at S from the first day
+@example(matrix=FLOOR_CITY, beta=0.5, gamma=1.0, variant="as_printed", seed_loc=1, rng_seed=0)
+@example(matrix=FLOOR_CITY, beta=5.0, gamma=0.2, variant="as_printed", seed_loc=0, rng_seed=0)
+@example(matrix=FLOOR_CITY, beta=1e6, gamma=1.0, variant="no_inner_s", seed_loc=2, rng_seed=1)
 def test_invariants_hold_every_day(matrix, beta, gamma, variant, seed_loc, rng_seed):
     params = EpidemicParams(beta=beta, gamma=gamma, hazard_variant=variant)
     rng = np.random.default_rng(rng_seed)
@@ -46,6 +54,7 @@ def test_invariants_hold_every_day(matrix, beta, gamma, variant, seed_loc, rng_s
     first_infected = np.where(state.I > 0.0, 0, -1)
     for day in range(1, DAYS + 1):
         stepped = sir_step(state.copy(), params)
+        assert np.all(stepped.S >= 0.0) and np.all(stepped.I >= 0.0)
         idle = state.I == 0.0
         for after, before in ((stepped.S, state.S), (stepped.I, state.I), (stepped.R, state.R)):
             assert after[idle].tobytes() == before[idle].tobytes()

@@ -154,6 +154,23 @@ class TestContactMatrix:
         assert np.array_equal(combined.m, separate)
         assert combined.m.sum() == sum(t.count for t in a + b)
 
+    @pytest.mark.parametrize(
+        "flows, populations",
+        [
+            ([[0.0, 1.0], [2.0, 0.0]], [0.5, 10.0]),
+            ([[0.0, 1.0], [2.0, 0.0]], [np.nan, 10.0]),
+            ([[0.0, 1.0], [2.0, 0.0]], [np.inf, 10.0]),
+            ([[0.0, 1.0], [2.0, 0.0]], [10.0, 10.0, 10.0]),
+            ([[0.0, np.nan], [2.0, 0.0]], [10.0, 10.0]),
+            ([[0.0, -1.0], [2.0, 0.0]], [10.0, 10.0]),
+        ],
+        ids=["population_below_floor", "nan_population", "infinite_population", "wrong_length",
+             "nan_count", "negative_count"],
+    )
+    def test_bad_counts_or_populations_rejected(self, flows, populations):
+        with pytest.raises(ValidationError):
+            matrix_from_flows(np.array(flows), populations=np.array(populations))
+
     def test_entries_scope_drops_only_a_cache_it_computed(self, square_table):
         m = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5), TripRecord("C", "D", 9, 2)])
         with m.entries_scope():
