@@ -13,30 +13,28 @@ Locations with cases evolve deterministically:
 
     S' = S - min(beta*S*I/N, S),  I' = I + min(beta*S*I/N, S) - gamma*I,  R' = R + gamma*I
 
-The deterministic update is applied to every location at once: where
-I = 0 both flows are exactly zero, so virgin and burned-out locations
-come out unchanged without being masked out. A run keeps one state, with
-S, I and R as the rows of one (3, n) block, and advances it in place in
-six whole-array calls; a day's totals are recorded by one reduction over
-the block. S and I never go below zero, so the update needs no clamp:
-new infections are capped at S; recoveries gamma*I are at most I since
-gamma <= 1, and I + new infections is at least I; and a seeded location
-starts at S = N - 1 >= 0, since populations are at least
+A day is draw, step, seed (``advance_day``): ``introduce`` draws which
+virgin locations the hazard hits, from the day-t state; ``sir_step``
+applies the deterministic update to every location at once; and
+``CompartmentState.seed`` writes one case into each hit. Where I = 0
+both flows are exactly zero, so virgin and burned-out locations come out
+of the step unchanged without being masked out. A run keeps one state,
+with S, I and R as the rows of one (3, n) block, and advances it in
+place in six whole-array calls; a day's totals are recorded by one
+reduction over the block. S and I never go below zero, so the update
+needs no clamp: new infections are capped at S; recoveries gamma*I are
+at most I since gamma <= 1, and I + new infections is at least I; and a
+seeded location starts at S = N - 1 >= 0, since populations are at least
 ``POPULATION_FLOOR``. Once no location is virgin the hazard cannot act,
-so the run skips the introduction step: no virgin mask, hazard or
-uniform is computed, and the day is the deterministic update alone.
-While a quarter of the locations or fewer are virgin, only their rows of
-the matrix are read. Such a row's sum can differ from the whole
-product's in the last bit (BLAS groups rows), which moves an
-introduction only if its uniform falls within that bit of the hazard.
-Compartments are real-valued; runs end when total infecteds drop below
-an extinction threshold, since real-valued I never reaches exactly 0.
+so the run skips the draw and the day is the step alone. Compartments
+are real-valued; runs end when total infecteds drop below an extinction
+threshold, since real-valued I never reaches exactly 0.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,7 +108,7 @@ class CompartmentState:
     ``sir_step`` reuses for new infections and recoveries.
     ``onset_day[j]`` is the first day location j had I > 0, or -1.
 
-    ``sir_step`` and the introductions keep S and I at zero or above
+    ``sir_step`` and ``seed`` keep S and I at zero or above
     without a clamp, as long as they start there and N is at least
     ``POPULATION_FLOOR`` (see the module docstring).
     """
@@ -138,12 +136,14 @@ class CompartmentState:
     def copy(self) -> "CompartmentState":
         return CompartmentState(*self.SIR, N=self.N, day=self.day, onset_day=self.onset_day.copy())
 
-    def seed(self, j: int) -> None:
-        """Place one infected case into location j."""
+    def seed(self, j) -> None:
+        """Place one infected case into location j, or into each location
+        of the index array j, with onset on the current day. Every j must
+        be virgin. The only writer of a new case: a run's first case and
+        every introduction go through it."""
         self.I[j] = 1.0
         self.S[j] = self.N[j] - 1.0
-        if self.onset_day[j] < 0:
-            self.onset_day[j] = self.day
+        self.onset_day[j] = self.day
 
     @property
     def virgin_mask(self) -> np.ndarray:
@@ -216,44 +216,31 @@ def introduce(
     matrix: ContactMatrix,
     params: EpidemicParams,
     rng: np.random.Generator,
-    step: Callable[[CompartmentState, EpidemicParams], CompartmentState] | None = None,
-) -> CompartmentState:
-    """Bernoulli introductions into virgin locations, in place; returns
-    ``state``.
-
-    Each virgin location j gains exactly one case with probability
-    h(t, j), computed from ``state`` at day t. Then ``step(state,
-    params)``, when given, moves the state to day t+1 in place
-    (``advance_day`` passes ``sir_step``); without it only the day
-    advances. The outcomes are written last, with onset day t+1.
+) -> np.ndarray:
+    """The ascending indices of the virgin locations that gain a case on
+    day t+1, each with probability h(t, j). Reads the day-t ``state`` and
+    changes nothing.
 
     On every day on which some location is virgin, one uniform is drawn
     for every location. A location with a case never becomes virgin
     again, so the draws fill a prefix of the days and day t's uniforms
     are the same in every run with the same seed: paired runs on
     different matrices consume the same stream. On a day with no virgin
-    location nothing can be introduced, and neither the hazard nor a
-    uniform is computed. While a quarter of the locations or fewer are
-    virgin, the hazard is computed for those locations only.
+    location neither the hazard nor a uniform is computed. While a
+    quarter of the locations or fewer are virgin, only their rows of the
+    matrix are read. Such a row's sum can differ from the whole
+    product's in the last bit (BLAS groups rows), which moves an
+    introduction only if its uniform falls within that bit of the hazard.
     """
     virgin = np.flatnonzero(state.virgin_mask)
-    hits = None
-    if virgin.size:
-        n = state.S.shape[0]
-        if 4 * virgin.size <= n:
-            h = hazard_vector(state, matrix, params, virgin)
-        else:
-            h = hazard_vector(state, matrix, params)[virgin]
-        hits = virgin[rng.random(n)[virgin] < h]
-    if step is None:
-        state.day += 1
+    if not virgin.size:
+        return virgin
+    n = state.S.shape[0]
+    if 4 * virgin.size <= n:
+        h = hazard_vector(state, matrix, params, virgin)
     else:
-        step(state, params)
-    if hits is not None and hits.size:
-        state.I[hits] = 1.0
-        state.S[hits] = state.N[hits] - 1.0
-        state.onset_day[hits] = state.day
-    return state
+        h = hazard_vector(state, matrix, params)[virgin]
+    return virgin[rng.random(n)[virgin] < h]
 
 
 def advance_day(
@@ -262,15 +249,24 @@ def advance_day(
     params: EpidemicParams,
     rng: np.random.Generator,
 ) -> CompartmentState:
-    """One full day, in place: stochastic introductions around the
-    deterministic step; returns ``state``.
+    """One full day, in place: draw the hits from day t, step every
+    location to day t+1, then seed the hits with onset day t+1; returns
+    ``state``. The step leaves the still-virgin hits as they were, and
+    the draw reads day-t values only, so this is an exact simultaneous
+    update."""
+    hits = introduce(state, matrix, params, rng)
+    sir_step(state, params)
+    if hits.size:
+        state.seed(hits)
+    return state
 
-    The two halves change disjoint location sets (I > 0 versus virgin)
-    and both read day-t values, since the introductions are drawn before
-    ``sir_step`` runs and written after it, so composing them is an
-    exact simultaneous update.
-    """
-    return introduce(state, matrix, params, rng, step=sir_step)
+
+def check_scale(params: EpidemicParams, matrix: ContactMatrix) -> None:
+    """Raise ValueError unless beta * max(N) is finite: ``sir_step`` forms
+    beta*S first, and an overflow to inf times I = 0 turns a run into NaN."""
+    top = float(matrix.populations.max())
+    if not math.isfinite(params.beta * top):
+        raise ValueError(f"beta {params.beta!r} overflows against a population of {top!r}")
 
 
 def seed_outbreak(matrix: ContactMatrix, rule, rng: np.random.Generator) -> int:
@@ -330,15 +326,17 @@ def run_simulation(
     Starts all-susceptible, seeds one case, then iterates daily updates
     until the horizon or until total infecteds fall below the extinction
     threshold. Identical (matrix, params, seed_rule, rng_seed) inputs
-    reproduce the series bit for bit.
+    reproduce the series bit for bit. Raises ValueError first if the
+    params do not fit the matrix (``check_scale``).
 
     A day is recorded by one reduction, ``SIR.sum(axis=1)``, into a
     buffer that doubles when full, so memory follows the days simulated,
     not the horizon. While some location is virgin a day is
     ``advance_day`` and the onset fraction is recounted. Once none is,
-    no introduction can happen and none draws a uniform, so a day is
-    ``sir_step`` alone and the fraction stays exactly 1.0.
+    nothing is drawn, so a day is ``sir_step`` alone and the fraction
+    stays exactly 1.0.
     """
+    check_scale(params, matrix)
     rng = np.random.default_rng(rng_seed)
     state = CompartmentState.fully_susceptible(matrix.populations)
     seed_loc = seed_outbreak(matrix, seed_rule, rng)

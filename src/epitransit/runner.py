@@ -260,18 +260,21 @@ def _aggregate(values: list) -> dict:
     return out
 
 
+_REPORT_STATS = ("early_warning", "peak_timing", "peak_magnitude", "situational_awareness")
+
+
+def _stat_names(thresholds) -> list:
+    """A cell's statistics in column order: the four report fields, then
+    one locations-timing statistic per threshold, named by its percent."""
+    return list(_REPORT_STATS) + [f"locations_timing_{int(round(t * 100))}" for t in thresholds]
+
+
 def _cell_aggregates(reports: list, thresholds) -> dict:
-    agg = {
-        "early_warning": _aggregate([r.early_warning for r in reports]),
-        "peak_timing": _aggregate([r.peak_timing for r in reports]),
-        "peak_magnitude": _aggregate([r.peak_magnitude for r in reports]),
-        "situational_awareness": _aggregate([r.situational_awareness for r in reports]),
-    }
-    for thr in thresholds:
-        agg[f"locations_timing_{int(round(thr * 100))}"] = _aggregate(
-            [r.locations_timing.get(float(thr)) for r in reports]
-        )
-    return agg
+    values = [
+        [getattr(r, name) for name in _REPORT_STATS] + [r.locations_timing.get(float(t)) for t in thresholds]
+        for r in reports
+    ]
+    return {name: _aggregate([v[i] for v in values]) for i, name in enumerate(_stat_names(thresholds))}
 
 
 @dataclass(frozen=True)
@@ -359,7 +362,8 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
     ledger and the aggregates, is counted in its cell's
     ``failed_comparisons`` and still takes its ``run_index``. The
     matrix's ``entries``, if the sweep computes them, last as long as
-    the sweep.
+    the sweep. Every disease's params are checked against the matrix
+    (``engine.check_scale``) before anything is calibrated or run.
     """
     if matrix is None:
         matrix = base_matrix(config)
@@ -368,6 +372,9 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
 
 
 def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
+    params = [_params(config, disease) for disease in config.diseases]
+    for p in params:
+        engine.check_scale(p, matrix)
     planned, infeasible = plan_cells(config, matrix)
     seed_locs = [
         engine.seed_outbreak(
@@ -376,7 +383,6 @@ def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
         for s in range(config.seed_draws)
     ]
     pairs = [(s, r) for s in range(config.seed_draws) for r in range(config.replicates)]
-    params = [_params(config, disease) for disease in config.diseases]
     baselines = [[_run(config, matrix, p, seed_locs[s], s, r) for s, r in pairs] for p in params]
     total_runs = len(params) * len(pairs)
 
@@ -392,6 +398,10 @@ def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
             histograms[f"{cell.band}:k{cell.k}:t{cell.theta}"] = _hist_dict(transit.distance_histogram(sub))
 
         for d, disease in enumerate(config.diseases):
+            keys = {
+                "disease": disease.name, "beta": disease.beta, "gamma": disease.gamma,
+                "band": cell.band, "k": cell.k, "theta": cell.theta, "lambda": cell.model.lam,
+            }
             reports = []
             failed = 0
             for (s, r), mpt in zip(pairs, baselines[d]):
@@ -407,15 +417,9 @@ def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
                 reports.append(report)
                 ledgers[d].append(
                     {
+                        **keys,
                         "run_index": run_index,
-                        "disease": disease.name,
-                        "beta": disease.beta,
-                        "gamma": disease.gamma,
-                        "band": cell.band,
                         "band_index": cell.band_index,
-                        "k": cell.k,
-                        "theta": cell.theta,
-                        "lambda": cell.model.lam,
                         "seed_draw": s,
                         "replicate": r,
                         "seed_location_index": seed_locs[s],
@@ -435,14 +439,8 @@ def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
                     }
             cells[d].append(
                 {
-                    "disease": disease.name,
-                    "beta": disease.beta,
-                    "gamma": disease.gamma,
+                    **keys,
                     "r0": disease.r0,
-                    "band": cell.band,
-                    "k": cell.k,
-                    "theta": cell.theta,
-                    "lambda": cell.model.lam,
                     "aggregates": _cell_aggregates(reports, config.compare.thresholds),
                     "failed_comparisons": failed,
                 }
@@ -464,14 +462,16 @@ def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
 
 def replay_run(config: ScenarioConfig, entry: dict, matrix: ContactMatrix | None = None) -> metrics.ComparisonReport:
     """Reproduce one ledger entry's comparison bit-exactly, through the
-    sweep's own calibration, thinning and run helpers."""
+    sweep's own calibration, thinning and run helpers. Like a sweep, it
+    leaves the matrix's ``entries`` cache as it found it."""
     if matrix is None:
         matrix = base_matrix(config)
     disease = next(d for d in config.diseases if d.name == entry["disease"])
     params = _params(config, disease)
-    model = _calibrated_model(config, matrix, entry["k"], entry["theta"])
-    sub = _thin(config, matrix, entry["band_index"], model)
     s, r, loc = entry["seed_draw"], entry["replicate"], entry["seed_location_index"]
+    with matrix.entries_scope():
+        model = _calibrated_model(config, matrix, entry["k"], entry["theta"])
+        sub = _thin(config, matrix, entry["band_index"], model)
     return metrics.compare(
         _run(config, sub, params, loc, s, r), _run(config, matrix, params, loc, s, r), config.compare
     )
@@ -494,25 +494,28 @@ def export_results(result: SweepResult, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    thresholds = result.config["compare"]["thresholds"]
-    stat_names = ["early_warning", "peak_timing", "peak_magnitude", "situational_awareness"] + [
-        f"locations_timing_{int(round(t * 100))}" for t in thresholds
-    ]
-    path = os.path.join(out_dir, "cells.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = list(_CELL_COLUMNS)
-        for name in stat_names:
-            cols += [f"{name}_mean", f"{name}_sd", f"{name}_n", f"{name}_censored"]
-        cols.append("failed_comparisons")
-        fh.write(",".join(cols) + "\n")
-        for cell in result.cells:
-            row = [_fmt(cell[c]) for c in _CELL_COLUMNS]
-            for name in stat_names:
-                agg = cell["aggregates"][name]
-                row += [_fmt(agg["mean"]), _fmt(agg["sd"]), _fmt(agg["n"]), _fmt(agg["censored"])]
-            row.append(_fmt(cell["failed_comparisons"]))
-            fh.write(",".join(row) + "\n")
-    written.append(path)
+    def write_csv(name: str, header, rows) -> None:
+        path = os.path.join(out_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+        written.append(path)
+
+    stat_names = _stat_names(result.config["compare"]["thresholds"])
+    parts = ("mean", "sd", "n", "censored")
+    write_csv(
+        "cells.csv",
+        [*_CELL_COLUMNS, *(f"{name}_{part}" for name in stat_names for part in parts), "failed_comparisons"],
+        (
+            [
+                *(_fmt(cell[c]) for c in _CELL_COLUMNS),
+                *(_fmt(cell["aggregates"][name][part]) for name in stat_names for part in parts),
+                _fmt(cell["failed_comparisons"]),
+            ]
+            for cell in result.cells
+        ),
+    )
 
     path = os.path.join(out_dir, "ledger.jsonl")
     with open(path, "w", encoding="utf-8") as fh:
@@ -520,51 +523,43 @@ def export_results(result: SweepResult, out_dir) -> list:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
     written.append(path)
 
-    # Panel data: one row per (disease, band), pooled over (k, theta) cells.
-    path = os.path.join(out_dir, "metrics_vs_r0.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = ["disease", "r0", "band"]
+    # Panel data: one row per (disease, band), pooled over (k, theta)
+    # cells, in the order each group first appears.
+    groups = {}
+    for cell in result.cells:
+        groups.setdefault((cell["disease"], cell["band"]), []).append(cell)
+    rows = []
+    for (disease, band), group in groups.items():
+        row = [disease, _fmt(group[0]["r0"]), band]
         for name in stat_names:
-            cols += [f"{name}_mean", f"{name}_sd"]
-        fh.write(",".join(cols) + "\n")
-        seen = []
-        for cell in result.cells:
-            key = (cell["disease"], cell["band"])
-            if key in seen:
-                continue
-            seen.append(key)
-            group = [c for c in result.cells if (c["disease"], c["band"]) == key]
-            row = [cell["disease"], _fmt(cell["r0"]), cell["band"]]
-            for name in stat_names:
-                means = [c["aggregates"][name]["mean"] for c in group]
-                means = [m for m in means if m is not None]
-                row += [
-                    _fmt(float(np.mean(means)) if means else None),
-                    _fmt(float(np.std(means)) if means else None),
-                ]
-            fh.write(",".join(row) + "\n")
-    written.append(path)
+            means = [c["aggregates"][name]["mean"] for c in group]
+            means = [m for m in means if m is not None]
+            row += [_fmt(float(np.mean(means)) if means else None), _fmt(float(np.std(means)) if means else None)]
+        rows.append(row)
+    write_csv(
+        "metrics_vs_r0.csv",
+        ["disease", "r0", "band", *(f"{name}_{part}" for name in stat_names for part in ("mean", "sd"))],
+        rows,
+    )
 
     for disease, curves in sorted(result.example_curves.items()):
-        path = os.path.join(out_dir, f"prevalence_pair_{disease}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("day,ptt_prevalence,mpt_prevalence\n")
-            ptt, mpt = curves["ptt_prevalence"], curves["mpt_prevalence"]
-            for t in range(max(len(ptt), len(mpt))):
-                a = repr(ptt[t]) if t < len(ptt) else ""
-                b = repr(mpt[t]) if t < len(mpt) else ""
-                fh.write(f"{t},{a},{b}\n")
-        written.append(path)
+        ptt, mpt = curves["ptt_prevalence"], curves["mpt_prevalence"]
+        write_csv(
+            f"prevalence_pair_{disease}.csv",
+            ["day", "ptt_prevalence", "mpt_prevalence"],
+            (
+                [str(t), repr(ptt[t]) if t < len(ptt) else "", repr(mpt[t]) if t < len(mpt) else ""]
+                for t in range(max(len(ptt), len(mpt)))
+            ),
+        )
 
     for key, hist in sorted(result.histograms.items()):
-        fname = "distance_hist_" + key.replace(":", "_") + ".csv"
-        path = os.path.join(out_dir, fname)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("bin_left_km,bin_right_km,mass\n")
-            edges, masses = hist["bin_edges"], hist["masses"]
-            for lo, hi, mass in zip(edges[:-1], edges[1:], masses):
-                fh.write(f"{lo!r},{hi!r},{mass!r}\n")
-        written.append(path)
+        edges = hist["bin_edges"]
+        write_csv(
+            "distance_hist_" + key.replace(":", "_") + ".csv",
+            ["bin_left_km", "bin_right_km", "mass"],
+            (map(repr, row) for row in zip(edges[:-1], edges[1:], hist["masses"])),
+        )
 
     path = os.path.join(out_dir, "summary.json")
     with open(path, "w", encoding="utf-8") as fh:

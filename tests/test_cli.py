@@ -5,7 +5,7 @@ import pytest
 
 from epitransit import engine, runner
 from epitransit.cli import main
-from epitransit.mobility import load_matrix_npz
+from epitransit.mobility import load_matrix_npz, matrix_from_flows, save_matrix_npz
 from epitransit.runner import ScenarioConfig, Disease
 from epitransit.metrics import CompareConfig
 from epitransit.synthcity import CityConfig
@@ -138,6 +138,16 @@ class TestSimulateCompareTheory:
         code = main(["simulate", "--matrix", str(city_dir / "matrix.npz"), "--beta", beta,
                      "--gamma", "0.2", "--out", str(tmp_path / "a.csv")])
         assert code == 1 and calls == []
+
+    def test_simulate_overflowing_beta_fails_and_writes_nothing(self, tmp_path, capsys):
+        # beta * N overflows to inf, and inf times I = 0 would turn the run into NaN
+        matrix = matrix_from_flows(np.full((3, 3), 5.0), populations=np.array([1e10, 50.0, 80.0]))
+        save_matrix_npz(matrix, tmp_path / "big.npz")
+        out = tmp_path / "a.csv"
+        code = main(["simulate", "--matrix", str(tmp_path / "big.npz"), "--beta", "1e300", "--gamma", "0.2",
+                     "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_compare_csv_without_column_fails(self, tmp_path, capsys):
         good = tmp_path / "good.csv"
@@ -284,6 +294,21 @@ class TestSweepAndExport:
                   "city": {"n_locations": 30}}
         config_path = tmp_path / "bad.json"
         config_path.write_text(json.dumps({**config, **bad}))
+        assert main(["sweep", "--config", str(config_path), "--output-dir", str(tmp_path / "o")]) == 1
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_sweep_overflowing_beta_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # beta is checked against the generated city's populations, so the
+        # city is built but nothing is calibrated or run
+        calls = []
+        monkeypatch.setattr(engine, "run_simulation", lambda *a, **k: calls.append("run"))
+        monkeypatch.setattr(runner.transit, "calibrate", lambda *a, **k: calls.append("calibrate"))
+        config = {"seed_draws": 1, "replicates": 1, "pairs": [[3, 5]], "delta_bands": ["low"],
+                  "city": {"n_locations": 30},
+                  "diseases": [{"name": "h1n1", "beta": 0.5, "gamma": 0.5}, {"name": "x", "beta": 1e306, "gamma": 1.0}]}
+        config_path = tmp_path / "big.json"
+        config_path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(config_path), "--output-dir", str(tmp_path / "o")]) == 1
         assert calls == []
         assert capsys.readouterr().err.startswith("error: ")

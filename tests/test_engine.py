@@ -9,6 +9,7 @@ from epitransit.engine import (
     EpidemicParams,
     _hazard_kernel,
     advance_day,
+    check_scale,
     hazard_vector,
     introduce,
     run_simulation,
@@ -34,6 +35,14 @@ class TestParams:
             EpidemicParams(beta=1.0, gamma=1.5)
         with pytest.raises(ValueError):
             EpidemicParams(beta=1.0, gamma=0.5, hazard_variant="bogus")
+
+
+def test_overflowing_beta_rejected_before_the_run():
+    m = two_location_matrix(n_a=1e10)
+    with pytest.raises(ValueError, match="overflows"):
+        run_simulation(m, EpidemicParams(beta=1e300, gamma=0.5), 1, 0)
+    # beta * N = 1e308 is still finite
+    check_scale(EpidemicParams(beta=1e298, gamma=0.5), m)
 
 
 def fresh_state(matrix):
@@ -138,8 +147,7 @@ class TestSirStep:
 class TestIntroduce:
     def test_no_hazard_no_change(self):
         m = two_location_matrix()
-        state = fresh_state(m)
-        out = introduce(state, m, EpidemicParams(beta=0.5, gamma=0.5), np.random.default_rng(0))
+        out = advance_day(fresh_state(m), m, EpidemicParams(beta=0.5, gamma=0.5), np.random.default_rng(0))
         assert np.all(out.I == 0.0)
         assert out.day == 1
 
@@ -150,7 +158,8 @@ class TestIntroduce:
         state.S[1] = 0.0
         # enormous beta drives h to 1
         params = EpidemicParams(beta=1e12, gamma=0.5)
-        out = introduce(state, m, params, np.random.default_rng(0))
+        assert introduce(state, m, params, np.random.default_rng(0)).tolist() == [0]
+        out = advance_day(state, m, params, np.random.default_rng(0))
         assert out.I[0] == 1.0
         assert out.S[0] == m.populations[0] - 1.0
         assert out.onset_day[0] == 1
@@ -167,9 +176,7 @@ class TestIntroduce:
         h = hazard_vector(state, m, params)[0]
         assert h == pytest.approx(0.3, rel=1e-12)
         rng = np.random.default_rng(123)
-        hits = sum(
-            introduce(state.copy(), m, params, rng).I[0] == 1.0 for _ in range(10_000)
-        )
+        hits = sum(introduce(state, m, params, rng).tolist() == [0] for _ in range(10_000))
         assert hits / 10_000 == pytest.approx(0.3, abs=0.015)
 
     def test_no_virgin_location_draws_nothing(self):
@@ -177,11 +184,14 @@ class TestIntroduce:
         state = fresh_state(m)
         state.seed(0)
         state.S[1], state.R[1] = 99.0, 1.0
+        params = EpidemicParams(beta=0.5, gamma=0.5)
         rng = np.random.default_rng(9)
         before = rng.bit_generator.state
-        out = introduce(state, m, EpidemicParams(beta=0.5, gamma=0.5), rng)
+        assert introduce(state, m, params, rng).size == 0
+        assert state.day == 0 and state.I[0] == 1.0 and state.I[1] == 0.0
+        out = advance_day(state, m, params, rng)
         assert rng.bit_generator.state == before
-        assert out.day == 1 and out.I[0] == 1.0 and out.I[1] == 0.0
+        assert out.day == 1 and out.I[1] == 0.0
 
 
 class TestSeedOutbreak:

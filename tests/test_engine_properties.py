@@ -103,6 +103,52 @@ def test_hazard_on_virgin_rows_matches_the_whole_vector(matrix, beta, variant, d
     np.testing.assert_allclose(hazard_vector(state, matrix, params, rows), whole, rtol=1e-12, atol=0.0)
 
 
+LEVELS = st.sampled_from([0.0, 0.5, 1.0, 7.0, 250.0])
+# four locations: with one virgin the hazard reads its row only, with two
+# the whole product; either way a virgin location is hit
+CROWDED_CITY = matrix_from_flows(np.full((4, 4), 500.0), populations=np.full(4, 1000.0))
+ONE_VIRGIN = np.array([250.0, 7.0, 1.0, 0.0] + [0.0] * 8)
+TWO_VIRGIN = np.array([250.0, 0.0, 7.0, 0.0] + [0.0] * 8)
+
+
+@given(
+    matrix=cities(),
+    beta=st.floats(0.0, 1e6),
+    variant=st.sampled_from(HAZARD_VARIANTS),
+    infected=hnp.arrays(float, 12, elements=LEVELS),
+    recovered=hnp.arrays(float, 12, elements=LEVELS),
+    day=st.integers(min_value=0, max_value=500),
+    rng_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(matrix=CROWDED_CITY, beta=1e6, variant="as_printed", infected=ONE_VIRGIN, recovered=np.zeros(12), day=9,
+         rng_seed=0)
+@example(matrix=CROWDED_CITY, beta=1e6, variant="no_inner_s", infected=TWO_VIRGIN,
+         recovered=np.zeros(12), day=0, rng_seed=0)
+def test_introduce_reads_the_state_and_draws_one_uniform_per_location(
+    matrix, beta, variant, infected, recovered, day, rng_seed
+):
+    # a mix of virgin, infected and burned-out (I = 0 < R) locations
+    n = matrix.n
+    state = CompartmentState.fully_susceptible(matrix.populations)
+    state.I = np.minimum(infected[:n], state.N)
+    state.R = np.minimum(recovered[:n], state.N - state.I)
+    state.S = state.N - state.I - state.R
+    state.day = day
+    virgin = np.flatnonzero(state.virgin_mask)
+    state.onset_day[~state.virgin_mask] = day
+    before = (state.SIR.tobytes(), state.onset_day.tobytes(), state.day)
+    rng = np.random.default_rng(rng_seed)
+    clone = np.random.default_rng(rng_seed)
+
+    hits = engine.introduce(state, matrix, EpidemicParams(beta=beta, gamma=0.5, hazard_variant=variant), rng)
+
+    assert (state.SIR.tobytes(), state.onset_day.tobytes(), state.day) == before
+    assert np.all(np.diff(hits) > 0) and np.isin(hits, virgin).all()
+    if virgin.size:
+        clone.random(n)
+    assert rng.bit_generator.state == clone.bit_generator.state
+
+
 def copying_reference(matrix, params, seed_rule, rng_seed):
     """One run that builds a new state every day and draws n uniforms every
     day, virgin locations or not; returns what run_simulation reports."""
@@ -220,10 +266,10 @@ def test_no_introduction_step_once_every_location_has_a_case(monkeypatch):
     introduced, hazards, generators, steps = [], [], [], []
     introduce, hazard_vector, step = engine.introduce, engine.hazard_vector, engine.sir_step
 
-    def counted_introduce(state, matrix, params, rng, step=None):
+    def counted_introduce(state, matrix, params, rng):
         introduced.append(state.day)
         generators.append(rng)
-        return introduce(state, matrix, params, rng, step)
+        return introduce(state, matrix, params, rng)
 
     def counted_hazard_vector(state, matrix, params, rows=None):
         hazards.append(state.day)

@@ -171,6 +171,15 @@ class TestRunSweep:
         run_sweep(config, matrix=matrix)
         assert matrix.entries is kept
 
+    def test_replay_leaves_the_matrix_as_it_found_it(self, two_disease_sweep):
+        config, _, result, _ = two_disease_sweep
+        matrix = base_matrix(config)
+        replay_run(config, result.ledger[0], matrix=matrix)
+        assert "entries" not in vars(matrix)
+        kept = matrix.entries
+        replay_run(config, result.ledger[0], matrix=matrix)
+        assert matrix.entries is kept
+
     def test_plan_calibrates_each_cell_once(self, two_disease_sweep):
         config, _, result, calls = two_disease_sweep
         assert len(result.cells) == len(config.diseases) * len(TWO_BAND_PAIRS)
