@@ -5,13 +5,11 @@ from .engine import CompartmentState, EpidemicParams, PrevalenceSeries, run_simu
 from .metrics import CompareConfig, ComparisonReport, compare
 from .mobility import (
     ContactMatrix,
-    Location,
     LocationTable,
     TripRecord,
     build_contact_matrix,
     load_trips,
     network_stats,
-    trip_distance,
 )
 from .runner import Disease, ScenarioConfig, SweepResult, run_sweep
 from .synthcity import CityConfig, generate_synthetic_city
@@ -30,7 +28,6 @@ __all__ = [
     "Disease",
     "EpidemicParams",
     "GammaTripModel",
-    "Location",
     "LocationTable",
     "PairInvasion",
     "PrevalenceSeries",
@@ -49,5 +46,4 @@ __all__ = [
     "run_sweep",
     "sample_transit_matrix",
     "transmission_probability",
-    "trip_distance",
 ]

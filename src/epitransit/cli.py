@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate trip CSVs and build the contact matrix")
     p.add_argument("--trips", required=True)
-    p.add_argument("--locations", required=True)
+    p.add_argument("--locations", dest="locations_csv", required=True)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("synth-city", help="generate a synthetic city")
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> int:
-    table, trips = load_trips(args.trips, args.locations)
+    table, trips = load_trips(args.trips, args.locations_csv)
     matrix = build_contact_matrix(table, trips)
     os.makedirs(args.out_dir, exist_ok=True)
     save_matrix_npz(matrix, os.path.join(args.out_dir, "matrix.npz"))
@@ -190,7 +190,7 @@ _PREVALENCE_COLUMNS = ("day", "prevalence", "frac_locations_infected")
 
 
 def _read_prevalence_csv(path):
-    days, prev, frac = [], [], []
+    prev, frac = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in _PREVALENCE_COLUMNS if c not in (reader.fieldnames or ())]
@@ -198,12 +198,16 @@ def _read_prevalence_csv(path):
             raise ValidationError(f"{path}: header lacks column(s) {', '.join(missing)}")
         for rownum, row in enumerate(reader, start=2):
             try:
-                days.append(int(row["day"]))
-                prev.append(float(row["prevalence"]))
-                frac.append(float(row["frac_locations_infected"]))
+                int(row["day"])
+                values = {name: float(row[name]) for name in _PREVALENCE_COLUMNS[1:]}
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}: row {rownum}: {exc}") from None
-    if not days:
+            for name, value in values.items():
+                if not 0.0 <= value <= 1.0:
+                    raise ValidationError(f"{path}: row {rownum}: {name} {value} outside [0, 1]")
+            prev.append(values["prevalence"])
+            frac.append(values["frac_locations_infected"])
+    if not prev:
         raise ValidationError(f"{path}: empty prevalence series")
     return SimpleNamespace(prevalence=np.array(prev), frac_locations=np.array(frac))
 

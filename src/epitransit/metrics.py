@@ -17,26 +17,18 @@ class NoAdmissibleLag(ValueError):
     """Both series are too short to overlap at any allowed lag."""
 
 
-def _prevalence(series) -> np.ndarray:
-    return np.asarray(getattr(series, "prevalence", series), dtype=float)
-
-
-def _frac_locations(run) -> np.ndarray:
-    return np.asarray(getattr(run, "frac_locations", run), dtype=float)
-
-
-def threshold_day(series, level: float):
+def threshold_day(prevalence, level: float):
     """First day the prevalence reaches level, or None if it never does."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    x = _prevalence(series)
+    x = np.asarray(prevalence, dtype=float)
     hits = np.nonzero(x >= level)[0]
     return int(hits[0]) if hits.size else None
 
 
-def peak(series):
+def peak(prevalence):
     """(day, magnitude) of the prevalence maximum; ties go to the earliest day."""
-    x = _prevalence(series)
+    x = np.asarray(prevalence, dtype=float)
     if x.size == 0:
         raise ValueError("empty series")
     day = int(np.argmax(x))
@@ -53,7 +45,7 @@ def situational_awareness(x, y, max_lag: int, min_overlap: int = 10) -> float:
     For each integer lag in [-max_lag, max_lag] the series are compared
     over the overlap of their day ranges; overlaps shorter than
     min_overlap are disqualified to prevent degenerate alignments.
-    x is the transit series, y the full-mobility series.
+    x is the transit prevalence, y the full-mobility prevalence.
 
     Every admissible lag's ratio is first computed in one array pass.
     Only the lags within a relative 1e-9 of that pass's minimum are then
@@ -63,7 +55,7 @@ def situational_awareness(x, y, max_lag: int, min_overlap: int = 10) -> float:
     summed again, and the result equals a loop over every lag bit for
     bit.
     """
-    xa, ya = _prevalence(x), _prevalence(y)
+    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     if min_overlap < 1:
@@ -112,14 +104,15 @@ def _lag_ratios(xa: np.ndarray, ya: np.ndarray, lags: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def locations_timing(x_run, y_run, thresholds):
-    """Per threshold, the day lag between runs reaching that fraction of
-    ever-infected locations (full-mobility day minus transit day).
+def locations_timing(x_frac, y_frac, thresholds):
+    """Per threshold, the day lag between two series of the fraction of
+    ever-infected locations reaching it (full-mobility day minus transit
+    day; x is the transit series, y the full-mobility one).
 
     A threshold neither-or-either side never reaches maps to None, the
     censored marker; censoring is reported, never imputed.
     """
-    fx, fy = _frac_locations(x_run), _frac_locations(y_run)
+    fx, fy = np.asarray(x_frac, dtype=float), np.asarray(y_frac, dtype=float)
     out = {}
     for thr in thresholds:
         dx = np.nonzero(fx >= thr)[0]
@@ -182,25 +175,32 @@ class ComparisonReport:
 
 def compare(x_run, y_run, config: CompareConfig | None = None) -> ComparisonReport:
     """Assemble all five statistics for a transit run x against a
-    full-mobility run y.
+    full-mobility run y, each with ``prevalence`` and ``frac_locations``
+    (a bare array, as ``perfbench/test_perfbench.py`` passes, stands for
+    both). Raises ValueError if y's prevalence never rises above 0.
 
     Day lags are full-mobility minus transit, so they come out negative
     when the transit-driven epidemic runs late.
     """
     cfg = config or CompareConfig()
-    tx = threshold_day(x_run, cfg.level)
-    ty = threshold_day(y_run, cfg.level)
+    (x, x_frac), (y, y_frac) = (
+        (r, r) if isinstance(r, np.ndarray) else (r.prevalence, r.frac_locations) for r in (x_run, y_run)
+    )
+    tx = threshold_day(x, cfg.level)
+    ty = threshold_day(y, cfg.level)
     early = ty - tx if tx is not None and ty is not None else None
-    px_day, px_mag = peak(x_run)
-    py_day, py_mag = peak(y_run)
+    px_day, px_mag = peak(x)
+    py_day, py_mag = peak(y)
+    if not py_mag > 0.0:
+        raise ValueError(f"full-mobility prevalence never rises above 0 (peak {py_mag})")
     max_lag = cfg.max_lag
     if max_lag is None:
-        max_lag = max(len(_prevalence(x_run)), len(_prevalence(y_run))) // 2
-    sa = situational_awareness(x_run, y_run, max_lag, cfg.min_overlap)
+        max_lag = max(len(x), len(y)) // 2
+    sa = situational_awareness(x, y, max_lag, cfg.min_overlap)
     return ComparisonReport(
         early_warning=early,
         peak_timing=py_day - px_day,
         peak_magnitude=px_mag / py_mag,
         situational_awareness=sa,
-        locations_timing=locations_timing(x_run, y_run, cfg.thresholds),
+        locations_timing=locations_timing(x_frac, y_frac, cfg.thresholds),
     )

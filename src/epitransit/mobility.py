@@ -31,21 +31,6 @@ class ValidationError(ValueError):
     """An input file or record failed validation."""
 
 
-@dataclass(frozen=True)
-class Location:
-    """One location with geographic coordinates in decimal degrees."""
-
-    id: str
-    lat: float
-    lon: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValidationError(f"location {self.id!r}: lat {self.lat} outside [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValidationError(f"location {self.id!r}: lon {self.lon} outside [-180, 180]")
-
-
 @dataclass(frozen=True, slots=True)
 class TripRecord:
     """Directed movement count between two locations within one hour slot."""
@@ -57,42 +42,49 @@ class TripRecord:
 
 
 class LocationTable:
-    """Indexed set of locations, kept as columns (``ids``, ``lat``,
-    ``lon``), with cached pairwise distances."""
+    """Indexed set of locations, kept as columns: ``ids`` (a list of
+    strings), ``lat`` and ``lon`` (float arrays, decimal degrees).
 
-    def __init__(self, locations):
-        ids, lat, lon = [], [], []
-        for loc in locations:
-            ids.append(loc.id)
-            lat.append(loc.lat)
-            lon.append(loc.lon)
-        if len(set(ids)) != len(ids):
+    The constructor is the one place that checks locations: it takes one
+    lat and one lon per id, rejects repeated ids, and rejects any lat
+    outside [-90, 90] or lon outside [-180, 180], NaN included. The
+    columns are copied.
+    """
+
+    def __init__(self, ids, lat, lon):
+        self.ids = ids = list(ids)
+        self.lat = lat = np.array(lat, dtype=float)
+        self.lon = lon = np.array(lon, dtype=float)
+        if lat.shape != (len(ids),) or lon.shape != (len(ids),):
+            raise ValidationError(f"{len(ids)} location ids, but lat has shape {lat.shape} and lon {lon.shape}")
+        errors = _coordinate_errors(ids, lat, lon)
+        if errors:
+            raise ValidationError(errors[0][1])
+        self.index = {loc_id: i for i, loc_id in enumerate(ids)}
+        if len(self.index) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValidationError(f"duplicate location ids: {dupes[:5]}")
-        self.ids = ids
-        self.index = {loc_id: i for i, loc_id in enumerate(ids)}
-        self.lat = np.array(lat, dtype=float)
-        self.lon = np.array(lon, dtype=float)
-        self._distance_matrix = None
 
     def __len__(self):
         return len(self.ids)
 
     @property
-    def locations(self) -> list[Location]:
-        """The locations as ``Location`` records, built on each access."""
-        return [Location(i, float(a), float(o)) for i, a, o in zip(self.ids, self.lat, self.lon)]
-
-    @property
     def distance_matrix(self) -> np.ndarray:
-        """Pairwise haversine distances in km, computed once and cached."""
-        if self._distance_matrix is None:
-            d = haversine_km(
-                self.lat[:, None], self.lon[:, None], self.lat[None, :], self.lon[None, :]
-            )
-            d.flags.writeable = False
-            self._distance_matrix = d
-        return self._distance_matrix
+        """Pairwise haversine distances in km, computed on each access."""
+        return haversine_km(self.lat[:, None], self.lon[:, None], self.lat[None, :], self.lon[None, :])
+
+
+def _coordinate_errors(ids, lat: np.ndarray, lon: np.ndarray) -> list:
+    """(position, message) for each location whose lat is outside
+    [-90, 90] or, failing that, whose lon is outside [-180, 180], in
+    position order. NaN is outside both ranges."""
+    lat_bad = ~(np.abs(lat) <= 90.0)
+    lon_bad = ~(np.abs(lon) <= 180.0)
+    errors = []
+    for i in np.flatnonzero(lat_bad | lon_bad).tolist():
+        name, value, bound = ("lat", lat[i], 90) if lat_bad[i] else ("lon", lon[i], 180)
+        errors.append((i, f"location {ids[i]!r}: {name} {float(value)} outside [-{bound}, {bound}]"))
+    return errors
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
@@ -121,11 +113,6 @@ def haversine_km(lat1, lon1, lat2, lon2):
     np.arcsin(d, out=d)
     d *= 2.0 * EARTH_RADIUS_KM
     return d if d.ndim else d[()]
-
-
-def trip_distance(a: Location, b: Location) -> float:
-    """Great-circle distance in km between two locations."""
-    return float(haversine_km(a.lat, a.lon, b.lat, b.lon))
 
 
 @dataclass(frozen=True)
@@ -174,7 +161,7 @@ class ContactMatrix:
         ``m.take(index)`` reads their counts, which are not cached.
         Distances are computed for these entries only and equal
         ``distance_matrix`` there, so calibration, histograms and thinning
-        never fill the dense n x n distance cache.
+        never build the dense n x n distance matrix.
         """
         index = np.flatnonzero(self.m)
         if self.m.size < 2**31:
@@ -214,19 +201,26 @@ def _dict_reader(fh, path, expected: list) -> csv.DictReader:
 
 
 def load_locations(path) -> LocationTable:
-    """Read a ``id,lat,lon`` CSV into a LocationTable; ids are stripped of
-    padding."""
-    locations = []
-    errors = []
+    """Read a ``id,lat,lon`` CSV into LocationTable columns; ids are
+    stripped of padding. Every row that does not parse or is out of range
+    is reported in one ValidationError, by row number and in row order."""
+    ids, lat, lon, rownums, errors = [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _dict_reader(fh, path, ["id", "lat", "lon"])
         for rownum, row in enumerate(reader, start=2):
             try:
-                locations.append(Location(row["id"].strip(), float(row["lat"]), float(row["lon"])))
-            except (TypeError, ValueError, ValidationError) as exc:
-                errors.append(f"row {rownum}: {exc}")
-    _raise_if_errors(path, errors)
-    return LocationTable(locations)
+                loc_id, la, lo = row["id"].strip(), float(row["lat"]), float(row["lon"])
+            except (TypeError, ValueError) as exc:
+                errors.append((rownum, str(exc)))
+                continue
+            ids.append(loc_id)
+            lat.append(la)
+            lon.append(lo)
+            rownums.append(rownum)
+    lat, lon = np.array(lat), np.array(lon)
+    errors += [(rownums[i], msg) for i, msg in _coordinate_errors(ids, lat, lon)]
+    _raise_if_errors(path, [f"row {rownum}: {msg}" for rownum, msg in sorted(errors)])
+    return LocationTable(ids, lat, lon)
 
 
 def load_trips(trip_file, locations_file):
@@ -332,7 +326,7 @@ def matrix_from_flows(m, populations=None, table=None) -> ContactMatrix:
     m = np.ascontiguousarray(np.asarray(m, dtype=float).copy())
     n = m.shape[0]
     if table is None:
-        table = LocationTable(Location(f"L{i:04d}", 0.0, 0.0) for i in range(n))
+        table = LocationTable([f"L{i:04d}" for i in range(n)], np.zeros(n), np.zeros(n))
     clamps = 0
     if populations is None:
         populations, clamps = derive_populations(m)
@@ -411,10 +405,7 @@ def save_matrix_npz(matrix: ContactMatrix, path) -> None:
 
 def load_matrix_npz(path) -> ContactMatrix:
     with np.load(path, allow_pickle=False) as data:
-        table = LocationTable(
-            Location(str(i), float(la), float(lo))
-            for i, la, lo in zip(data["ids"], data["lat"], data["lon"])
-        )
+        table = LocationTable(data["ids"].tolist(), data["lat"], data["lon"])
         return ContactMatrix(
             m=data["m"].copy(),
             populations=data["populations"].copy(),

@@ -14,14 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .checks import is_int, is_real
-from .mobility import (
-    HOURS_PER_DAY,
-    ContactMatrix,
-    Location,
-    LocationTable,
-    derive_populations,
-    haversine_km,
-)
+from .mobility import HOURS_PER_DAY, ContactMatrix, LocationTable, derive_populations
 
 KM_PER_DEGREE = 111.19492664455873  # 6371 km * pi / 180
 
@@ -50,6 +43,8 @@ class CityConfig:
 def generate_synthetic_city(config: CityConfig, rng_seed) -> tuple[LocationTable, ContactMatrix]:
     """Generate a city deterministically from a seed.
 
+    The drawn coordinates become the table's lat and lon columns, and the
+    gravity kernel takes its distances from ``table.distance_matrix``.
     Returns the location table and the daily contact matrix with
     populations derived from the flow balance.
     """
@@ -63,14 +58,11 @@ def generate_synthetic_city(config: CityConfig, rng_seed) -> tuple[LocationTable
     lon = config.center_lon + r * np.cos(angle) / (
         KM_PER_DEGREE * np.cos(np.radians(config.center_lat))
     )
-    table = LocationTable(
-        Location(f"L{i:04d}", float(lat[i]), float(lon[i])) for i in range(n)
-    )
+    table = LocationTable([f"L{i:04d}" for i in range(n)], lat, lon)
 
     pops = np.maximum(rng.lognormal(np.log(config.pop_median), config.pop_sigma, n), 1.0)
 
-    d = haversine_km(table.lat[:, None], table.lon[:, None], table.lat[None, :], table.lon[None, :])
-    kernel = pops[:, None] * pops[None, :] * np.exp(-d / config.d0_km)
+    kernel = pops[:, None] * pops[None, :] * np.exp(-table.distance_matrix / config.d0_km)
     np.fill_diagonal(kernel, 0.0)
     target_total = config.trips_per_capita * pops.sum()
     kernel *= target_total / kernel.sum()
@@ -98,8 +90,8 @@ def write_city_csvs(table: LocationTable, matrix: ContactMatrix, locations_path,
     with open(locations_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "lat", "lon"])
-        for loc in table.locations:
-            writer.writerow([loc.id, repr(loc.lat), repr(loc.lon)])
+        for loc_id, lat, lon in zip(table.ids, table.lat.tolist(), table.lon.tolist()):
+            writer.writerow([loc_id, repr(lat), repr(lon)])
     with open(trips_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["origin", "destination", "hour", "count"])

@@ -95,7 +95,10 @@ def write_ranking_csv(
     path,
     variant: str = "r0_consistent",
 ) -> None:
-    """Per-destination invasion probabilities under both matrices."""
+    """Per-destination invasion probabilities under both matrices, which
+    must list the same location ids in the same order."""
+    if transit_matrix.table.ids != matrix.table.ids:
+        raise ValueError("the transit matrix does not list the matrix's location ids in the same order")
     ranked = invasion_ranking(matrix, source, params, variant)
     sub = dict(invasion_ranking(transit_matrix, source, params, variant))
     src_id = matrix.table.ids[source]

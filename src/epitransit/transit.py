@@ -25,6 +25,9 @@ DELTA_BANDS = {
 DEFAULT_K_RANGE = (2, 50)
 DEFAULT_THETA_RANGE = (1, 50)
 DEFAULT_MODE_SHARE = 0.35
+LAMBDA_TOL = 1e-6  # absolute distance to the mode share at which calibration stops
+LAMBDA_MAX_ITER = 100
+HISTOGRAM_BIN_KM = 5.0
 
 
 class InfeasibleModeShare(RuntimeError):
@@ -182,13 +185,13 @@ def enumerate_param_pairs(band: DeltaBand, k_range=DEFAULT_K_RANGE, theta_range=
     return pairs
 
 
-def compute_lambda(model: GammaTripModel, distances, counts, tol=1e-6, max_iter=100) -> float:
+def compute_lambda(model: GammaTripModel, distances, counts) -> float:
     """Solve the scaling factor so the expected labeled fraction equals mu.
 
     The uncapped solution is lambda = mu / (sum c_i F(d_i) / sum c_i).
     Wherever lambda * F(d) exceeds 1 the labeling probability is capped,
     so lambda is re-solved over the uncapped trips until the expectation
-    sum c_i min(1, lambda F(d_i)) / sum c_i is within tol of mu.
+    sum c_i min(1, lambda F(d_i)) / sum c_i is within LAMBDA_TOL of mu.
 
     Raises InfeasibleModeShare when even caps cannot reach mu.
     """
@@ -199,19 +202,19 @@ def compute_lambda(model: GammaTripModel, distances, counts, tol=1e-6, max_iter=
     f = model.pdf(d)
     total = c.sum()
     achievable = float(c[f > 0].sum() / total)
-    if model.mu > achievable + tol:
+    if model.mu > achievable + LAMBDA_TOL:
         raise InfeasibleModeShare(model.mu, achievable)
 
     capped = np.zeros(d.shape, dtype=bool)
     lam = 0.0
     fraction = 0.0
-    for _ in range(max_iter):
+    for _ in range(LAMBDA_MAX_ITER):
         uncapped_mass = float((c[~capped] * f[~capped]).sum())
         if uncapped_mass <= 0.0:
             raise InfeasibleModeShare(model.mu, float(c[capped].sum() / total))
         lam = float((model.mu * total - c[capped].sum()) / uncapped_mass)
         fraction = float((c * np.minimum(1.0, lam * f)).sum() / total)
-        if abs(fraction - model.mu) <= tol:
+        if abs(fraction - model.mu) <= LAMBDA_TOL:
             return lam
         grew = (lam * f > 1.0) & ~capped
         if not grew.any():
@@ -285,18 +288,18 @@ class DistanceHistogram:
     p95_km: float
 
 
-def distance_histogram(matrix: ContactMatrix, bin_km: float = 5.0) -> DistanceHistogram:
-    """Normalized trip-distance histogram and 95th percentile distance.
+def distance_histogram(matrix: ContactMatrix) -> DistanceHistogram:
+    """Trip-distance histogram in HISTOGRAM_BIN_KM bins, and 95th percentile.
 
     Weighted by trip counts over inter-location entries; self-flows are
     excluded since they carry no distance.
     """
     distances, counts = _inter_location_trips(matrix)
     if counts.size == 0:
-        return DistanceHistogram(np.array([0.0, bin_km]), np.array([0.0]), 0.0)
+        return DistanceHistogram(np.array([0.0, HISTOGRAM_BIN_KM]), np.array([0.0]), 0.0)
     max_d = float(distances.max())
-    n_bins = max(1, int(np.ceil(max_d / bin_km + 1e-12)))
-    edges = np.arange(n_bins + 1, dtype=float) * bin_km
+    n_bins = max(1, int(np.ceil(max_d / HISTOGRAM_BIN_KM + 1e-12)))
+    edges = np.arange(n_bins + 1, dtype=float) * HISTOGRAM_BIN_KM
     hist, _ = np.histogram(distances, bins=edges, weights=counts)
     masses = hist / counts.sum()
     p95 = weighted_percentile(distances, counts, 0.95)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from epitransit.mobility import Location, LocationTable, matrix_from_flows
+from epitransit.mobility import LocationTable, matrix_from_flows
 from epitransit.synthcity import CityConfig, generate_synthetic_city
 
 # Deterministic property tests: the same examples on every run, no example
@@ -14,14 +14,7 @@ settings.load_profile("epitransit")
 @pytest.fixture
 def square_table():
     """Four locations on a rough 100 km square."""
-    return LocationTable(
-        [
-            Location("A", 0.0, 0.0),
-            Location("B", 0.0, 1.0),
-            Location("C", 1.0, 0.0),
-            Location("D", 1.0, 1.0),
-        ]
-    )
+    return LocationTable(["A", "B", "C", "D"], [0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0])
 
 
 @pytest.fixture

@@ -158,6 +158,39 @@ class TestSimulateCompareTheory:
         assert code == 1
         assert "frac_locations_infected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ptt_rows, mpt_rows, message",
+        [
+            (["0,0.1,0.5", "1,0.2,0.6"], ["0,0.0,0.5", "1,0.0,0.6"], "never rises above 0"),
+            (["0,0.1,0.5", "1,nan,0.6"], ["0,0.1,0.5", "1,0.2,0.6"], "row 3: prevalence nan outside [0, 1]"),
+            (["0,0.1,0.5", "1,0.2,0.6"], ["0,0.1,0.5", "1,0.2,inf"], "row 3: frac_locations_infected inf"),
+            (["0,0.1,0.5", "1,1.5,0.6"], ["0,0.1,0.5", "1,0.2,0.6"], "row 3: prevalence 1.5 outside [0, 1]"),
+        ],
+        ids=["all_zero_mpt", "nan_prevalence", "infinite_frac", "prevalence_above_one"],
+    )
+    def test_compare_rejects_series_it_cannot_compare(self, tmp_path, capsys, ptt_rows, mpt_rows, message):
+        header = "day,prevalence,frac_locations_infected\n"
+        (tmp_path / "ptt.csv").write_text(header + "\n".join(ptt_rows) + "\n")
+        (tmp_path / "mpt.csv").write_text(header + "\n".join(mpt_rows) + "\n")
+        out = tmp_path / "r.json"
+        code = main(["compare", "--ptt", str(tmp_path / "ptt.csv"), "--mpt", str(tmp_path / "mpt.csv"),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("transit_n", [20, 40], ids=["transit_subset", "transit_superset"])
+    def test_theory_rejects_a_transit_matrix_from_another_city(self, city_dir, tmp_path, capsys, transit_n):
+        other = tmp_path / "other"
+        assert main(["synth-city", "--n", str(transit_n), "--seed", "4", "--out-dir", str(other)]) == 0
+        out = tmp_path / "ranking.csv"
+        code = main(
+            ["theory", "--matrix", str(city_dir / "matrix.npz"), "--transit-matrix", str(other / "matrix.npz"),
+             "--source", "L0000", "--beta", "0.5", "--gamma", "0.3333", "--out", str(out)]
+        )
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_theory_ranking(self, city_dir, tmp_path):
         out = tmp_path / "ranking.csv"
         code = main(

@@ -353,7 +353,7 @@ class TestSubsamplingDominance:
             loc = seed_outbreak(small_city, "proportional", np.random.default_rng((5, s)))
             a = run_simulation(small_city, params, loc, (1, s))
             b = run_simulation(sub, params, loc, (1, s))
-            da, db = threshold_day(a, 0.01), threshold_day(b, 0.01)
+            da, db = threshold_day(a.prevalence, 0.01), threshold_day(b.prevalence, 0.01)
             if da is not None and db is not None:
                 full_days.append(da)
                 sub_days.append(db)

@@ -175,20 +175,20 @@ class TestSituationalAwareness:
 class TestLocationsTiming:
     def test_identical_runs(self):
         frac = [0.0, 0.1, 0.3, 0.9, 1.0]
-        out = locations_timing(Run(np.zeros(5), frac), Run(np.zeros(5), frac), [0.2, 0.8])
+        out = locations_timing(frac, frac, [0.2, 0.8])
         assert out == {0.2: 0, 0.8: 0}
 
     def test_constructed_lag(self):
         # transit reaches 20% on day 12, full mobility on day 10: lag -2
         fx = np.concatenate([np.zeros(12), [0.25], np.full(7, 0.3)])
         fy = np.concatenate([np.zeros(10), [0.25], np.full(9, 0.3)])
-        out = locations_timing(Run(np.zeros(20), fx), Run(np.zeros(20), fy), [0.2])
+        out = locations_timing(fx, fy, [0.2])
         assert out == {0.2: -2}
 
     def test_censored(self):
         fx = np.full(10, 0.5)  # never reaches 80%
         fy = np.full(10, 0.9)
-        out = locations_timing(Run(np.zeros(10), fx), Run(np.zeros(10), fy), [0.8])
+        out = locations_timing(fx, fy, [0.8])
         assert out == {0.8: None}
 
 

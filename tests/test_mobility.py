@@ -7,7 +7,6 @@ from epitransit.mobility import (
     EARTH_RADIUS_KM,
     POPULATION_FLOOR,
     ContactMatrix,
-    Location,
     LocationTable,
     TripRecord,
     ValidationError,
@@ -15,27 +14,54 @@ from epitransit.mobility import (
     degree_histogram,
     derive_populations,
     haversine_km,
+    load_locations,
     load_matrix_npz,
     load_trips,
     matrix_from_flows,
     network_stats,
     save_matrix_npz,
-    trip_distance,
     write_network_stats,
 )
 
 
 class TestLocation:
     def test_bounds(self):
-        Location("x", 90.0, -180.0)
+        LocationTable(["x"], [90.0], [-180.0])
         with pytest.raises(ValidationError):
-            Location("x", 90.5, 0.0)
+            LocationTable(["x"], [90.5], [0.0])
         with pytest.raises(ValidationError):
-            Location("x", 0.0, 180.5)
+            LocationTable(["x"], [0.0], [180.5])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            LocationTable([Location("a", 0, 0), Location("a", 1, 1)])
+            LocationTable(["a", "a"], [0, 1], [0, 1])
+
+    def test_one_finite_coordinate_pair_per_id(self):
+        with pytest.raises(ValidationError, match="2 location ids, but lat has shape"):
+            LocationTable(["a", "b"], [0.0], [0.0, 1.0])
+        with pytest.raises(ValidationError, match=r"location 'b': lat nan outside \[-90, 90\]"):
+            LocationTable(["a", "b"], [0.0, np.nan], [0.0, 1.0])
+        with pytest.raises(ValidationError, match=r"location 'a': lon -inf outside \[-180, 180\]"):
+            LocationTable(["a", "b"], [0.0, 0.0], [-np.inf, 1.0])
+
+
+class TestLoadLocations:
+    def test_bad_rows_reported_by_number_in_row_order(self, tmp_path):
+        path = tmp_path / "locations.csv"
+        path.write_text("id,lat,lon\na,0,0\nb,91,0\nc,0,nan\nd,1,1\ne,north,0\n")
+        with pytest.raises(ValidationError) as exc:
+            load_locations(path)
+        assert str(exc.value) == (
+            f"{path}: 3 malformed row(s): row 3: location 'b': lat 91.0 outside [-90, 90]; "
+            "row 4: location 'c': lon nan outside [-180, 180]; "
+            "row 6: could not convert string to float: 'north'"
+        )
+
+    def test_repeated_id_in_valid_rows_rejected(self, tmp_path):
+        path = tmp_path / "locations.csv"
+        path.write_text("id,lat,lon\na,0,0\nb,1,1\na,2,2\n")
+        with pytest.raises(ValidationError, match=r"duplicate location ids: \['a'\]"):
+            load_locations(path)
 
 
 class TestLoadTrips:
@@ -214,22 +240,21 @@ class TestDerivePopulations:
 
 class TestDistances:
     def test_zero_distance(self):
-        a = Location("a", 12.0, 34.0)
-        assert trip_distance(a, a) == 0.0
+        assert haversine_km(12.0, 34.0, 12.0, 34.0) == 0.0
 
     def test_one_degree_longitude_at_equator(self):
         # haversine closed form: one degree of arc = R * pi / 180
         oracle = EARTH_RADIUS_KM * math.pi / 180.0
-        d = trip_distance(Location("a", 0.0, 0.0), Location("b", 0.0, 1.0))
+        d = haversine_km(0.0, 0.0, 0.0, 1.0)
         assert d == pytest.approx(111.19, abs=0.01)
         assert d == pytest.approx(oracle, abs=1e-9)
 
     def test_symmetry_on_random_pairs(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            a = Location("a", rng.uniform(-90, 90), rng.uniform(-180, 180))
-            b = Location("b", rng.uniform(-90, 90), rng.uniform(-180, 180))
-            assert trip_distance(a, b) == trip_distance(b, a)
+            a = (rng.uniform(-90, 90), rng.uniform(-180, 180))
+            b = (rng.uniform(-90, 90), rng.uniform(-180, 180))
+            assert haversine_km(*a, *b) == haversine_km(*b, *a)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(4)
@@ -241,10 +266,11 @@ class TestDistances:
             d02 = haversine_km(lat[0], lon[0], lat[2], lon[2])
             assert d02 <= d01 + d12 + 1e-9
 
-    def test_distance_matrix_cached_and_consistent(self, square_table):
-        d = square_table.distance_matrix
-        assert d is square_table.distance_matrix
-        assert d[0, 1] == trip_distance(square_table.locations[0], square_table.locations[1])
+    def test_distance_matrix_matches_haversine(self, square_table):
+        t = square_table
+        d = t.distance_matrix
+        assert np.array_equal(d, t.distance_matrix)
+        assert d[0, 1] == haversine_km(t.lat[0], t.lon[0], t.lat[1], t.lon[1])
 
 
 class TestNetworkStats:

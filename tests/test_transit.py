@@ -232,18 +232,18 @@ class TestSampling:
 class TestDistanceHistogram:
     def test_point_mass(self):
         # all trips on one pair at a known distance
-        from epitransit.mobility import Location, LocationTable
+        from epitransit.mobility import LocationTable
 
-        table = LocationTable([Location("a", 0, 0), Location("b", 0, 10 / 111.19492664455873)])
+        table = LocationTable(["a", "b"], [0, 0], [0, 10 / 111.19492664455873])
         m = matrix_from_flows(np.array([[0.0, 7.0], [7.0, 0.0]]), table=table)
-        hist = distance_histogram(m, bin_km=5.0)
+        hist = distance_histogram(m)
         assert hist.masses.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.count_nonzero(hist.masses) == 1  # a single occupied bin
         assert hist.masses.max() == pytest.approx(1.0)
         assert hist.p95_km == pytest.approx(10.0, abs=1e-9)
 
     def test_masses_sum_to_one(self, small_city):
-        hist = distance_histogram(small_city, bin_km=4.0)
+        hist = distance_histogram(small_city)
         assert hist.masses.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_transit_sample_narrows_the_range(self, small_city):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from epitransit.mobility import Location, LocationTable, matrix_from_flows
+from epitransit.mobility import LocationTable, matrix_from_flows
 from epitransit.transit import GammaTripModel, InfeasibleModeShare, calibrate, sample_transit_matrix
 
 
@@ -23,9 +23,8 @@ def cities(draw, max_n=8, zero_rows=False):
         flows[draw(hnp.arrays(bool, n))] = 0
     flows[1, 0] += 1  # at least one inter-location trip to calibrate on
     steps = st.integers(0, 6)
-    table = LocationTable(
-        Location(f"L{i}", draw(steps) / 10.0, draw(steps) / 10.0) for i in range(n)
-    )
+    coords = np.array([[draw(steps), draw(steps)] for _ in range(n)]) / 10.0  # (lat, lon) rows
+    table = LocationTable([f"L{i}" for i in range(n)], coords[:, 0], coords[:, 1])
     return matrix_from_flows(flows, table=table)
 
 
