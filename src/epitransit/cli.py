@@ -2,12 +2,18 @@
 
 Exit codes: 0 success, 1 validation error, 2 infeasible scenario,
 3 I/O error.
+
+Each file format is defined in one module: the prevalence CSV, which
+simulate writes and compare reads, in epitransit.cli; the city CSVs and
+the matrix .npz in epitransit.mobility; the ranking CSV in
+epitransit.theory; and the sweep exports in epitransit.runner.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -16,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import engine, metrics, runner, theory, transit
+from . import engine, metrics, runner, theory
 from .mobility import (
     ValidationError,
     build_contact_matrix,
@@ -24,9 +30,10 @@ from .mobility import (
     load_trips,
     network_stats,
     save_matrix_npz,
+    write_city_csvs,
     write_network_stats,
 )
-from .synthcity import CityConfig, generate_synthetic_city, write_city_csvs
+from .synthcity import CityConfig, generate_synthetic_city
 
 log = logging.getLogger(__name__)
 
@@ -157,7 +164,7 @@ def _cmd_simulate(args) -> int:
         hazard_variant=args.hazard_variant,
     )
     series = engine.run_simulation(matrix, params, _parse_seed_rule(args.seed_rule), args.seed)
-    series.to_csv(args.out)
+    _write_prevalence_csv(series, args.out)
     print(
         f"simulated {len(series)} days from location "
         f"{matrix.table.ids[series.seed_location]}; final size {series.final_size:.4f}"
@@ -167,10 +174,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = runner.ScenarioConfig.from_json_file(args.config)
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.output_dir is not None:
-        config.output_dir = args.output_dir
+    overrides = {"master_seed": args.seed, "output_dir": args.output_dir}
+    # replace() rebuilds the config, so the overrides are checked like file values
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     result = runner.run_sweep(config)
     os.makedirs(config.output_dir, exist_ok=True)
     result.save_json(os.path.join(config.output_dir, "sweep_result.json"))
@@ -186,20 +192,29 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-_PREVALENCE_COLUMNS = ("day", "prevalence", "frac_locations_infected")
+# The prevalence CSV: ``simulate`` writes all six columns; ``compare`` reads three.
+_PREVALENCE_COLUMNS = ("day", "prevalence", "frac_locations_infected", "total_S", "total_I", "total_R")
+
+
+def _write_prevalence_csv(series: engine.PrevalenceSeries, path) -> None:
+    columns = (series.prevalence, series.frac_locations, series.total_S, series.total_I, series.total_R)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(_PREVALENCE_COLUMNS) + "\n")
+        for t, row in enumerate(zip(*columns)):
+            fh.write(f"{t}," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _read_prevalence_csv(path):
     prev, frac = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in _PREVALENCE_COLUMNS if c not in (reader.fieldnames or ())]
+        missing = [c for c in _PREVALENCE_COLUMNS[:3] if c not in (reader.fieldnames or ())]
         if missing:
             raise ValidationError(f"{path}: header lacks column(s) {', '.join(missing)}")
         for rownum, row in enumerate(reader, start=2):
             try:
                 int(row["day"])
-                values = {name: float(row[name]) for name in _PREVALENCE_COLUMNS[1:]}
+                values = {name: float(row[name]) for name in _PREVALENCE_COLUMNS[1:3]}
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}: row {rownum}: {exc}") from None
             for name, value in values.items():
@@ -266,9 +281,6 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except transit.InfeasibleModeShare as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

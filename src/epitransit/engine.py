@@ -28,7 +28,9 @@ seeded location starts at S = N - 1 >= 0, since populations are at least
 ``POPULATION_FLOOR``. Once no location is virgin the hazard cannot act,
 so the run skips the draw and the day is the step alone. Compartments
 are real-valued; runs end when total infecteds drop below an extinction
-threshold, since real-valued I never reaches exactly 0.
+threshold, since real-valued I never reaches exactly 0. The module does
+no file I/O: ``cli`` writes a run's ``PrevalenceSeries`` as the
+prevalence CSV.
 """
 
 from __future__ import annotations
@@ -303,16 +305,6 @@ class PrevalenceSeries:
 
     def __len__(self) -> int:
         return self.prevalence.shape[0]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("day,prevalence,frac_locations_infected,total_S,total_I,total_R\n")
-            for t in range(len(self)):
-                row = (
-                    self.prevalence[t], self.frac_locations[t],
-                    self.total_S[t], self.total_I[t], self.total_R[t],
-                )
-                fh.write(f"{t}," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def run_simulation(

@@ -6,7 +6,7 @@ mean the transit-driven simulation lags the full-mobility one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -154,23 +154,10 @@ class ComparisonReport:
     locations_timing: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "early_warning": self.early_warning,
-            "peak_timing": self.peak_timing,
-            "peak_magnitude": self.peak_magnitude,
-            "situational_awareness": self.situational_awareness,
-            "locations_timing": {repr(k): v for k, v in sorted(self.locations_timing.items())},
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ComparisonReport":
-        return cls(
-            early_warning=d["early_warning"],
-            peak_timing=d["peak_timing"],
-            peak_magnitude=d["peak_magnitude"],
-            situational_awareness=d["situational_awareness"],
-            locations_timing={float(k): v for k, v in d["locations_timing"].items()},
-        )
+        # shallow on purpose, as in SweepResult: asdict would deep-copy every value
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["locations_timing"] = {repr(k): v for k, v in sorted(self.locations_timing.items())}
+        return d
 
 
 def compare(x_run, y_run, config: CompareConfig | None = None) -> ComparisonReport:

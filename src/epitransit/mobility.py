@@ -1,5 +1,9 @@
 """Trip ingestion, contact matrix construction, and network statistics.
 
+The city's file formats live here alone: the locations and trips CSVs
+(headers ``LOCATION_COLUMNS`` and ``TRIP_COLUMNS``, written by
+``write_city_csvs``), the matrix ``.npz`` and the network statistics JSON.
+
 The contact matrix is oriented as ``m[destination, origin]``: entry
 ``m[j, k]`` is the number of daily trips from location ``k`` into
 location ``j``. Self-flows (the diagonal) are retained because they
@@ -190,13 +194,17 @@ class ContactMatrix:
         return float(self.m.sum() - np.trace(self.m))
 
 
-def _dict_reader(fh, path, expected: list) -> csv.DictReader:
+LOCATION_COLUMNS = ("id", "lat", "lon")
+TRIP_COLUMNS = ("origin", "destination", "hour", "count")
+
+
+def _dict_reader(fh, path, expected: tuple) -> csv.DictReader:
     """A DictReader whose header must read ``expected`` once stripped of
     padding; rows are keyed by the stripped names."""
     reader = csv.DictReader(fh)
-    if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
+    if reader.fieldnames is None or tuple(c.strip() for c in reader.fieldnames) != expected:
         raise ValidationError(f"{path}: expected header '{','.join(expected)}', got {reader.fieldnames}")
-    reader.fieldnames = expected
+    reader.fieldnames = list(expected)
     return reader
 
 
@@ -206,7 +214,7 @@ def load_locations(path) -> LocationTable:
     is reported in one ValidationError, by row number and in row order."""
     ids, lat, lon, rownums, errors = [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _dict_reader(fh, path, ["id", "lat", "lon"])
+        reader = _dict_reader(fh, path, LOCATION_COLUMNS)
         for rownum, row in enumerate(reader, start=2):
             try:
                 loc_id, la, lo = row["id"].strip(), float(row["lat"]), float(row["lon"])
@@ -240,7 +248,7 @@ def load_trips(trip_file, locations_file):
     errors = []
     n_rows = 0
     with open(trip_file, newline="", encoding="utf-8") as fh:
-        reader = _dict_reader(fh, trip_file, ["origin", "destination", "hour", "count"])
+        reader = _dict_reader(fh, trip_file, TRIP_COLUMNS)
         for rownum, row in enumerate(reader, start=2):
             n_rows += 1
             try:
@@ -280,6 +288,23 @@ def _raise_if_errors(path, errors):
             log.error("%s: %s", path, msg)
         head = "; ".join(errors[:3])
         raise ValidationError(f"{path}: {len(errors)} malformed row(s): {head}")
+
+
+def write_city_csvs(table: LocationTable, matrix: ContactMatrix, locations_path, trips_path) -> None:
+    """Write a city as the two CSVs that ``load_trips`` reads back: one
+    row per location, and one trip row per nonzero entry of ``matrix.m``
+    at hour 8, since a daily matrix has no within-day structure."""
+    with open(locations_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LOCATION_COLUMNS)
+        for loc_id, lat, lon in zip(table.ids, table.lat.tolist(), table.lon.tolist()):
+            writer.writerow([loc_id, repr(lat), repr(lon)])
+    with open(trips_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRIP_COLUMNS)
+        dest_idx, origin_idx = np.nonzero(matrix.m)
+        for j, k in zip(dest_idx, origin_idx):
+            writer.writerow([table.ids[k], table.ids[j], 8, int(matrix.m[j, k])])
 
 
 def build_contact_matrix(table: LocationTable, trips) -> ContactMatrix:

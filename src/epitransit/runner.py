@@ -260,7 +260,8 @@ def _aggregate(values: list) -> dict:
     return out
 
 
-_REPORT_STATS = ("early_warning", "peak_timing", "peak_magnitude", "situational_awareness")
+# The scalar fields of a ComparisonReport; locations_timing is per threshold.
+_REPORT_STATS = tuple(f.name for f in fields(metrics.ComparisonReport) if f.name != "locations_timing")
 
 
 def _stat_names(thresholds) -> list:

@@ -3,12 +3,12 @@
 Locations are scattered uniformly over a disc, populations drawn from a
 lognormal, and inter-location flows Poisson-sampled around the gravity
 kernel N_j * N_k * exp(-d/d0). Self-flows are sized so the daily flow
-balance recovers the drawn populations.
+balance recovers the drawn populations. The module does no file I/O:
+``mobility.write_city_csvs`` writes a generated city as CSVs.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -79,23 +79,4 @@ def generate_synthetic_city(config: CityConfig, rng_seed) -> tuple[LocationTable
     return table, ContactMatrix(
         m=m, populations=populations, table=table, population_clamp_count=clamps
     )
-
-
-def write_city_csvs(table: LocationTable, matrix: ContactMatrix, locations_path, trips_path) -> None:
-    """Write the generated city in the standard CSV schemas.
-
-    Daily counts are emitted at a single nominal hour; the generator
-    does not model within-day structure.
-    """
-    with open(locations_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "lat", "lon"])
-        for loc_id, lat, lon in zip(table.ids, table.lat.tolist(), table.lon.tolist()):
-            writer.writerow([loc_id, repr(lat), repr(lon)])
-    with open(trips_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["origin", "destination", "hour", "count"])
-        dest_idx, origin_idx = np.nonzero(matrix.m)
-        for j, k in zip(dest_idx, origin_idx):
-            writer.writerow([table.ids[k], table.ids[j], 8, int(matrix.m[j, k])])
 

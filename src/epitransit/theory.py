@@ -59,10 +59,11 @@ def invasion_probability(
     """Probability that at least one case reaches susceptible location j
     from infected location i, with the linear term R0 * m_ji * n_j.
 
-    Passing n_i also fills the per-pair transmission probability.
+    m_ji and n_j may also be arrays, for many destinations at once; the
+    two probabilities then come back as arrays. Passing n_i (scalars
+    only) also fills the per-pair transmission probability.
     """
-    coeff = _coefficient(beta, gamma, variant)
-    p = -math.expm1(-coeff * m_ji * n_j)
+    p = -np.expm1(-_coefficient(beta, gamma, variant) * m_ji * n_j)
     linear = (beta / gamma) * m_ji * n_j
     p_transmit = None
     if n_i is not None:
@@ -79,8 +80,7 @@ def invasion_ranking(
     broken by location order. Used to see which destinations a thinned
     matrix starves of infection.
     """
-    coeff = _coefficient(params.beta, params.gamma, variant)
-    thetas = -np.expm1(-coeff * matrix.m[:, source] * matrix.populations)
+    thetas = invasion_probability(params.beta, params.gamma, matrix.m[:, source], matrix.populations, variant).p_invade
     order = sorted(
         (j for j in range(matrix.n) if j != source), key=lambda j: (-thetas[j], j)
     )

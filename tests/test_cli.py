@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import epitransit
 from epitransit import engine, runner
 from epitransit.cli import main
 from epitransit.mobility import load_matrix_npz, matrix_from_flows, save_matrix_npz
@@ -91,6 +96,18 @@ class TestSynthCityAndIngest:
     def test_usage_error_is_validation_exit(self):
         assert main(["simulate", "--matrix", "x.npz"]) == 1  # missing required args
 
+    def test_module_entry_point_runs(self, tmp_path):
+        src = pathlib.Path(epitransit.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = tmp_path / "city"
+        done = subprocess.run(
+            [sys.executable, "-m", "epitransit.cli", "synth-city", "--n", "20", "--seed", "2", "--out-dir", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("generated 20 locations")
+        assert sorted(os.listdir(out)) == ["locations.csv", "matrix.npz", "network_stats.json", "trips.csv"]
+
 
 class TestSimulateCompareTheory:
     def test_simulate_and_compare(self, city_dir, tmp_path):
@@ -107,6 +124,17 @@ class TestSimulateCompareTheory:
             "early_warning", "peak_timing", "peak_magnitude",
             "situational_awareness", "locations_timing",
         }
+
+    def test_simulate_writes_prevalence_csv(self, small_city, tmp_path):
+        save_matrix_npz(small_city, tmp_path / "city.npz")
+        path = tmp_path / "prev.csv"
+        code = main(["simulate", "--matrix", str(tmp_path / "city.npz"), "--beta", "0.5", "--gamma", repr(1 / 3),
+                     "--horizon", "50", "--seed-rule", "0", "--seed", "1", "--out", str(path)])
+        assert code == 0
+        series = engine.run_simulation(small_city, engine.EpidemicParams(beta=0.5, gamma=1 / 3, horizon=50), 0, 1)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "day,prevalence,frac_locations_infected,total_S,total_I,total_R"
+        assert len(lines) == len(series) + 1
 
     @pytest.mark.parametrize(
         "change",
@@ -165,8 +193,11 @@ class TestSimulateCompareTheory:
             (["0,0.1,0.5", "1,nan,0.6"], ["0,0.1,0.5", "1,0.2,0.6"], "row 3: prevalence nan outside [0, 1]"),
             (["0,0.1,0.5", "1,0.2,0.6"], ["0,0.1,0.5", "1,0.2,inf"], "row 3: frac_locations_infected inf"),
             (["0,0.1,0.5", "1,1.5,0.6"], ["0,0.1,0.5", "1,0.2,0.6"], "row 3: prevalence 1.5 outside [0, 1]"),
+            (["0,abc,0.5"], ["0,0.1,0.5", "1,0.2,0.6"], "row 2: could not convert string to float"),
+            ([], ["0,0.1,0.5", "1,0.2,0.6"], "empty prevalence series"),
         ],
-        ids=["all_zero_mpt", "nan_prevalence", "infinite_frac", "prevalence_above_one"],
+        ids=["all_zero_mpt", "nan_prevalence", "infinite_frac", "prevalence_above_one", "unparseable_row",
+             "header_only"],
     )
     def test_compare_rejects_series_it_cannot_compare(self, tmp_path, capsys, ptt_rows, mpt_rows, message):
         header = "day,prevalence,frac_locations_infected\n"
@@ -265,6 +296,27 @@ class TestSweepAndExport:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config.to_json_dict()))
         assert main(["sweep", "--config", str(config_path)]) == 2
+
+    def test_sweep_seed_override_is_checked_before_any_run(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(engine, "run_simulation", lambda *a, **k: calls.append(a))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed_draws": 1, "replicates": 1, "pairs": [[3, 5]],
+                                           "delta_bands": ["low"], "city": {"n_locations": 30}}))
+        code = main(["sweep", "--config", str(config_path), "--seed", "-1", "--output-dir", str(tmp_path / "o")])
+        assert code == 1 and calls == []
+        assert "master_seed" in capsys.readouterr().err
+
+    def test_sweep_overrides_reach_the_exports(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"diseases": [{"name": "h1n1", "beta": 0.5, "gamma": 1 / 3}],
+                                           "seed_draws": 1, "replicates": 1, "pairs": [[3, 5]], "horizon": 60,
+                                           "delta_bands": ["low"], "city": {"n_locations": 30}}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config_path), "--seed", "7", "--output-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["master_seed"] == 7
+        assert summary["config"]["output_dir"] == str(out)
 
     def test_sweep_unknown_key_is_validation_error(self, tmp_path):
         config_path = tmp_path / "bad.json"

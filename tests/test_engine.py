@@ -328,15 +328,6 @@ class TestRunSimulation:
         assert 300 < len(series) < 400
         assert peak < 64 * 1024
 
-    def test_csv_export(self, small_city, tmp_path):
-        params = EpidemicParams(beta=0.5, gamma=1 / 3, horizon=50)
-        series = run_simulation(small_city, params, 0, 1)
-        path = tmp_path / "prev.csv"
-        series.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "day,prevalence,frac_locations_infected,total_S,total_I,total_R"
-        assert len(lines) == len(series) + 1
-
 
 class TestSubsamplingDominance:
     def test_transit_run_reaches_prevalence_later_on_average(self, small_city):

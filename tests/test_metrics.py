@@ -270,9 +270,3 @@ class TestCompare:
         y = Run(np.full(20, 0.05))
         report = compare(x, y)
         assert report.early_warning is None
-
-    def test_json_roundtrip(self):
-        prev = np.linspace(0, 0.2, 30)
-        report = compare(Run(prev), Run(prev))
-        again = ComparisonReport.from_json_dict(report.to_json_dict())
-        assert again == report

@@ -122,6 +122,22 @@ class TestLoadTrips:
         with pytest.raises(ValidationError, match="2 malformed"):
             load_trips(trips_path, locs_path)
 
+    def test_unparseable_row_and_unknown_origin_reported_by_row(self, write_csvs):
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,x,3", "Z,B,9,1"])
+        with pytest.raises(ValidationError) as exc:
+            load_trips(trips_path, locs_path)
+        assert str(exc.value) == (
+            f"{trips_path}: 2 malformed row(s): "
+            "row 2: unparseable (invalid literal for int() with base 10: 'x'); "
+            "row 3: unknown origin 'Z'"
+        )
+
+    def test_wrong_header_rejected(self, tmp_path):
+        (tmp_path / "locations.csv").write_text("id,lat,lon\nA,0,0\n")
+        (tmp_path / "trips.csv").write_text("from,to,hour,count\nA,A,9,1\n")
+        with pytest.raises(ValidationError, match="expected header 'origin,destination,hour,count'"):
+            load_trips(tmp_path / "trips.csv", tmp_path / "locations.csv")
+
 
 class TestContactMatrix:
     def test_single_trip(self, square_table):
@@ -196,6 +212,10 @@ class TestContactMatrix:
     def test_bad_counts_or_populations_rejected(self, flows, populations):
         with pytest.raises(ValidationError):
             matrix_from_flows(np.array(flows), populations=np.array(populations))
+
+    def test_shape_must_match_the_table(self, square_table):
+        with pytest.raises(ValidationError, match=r"matrix shape \(3, 3\) does not match 4 locations"):
+            ContactMatrix(m=np.zeros((3, 3)), populations=np.ones(4), table=square_table)
 
     def test_entries_scope_drops_only_a_cache_it_computed(self, square_table):
         m = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5), TripRecord("C", "D", 9, 2)])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from epitransit.mobility import POPULATION_FLOOR, load_trips, build_contact_matrix
-from epitransit.synthcity import CityConfig, generate_synthetic_city, write_city_csvs
+from epitransit.mobility import POPULATION_FLOOR, build_contact_matrix, load_trips, write_city_csvs
+from epitransit.synthcity import CityConfig, generate_synthetic_city
 from epitransit.transit import distance_histogram, weighted_percentile
 
 

@@ -242,6 +242,12 @@ class TestDistanceHistogram:
         assert hist.masses.max() == pytest.approx(1.0)
         assert hist.p95_km == pytest.approx(10.0, abs=1e-9)
 
+    def test_self_flows_only_give_one_empty_bin(self):
+        hist = distance_histogram(matrix_from_flows(np.diag([24.0, 48.0])))
+        assert hist.bin_edges.tolist() == [0.0, 5.0]
+        assert hist.masses.tolist() == [0.0]
+        assert hist.p95_km == 0.0
+
     def test_masses_sum_to_one(self, small_city):
         hist = distance_histogram(small_city)
         assert hist.masses.sum() == pytest.approx(1.0, abs=1e-9)
