@@ -165,33 +165,76 @@ class ContactMatrix:
         ``m.take(index)`` reads their counts, which are not cached.
         Distances are computed for these entries only and equal
         ``distance_matrix`` there, so calibration, histograms and thinning
-        never build the dense n x n distance matrix.
+        never build the dense n x n distance matrix. A matrix made by
+        ``with_entry_counts`` is born with this cache set: its entries are
+        a subset of its parent's, so it inherits their indices and
+        distances and never scans its n^2 counts or calls the haversine.
         """
-        index = np.flatnonzero(self.m)
+        index = np.flatnonzero(self.m != 0)
         if self.m.size < 2**31:
             index = index.astype(np.int32)
         rows, cols = np.divmod(index, self.n)
         t = self.table
         distances = haversine_km(t.lat[rows], t.lon[rows], t.lat[cols], t.lon[cols])
-        index.flags.writeable = False
-        distances.flags.writeable = False
-        return index, distances
+        return _read_only(index, distances)
+
+    @cached_property
+    def inter_location_trips(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distances in km, counts) of the nonzero off-diagonal entries,
+        row-major: the trips that calibration and the distance histogram
+        weigh. Taken from ``entries`` once per matrix; self-flows are left
+        out, since they carry no distance."""
+        index, distances = self.entries
+        off = index % (self.n + 1) != 0  # diagonal flat indices are multiples of n + 1
+        return _read_only(distances[off], self.m.take(index[off]))
+
+    def with_entry_counts(self, counts: np.ndarray) -> "ContactMatrix":
+        """A matrix whose count at each of this matrix's ``entries`` is
+        ``counts`` (in the same order) and zero elsewhere, with this
+        matrix's table, populations (copied) and clamp count.
+
+        Its ``entries`` are set on creation to this matrix's indices and
+        distances where ``counts > 0``: those are its row-major nonzeros,
+        and each distance is the value its own haversine would give.
+        """
+        index, distances = self.entries
+        m = np.zeros(self.m.size)
+        m[index] = counts
+        out = ContactMatrix(
+            m=m.reshape(self.m.shape),
+            populations=self.populations.copy(),
+            table=self.table,
+            population_clamp_count=self.population_clamp_count,
+        )
+        kept = counts > 0
+        vars(out)["entries"] = _read_only(index[kept], distances[kept])
+        return out
 
     @contextmanager
     def entries_scope(self):
-        """A block that owns the ``entries`` it computes: on leaving it,
-        a cache that was not there on entry is dropped again, so the
-        matrix keeps no more memory than it came in with."""
-        cached = "entries" in self.__dict__
+        """A block that owns the caches it computes, ``entries`` and
+        ``inter_location_trips``: on leaving it, each that was not there on
+        entry is dropped again, so the matrix keeps no more memory than it
+        came in with."""
+        absent = [name for name in _CACHES if name not in self.__dict__]
         try:
             yield self
         finally:
-            if not cached:
-                self.__dict__.pop("entries", None)
+            for name in absent:
+                self.__dict__.pop(name, None)
 
     def cross_trips(self) -> float:
         """Total daily trips between distinct locations."""
         return float(self.m.sum() - np.trace(self.m))
+
+
+_CACHES = ("entries", "inter_location_trips")
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 LOCATION_COLUMNS = ("id", "lat", "lon")

@@ -230,8 +230,11 @@ class SweepResult:
         return cls(**kwargs)
 
     def save_json(self, path) -> None:
+        # dumps, not dump: dump streams through the pure-Python encoder,
+        # dumps runs the C one, and both give the same text
+        text = json.dumps(self.to_json_dict(), sort_keys=True)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
+            fh.write(text)
             fh.write("\n")
 
     @classmethod
@@ -362,8 +365,12 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
     pair whose comparison raises ``NoAdmissibleLag`` stays out of the
     ledger and the aggregates, is counted in its cell's
     ``failed_comparisons`` and still takes its ``run_index``. The
-    matrix's ``entries``, if the sweep computes them, last as long as
-    the sweep. Every disease's params are checked against the matrix
+    matrix's two caches, ``entries`` and ``inter_location_trips``, are
+    computed at most once per sweep, shared by every calibration,
+    thinning and histogram, and dropped when the sweep ends if it
+    computed them. Each thinned matrix is born with the entries it
+    inherits from the matrix, and is released once its cell has run.
+    Every disease's params are checked against the matrix
     (``engine.check_scale``) before anything is calibrated or run.
     """
     if matrix is None:
@@ -464,7 +471,8 @@ def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
 def replay_run(config: ScenarioConfig, entry: dict, matrix: ContactMatrix | None = None) -> metrics.ComparisonReport:
     """Reproduce one ledger entry's comparison bit-exactly, through the
     sweep's own calibration, thinning and run helpers. Like a sweep, it
-    leaves the matrix's ``entries`` cache as it found it."""
+    leaves the matrix's ``entries`` and ``inter_location_trips`` caches
+    as it found them."""
     if matrix is None:
         matrix = base_matrix(config)
     disease = next(d for d in config.diseases if d.name == entry["disease"])

@@ -4,6 +4,13 @@ A trip of distance d is labeled transit with probability
 ``min(1, lambda * F(d))`` where F is a gamma density over distance and
 lambda is solved so the expected labeled fraction of inter-location
 trips equals the target mode share.
+
+The layer works on a matrix's nonzero entries, never on its n^2 cells:
+``ContactMatrix.entries`` (flat indices and distances) feeds thinning,
+and ``ContactMatrix.inter_location_trips`` (the off-diagonal distances
+and counts, derived from it once per matrix) feeds calibration and the
+distance histogram. A thinned matrix inherits its entries from the
+matrix it was drawn from, since its nonzeros are a subset of them.
 """
 
 from __future__ import annotations
@@ -232,15 +239,8 @@ def calibrate(model: GammaTripModel, matrix: ContactMatrix) -> GammaTripModel:
     share; including them would make any realistic share unreachable
     because the gamma density vanishes at the origin for k > 1.
     """
-    lam = compute_lambda(model, *_inter_location_trips(matrix))
+    lam = compute_lambda(model, *matrix.inter_location_trips)
     return replace(model, lam=lam)
-
-
-def _inter_location_trips(matrix: ContactMatrix):
-    """(distances, counts) of the nonzero off-diagonal entries, row-major."""
-    index, distances = matrix.entries
-    off = index % (matrix.n + 1) != 0  # diagonal flat indices are multiples of n + 1
-    return distances[off], matrix.m.take(index[off])
 
 
 def label_probabilities(model: GammaTripModel, distances) -> np.ndarray:
@@ -257,10 +257,12 @@ def sample_transit_matrix(matrix: ContactMatrix, model: GammaTripModel, rng_seed
     count is Binomial(c, min(1, lambda F(d))). Self-flow trips sit at
     d = 0. Draws are made over the nonzero entries only, in row-major
     order: a Binomial(0, p) draw consumes no random numbers, so this
-    gives the same matrix as drawing over all n^2 entries. Populations
-    are copied from the input matrix: the comparison is about reduced
-    flows, not reduced populations. Output is bit-reproducible for a
-    fixed seed.
+    gives the same matrix as drawing over all n^2 entries. The thinned
+    matrix inherits its ``entries`` from the input's (see
+    ``ContactMatrix.with_entry_counts``), so its histogram never scans its
+    n^2 counts. Populations are copied from the input matrix: the
+    comparison is about reduced flows, not reduced populations. Output
+    is bit-reproducible for a fixed seed.
     """
     index, distances = matrix.entries
     probs = label_probabilities(model, distances)
@@ -269,14 +271,7 @@ def sample_transit_matrix(matrix: ContactMatrix, model: GammaTripModel, rng_seed
     if not np.array_equal(counts, values):
         raise ValueError("matrix entries must be integer trip counts for thinning")
     rng = np.random.default_rng(rng_seed)
-    kept = np.zeros(matrix.m.size)
-    kept[index] = rng.binomial(counts, probs)
-    return ContactMatrix(
-        m=kept.reshape(matrix.m.shape),
-        populations=matrix.populations.copy(),
-        table=matrix.table,
-        population_clamp_count=matrix.population_clamp_count,
-    )
+    return matrix.with_entry_counts(rng.binomial(counts, probs))
 
 
 @dataclass(frozen=True)
@@ -292,9 +287,12 @@ def distance_histogram(matrix: ContactMatrix) -> DistanceHistogram:
     """Trip-distance histogram in HISTOGRAM_BIN_KM bins, and 95th percentile.
 
     Weighted by trip counts over inter-location entries; self-flows are
-    excluded since they carry no distance.
+    excluded since they carry no distance. Reads the matrix's cached
+    ``inter_location_trips``, which a thinned matrix derives from the
+    entries it inherited: its histogram scans none of its n^2 counts and
+    evaluates no haversine.
     """
-    distances, counts = _inter_location_trips(matrix)
+    distances, counts = matrix.inter_location_trips
     if counts.size == 0:
         return DistanceHistogram(np.array([0.0, HISTOGRAM_BIN_KM]), np.array([0.0]), 0.0)
     max_d = float(distances.max())
@@ -306,11 +304,47 @@ def distance_histogram(matrix: ContactMatrix) -> DistanceHistogram:
     return DistanceHistogram(edges, masses, p95)
 
 
+# The most bins weighted_percentile's bin pass allocates; distances on
+# Earth need at most about 4000 bins of HISTOGRAM_BIN_KM.
+_MAX_PERCENTILE_BINS = 1 << 16
+
+
 def weighted_percentile(values, weights, q: float) -> float:
-    """Smallest value whose cumulative weight share reaches q."""
+    """Smallest value whose cumulative weight share reaches q.
+
+    Equals the value at the first position where the cumulative weight
+    of the stably sorted values reaches ``q * sum(weights)``, or the
+    largest value when none does. The domain is non-negative finite
+    values, and non-negative integer-valued weights that sum below 2**53,
+    so that every partial sum is exact in any order. Values outside it
+    (negative, NaN or infinite), or no values at all, raise ValueError.
+
+    One bin pass replaces the full sort: values are binned by
+    truncating ``values * (1 / HISTOGRAM_BIN_KM)`` (a coarser scale when
+    the range would need more than _MAX_PERCENTILE_BINS bins), which is
+    monotone in the value, so the stable sort keeps each bin's values
+    together and in bin order. Exact bin totals locate the bin that
+    holds the q-th weighted share, and only that bin is stably sorted.
+    """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    idx = int(np.searchsorted(cum, q * cum[-1], side="left"))
-    return float(values[order][min(idx, values.size - 1)])
+    lo, hi = values.min(), values.max()  # ValueError when there are none
+    if not (lo >= 0.0 and hi < np.inf):
+        raise ValueError("weighted_percentile requires non-negative finite values")
+    scale = 1.0 / HISTOGRAM_BIN_KM
+    if hi * scale >= _MAX_PERCENTILE_BINS:
+        scale = (_MAX_PERCENTILE_BINS - 1) / hi
+    bins = (values * scale).astype(np.int64)
+    cum = np.cumsum(np.bincount(bins, weights=weights))
+    target = q * cum[-1]
+    # bins below the smallest value's are empty, yet match a target of 0
+    first = int(lo * scale)
+    b = min(first + int(np.searchsorted(cum[first:], target, side="left")), cum.size - 1)
+    in_b = bins == b
+    members = values[in_b]
+    order = np.argsort(members, kind="stable")
+    in_bin = np.cumsum(weights[in_b][order])
+    if b > 0:
+        in_bin += cum[b - 1]
+    idx = int(np.searchsorted(in_bin, target, side="left"))
+    return float(members[order][min(idx, members.size - 1)])

@@ -8,6 +8,9 @@ from epitransit.synthcity import CityConfig, generate_synthetic_city
 # Deterministic property tests: the same examples on every run, no example
 # database, and no per-example deadline on a loaded host.
 settings.register_profile("epitransit", derandomize=True, database=None, deadline=None, max_examples=60)
+# The same with five times the examples, for a longer run of the property
+# tests: pytest --hypothesis-profile=ci
+settings.register_profile("ci", parent=settings.get_profile("epitransit"), max_examples=300)
 settings.load_profile("epitransit")
 
 

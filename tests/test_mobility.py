@@ -222,12 +222,28 @@ class TestContactMatrix:
         with m.entries_scope():
             index, distances = m.entries
             assert m.entries[0] is index
-        assert "entries" not in vars(m)
+            trips = m.inter_location_trips
+        assert "entries" not in vars(m) and "inter_location_trips" not in vars(m)
         kept = m.entries
         with m.entries_scope():
             assert m.entries is kept
-        assert m.entries is kept
+            assert m.inter_location_trips is not trips
+        # the cache computed inside is dropped, the one that came in stays
+        assert m.entries is kept and "inter_location_trips" not in vars(m)
         assert np.array_equal(m.entries[0], index) and np.array_equal(m.entries[1], distances)
+        kept_trips = m.inter_location_trips
+        with m.entries_scope():
+            pass
+        assert m.entries is kept and m.inter_location_trips is kept_trips
+
+    def test_inter_location_trips_are_the_off_diagonal_entries(self, square_table):
+        m = build_contact_matrix(
+            square_table, [TripRecord("A", "B", 9, 5), TripRecord("C", "C", 9, 4), TripRecord("D", "A", 9, 2)]
+        )
+        distances, counts = m.inter_location_trips
+        off = (m.m != 0) & ~np.eye(4, dtype=bool)
+        assert np.array_equal(counts, m.m[off]) and np.array_equal(distances, m.distance_matrix[off])
+        assert not (distances.flags.writeable or counts.flags.writeable)
 
 
 class TestDerivePopulations:

@@ -162,23 +162,23 @@ class TestRunSweep:
             assert stats["n"] + stats["censored"] == 6
 
     def test_sweep_leaves_the_matrix_as_it_found_it(self, two_disease_sweep):
-        # the entries cache it computed lasts as long as the sweep
+        # the caches it computed last as long as the sweep
         matrix = two_disease_sweep[1]
-        assert "entries" not in vars(matrix)
+        assert not {"entries", "inter_location_trips"} & set(vars(matrix))
         config = tiny_config()
         matrix = base_matrix(config)
-        kept = matrix.entries
+        entries, trips = matrix.entries, matrix.inter_location_trips
         run_sweep(config, matrix=matrix)
-        assert matrix.entries is kept
+        assert matrix.entries is entries and matrix.inter_location_trips is trips
 
     def test_replay_leaves_the_matrix_as_it_found_it(self, two_disease_sweep):
         config, _, result, _ = two_disease_sweep
         matrix = base_matrix(config)
         replay_run(config, result.ledger[0], matrix=matrix)
-        assert "entries" not in vars(matrix)
-        kept = matrix.entries
+        assert not {"entries", "inter_location_trips"} & set(vars(matrix))
+        entries, trips = matrix.entries, matrix.inter_location_trips
         replay_run(config, result.ledger[0], matrix=matrix)
-        assert matrix.entries is kept
+        assert matrix.entries is entries and matrix.inter_location_trips is trips
 
     def test_plan_calibrates_each_cell_once(self, two_disease_sweep):
         config, _, result, calls = two_disease_sweep
@@ -260,6 +260,19 @@ class TestRunSweep:
         header, row = (tmp_path / "cells.csv").read_text().splitlines()
         assert header.endswith(",failed_comparisons")
         assert row.endswith(",6")
+
+    def test_save_json_writes_what_the_streaming_encoder_writes(self, tmp_path):
+        # "brief" fails some comparisons and leaves statistics without values
+        config = tiny_config(
+            diseases=[TWO_DISEASES[0], Disease("brief", 3e-4, 1.0)], horizon=5, compare=CompareConfig(min_overlap=6)
+        )
+        result = run_sweep(config)
+        assert any(c["failed_comparisons"] for c in result.cells)
+        assert any(a["mean"] is None for c in result.cells for a in c["aggregates"].values())
+        path = tmp_path / "sweep_result.json"
+        result.save_json(path)
+        text = "".join(json.JSONEncoder(sort_keys=True).iterencode(result.to_json_dict())) + "\n"
+        assert path.read_bytes() == text.encode()
 
     def test_sweep_result_json_roundtrip(self, tmp_path):
         result = run_sweep(tiny_config())

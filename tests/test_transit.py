@@ -264,6 +264,11 @@ class TestDistanceHistogram:
         assert weighted_percentile(values, weights, 0.95) == 4.0
         assert weighted_percentile(values, weights, 0.01) == 1.0
 
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_weighted_percentile_rejects_values_outside_its_domain(self, bad):
+        with pytest.raises(ValueError, match="non-negative finite values"):
+            weighted_percentile(np.array([1.0, bad, 3.0]), np.array([1.0, 1.0, 1.0]), 0.95)
+
 
 class TestModelValidation:
     def test_invariants(self):

@@ -1,15 +1,23 @@
-"""Property tests: transit thinning and calibration on random small cities."""
+"""Property tests: transit thinning, calibration and the weighted
+percentile, on random small cities and random weighted samples."""
 
 import dataclasses
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from epitransit.mobility import LocationTable, matrix_from_flows
-from epitransit.transit import GammaTripModel, InfeasibleModeShare, calibrate, sample_transit_matrix
+from epitransit.transit import (
+    HISTOGRAM_BIN_KM,
+    GammaTripModel,
+    InfeasibleModeShare,
+    calibrate,
+    sample_transit_matrix,
+    weighted_percentile,
+)
 
 
 @st.composite
@@ -66,18 +74,76 @@ def test_calibration_reaches_mu_or_reports_a_lower_achievable_share(matrix, mode
     assert abs(share - model.mu) <= 1e-6
 
 
+# three locations, two of them at the same coordinates, with self-flows
+_SELF_FLOW_CITY = matrix_from_flows(
+    np.array([[7, 3, 0], [2, 5, 4], [0, 6, 9]]),
+    table=LocationTable(["L0", "L1", "L2"], [0.0, 0.0, 0.3], [0.0, 0.0, 0.2]),
+)
+
+
 @given(
     matrix=cities(max_n=12, zero_rows=True),
     model=models,
     lam=st.floats(0.0, 1e4),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# k = 1 keeps every self-flow at d = 0 once lambda >= theta; lambda = 0 keeps nothing
+@example(matrix=_SELF_FLOW_CITY, model=GammaTripModel(k=1, theta=4), lam=50.0, seed=3)
+@example(matrix=_SELF_FLOW_CITY, model=GammaTripModel(k=3, theta=4), lam=0.0, seed=3)
 def test_sparse_thinning_equals_dense_thinning_bit_for_bit(matrix, model, lam, seed):
     model = dataclasses.replace(model, lam=lam)
     # one binomial over all n^2 entries, diagonal and empty rows included
     probs = np.minimum(1.0, lam * model.pdf(matrix.distance_matrix))
     dense = np.random.default_rng(seed).binomial(matrix.m.astype(np.int64), probs).astype(float)
-    assert np.array_equal(sample_transit_matrix(matrix, model, seed).m, dense)
+    sub = sample_transit_matrix(matrix, model, seed)
+    assert np.array_equal(sub.m, dense)
     index, distances = matrix.entries
     assert index.dtype == np.int32 and np.array_equal(index, np.flatnonzero(matrix.m))
     assert np.array_equal(distances, matrix.distance_matrix.ravel()[index])
+    # the thinned matrix is born with the entries a recomputation from its counts gives
+    assert "entries" in vars(sub)
+    sub_index, sub_distances = sub.entries
+    assert sub_index.dtype == np.int32 and np.array_equal(sub_index, np.flatnonzero(sub.m))
+    assert np.array_equal(sub_distances, sub.distance_matrix.ravel()[sub_index])
+    assert not (sub_index.flags.writeable or sub_distances.flags.writeable)
+    if lam == 0.0:
+        assert sub_index.size == 0
+    if model.k == 1 and lam >= model.theta:
+        assert np.array_equal(np.diagonal(sub.m), np.diagonal(matrix.m))
+
+
+def stable_sort_percentile(values, weights, q):
+    """The reference: the value at the first position where the cumulative
+    weight of the stably sorted values reaches q of the total, else the last."""
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    idx = int(np.searchsorted(cum, q * cum[-1], side="left"))
+    return float(values[order][min(idx, values.size - 1)])
+
+
+# each draw takes its values from one of these: spread over many bins, on
+# exact bin edges, inside one bin, or wider than the bin pass's bin cap
+_VALUE_KINDS = (
+    st.floats(0.0, 200.0),
+    st.integers(0, 40).map(lambda i: i * HISTOGRAM_BIN_KM),
+    st.floats(0.0, HISTOGRAM_BIN_KM, exclude_max=True),
+    st.floats(0.0, 1e300),
+)
+
+
+@st.composite
+def weighted_samples(draw):
+    kind = draw(st.sampled_from(_VALUE_KINDS))
+    pool = draw(st.lists(kind, min_size=1, max_size=4))  # values drawn again from here are ties
+    values = draw(st.lists(st.one_of(kind, st.sampled_from(pool)), min_size=1, max_size=60))
+    weights = draw(st.lists(st.integers(0, 10**6), min_size=len(values), max_size=len(values)))
+    return np.array(values), np.array(weights, dtype=float)
+
+
+# a q above 1 is reached by no share, which gives the largest value
+@given(sample=weighted_samples(), q=st.one_of(st.sampled_from([0.0, 0.95, 1.0]), st.floats(0.0, 1.0), st.floats(1.0, 2.0)))
+@example(sample=(np.array([5.0, 10.0, 10.0, 0.0, 15.0]), np.array([1.0, 2.0, 0.0, 3.0, 4.0])), q=1.0)
+@example(sample=(np.array([1.0, 2.0, 1.0]), np.array([0.0, 0.0, 0.0])), q=0.95)
+def test_weighted_percentile_equals_a_stable_sort(sample, q):
+    values, weights = sample
+    assert weighted_percentile(values, weights, q) == stable_sort_percentile(values, weights, q)
