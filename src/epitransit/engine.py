@@ -18,14 +18,18 @@ virgin locations the hazard hits, from the day-t state; ``sir_step``
 applies the deterministic update to every location at once; and
 ``CompartmentState.seed`` writes one case into each hit. Where I = 0
 both flows are exactly zero, so virgin and burned-out locations come out
-of the step unchanged without being masked out. A run keeps one state,
-with S, I and R as the rows of one (3, n) block, and advances it in
-place in six whole-array calls; a day's totals are recorded by one
-reduction over the block. S and I never go below zero, so the update
-needs no clamp: new infections are capped at S; recoveries gamma*I are
-at most I since gamma <= 1, and I + new infections is at least I; and a
-seeded location starts at S = N - 1 >= 0, since populations are at least
-``POPULATION_FLOOR``. Once no location is virgin the hazard cannot act,
+of the step unchanged without being masked out. A location is virgin
+iff its ``onset_day`` is -1, and ``seed`` is the only writer of
+``onset_day``. This is the same as I = R = 0 on every state a run
+reaches: a seeded location keeps I = 1 until its next step, which gives
+it R = gamma > 0, R never falls, and an unseeded location's flows are
+exactly 0. A run keeps one state, with S, I and R as the rows of one
+(3, n) block, and advances it in place in six whole-array calls; a
+day's totals are recorded by one reduction over the block. S and I
+never go below zero, so the update needs no clamp: new infections are
+capped at S; recoveries gamma*I are at most I since gamma <= 1, and
+I + new infections is at least I; and a seeded location starts at
+S = N - 1 >= 0, since populations are at least ``POPULATION_FLOOR``. Once no location is virgin the hazard cannot act,
 so the run skips the draw and the day is the step alone. Compartments
 are real-valued; runs end when total infecteds drop below an extinction
 threshold, since real-valued I never reaches exactly 0. The module does
@@ -108,7 +112,8 @@ class CompartmentState:
     and R) are views of the block as well, built once, which ``sir_step``
     updates by one call each. ``flows`` is a (2, n) scratch array that
     ``sir_step`` reuses for new infections and recoveries.
-    ``onset_day[j]`` is the first day location j had I > 0, or -1.
+    ``onset_day[j]`` is the first day location j had I > 0, or -1 while
+    it is virgin; ``seed`` alone writes it.
 
     ``sir_step`` and ``seed`` keep S and I at zero or above
     without a clamp, as long as they start there and N is at least
@@ -146,11 +151,6 @@ class CompartmentState:
         self.I[j] = 1.0
         self.S[j] = self.N[j] - 1.0
         self.onset_day[j] = self.day
-
-    @property
-    def virgin_mask(self) -> np.ndarray:
-        """Locations that have never seen a case."""
-        return (self.I == 0.0) & (self.R == 0.0)
 
 
 def _hazard_kernel(beta, S, inner):
@@ -219,9 +219,9 @@ def introduce(
     params: EpidemicParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """The ascending indices of the virgin locations that gain a case on
-    day t+1, each with probability h(t, j). Reads the day-t ``state`` and
-    changes nothing.
+    """The ascending indices of the virgin locations (``onset_day`` -1)
+    that gain a case on day t+1, each with probability h(t, j). Reads the
+    day-t ``state`` and changes nothing.
 
     On every day on which some location is virgin, one uniform is drawn
     for every location. A location with a case never becomes virgin
@@ -234,7 +234,7 @@ def introduce(
     product's in the last bit (BLAS groups rows), which moves an
     introduction only if its uniform falls within that bit of the hazard.
     """
-    virgin = np.flatnonzero(state.virgin_mask)
+    virgin = np.flatnonzero(state.onset_day < 0)
     if not virgin.size:
         return virgin
     n = state.S.shape[0]
@@ -250,17 +250,17 @@ def advance_day(
     matrix: ContactMatrix,
     params: EpidemicParams,
     rng: np.random.Generator,
-) -> CompartmentState:
+) -> np.ndarray:
     """One full day, in place: draw the hits from day t, step every
     location to day t+1, then seed the hits with onset day t+1; returns
-    ``state``. The step leaves the still-virgin hits as they were, and
-    the draw reads day-t values only, so this is an exact simultaneous
-    update."""
+    the hits, the locations whose onset is day t+1. The step leaves the
+    still-virgin hits as they were, and the draw reads day-t values only,
+    so this is an exact simultaneous update."""
     hits = introduce(state, matrix, params, rng)
     sir_step(state, params)
     if hits.size:
         state.seed(hits)
-    return state
+    return hits
 
 
 def check_scale(params: EpidemicParams, matrix: ContactMatrix) -> None:
@@ -323,10 +323,11 @@ def run_simulation(
 
     A day is recorded by one reduction, ``SIR.sum(axis=1)``, into a
     buffer that doubles when full, so memory follows the days simulated,
-    not the horizon. While some location is virgin a day is
-    ``advance_day`` and the onset fraction is recounted. Once none is,
-    nothing is drawn, so a day is ``sir_step`` alone and the fraction
-    stays exactly 1.0.
+    not the horizon. The onset count starts at 1, the seeded location,
+    and grows by the hits ``advance_day`` returns, since each hit was
+    virgin. While some location is virgin a day is ``advance_day``. Once
+    none is, nothing is drawn, so a day is ``sir_step`` alone and the
+    fraction stays exactly 1.0.
     """
     check_scale(params, matrix)
     rng = np.random.default_rng(rng_seed)
@@ -336,16 +337,15 @@ def run_simulation(
 
     n = matrix.n
     total_pop = float(matrix.populations.sum())
-    SIR, onset_day = state.SIR, state.onset_day
+    SIR = state.SIR
     totals = np.empty((min(params.horizon + 1, 256), 3))
     SIR.sum(axis=1, out=totals[0])
-    onsets = np.count_nonzero(onset_day >= 0)
+    onsets = 1
     frac_loc = [onsets / n]
     days = 0
     while days < params.horizon and not totals[days, 1] < params.extinction_threshold:
         if onsets < n:
-            advance_day(state, matrix, params, rng)
-            onsets = np.count_nonzero(onset_day >= 0)
+            onsets += advance_day(state, matrix, params, rng).size
             frac_loc.append(onsets / n)
         else:
             sir_step(state, params)

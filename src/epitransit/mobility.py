@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -125,8 +124,8 @@ class ContactMatrix:
 
     ``m[j, k]`` holds trips from location ``k`` to location ``j``. The
     matrix and population vector are immutable so simulation replicates
-    can share one instance without copying. Counts must be >= 0 and not
-    NaN; populations must be finite and at least POPULATION_FLOOR, which
+    can share one instance without copying. Counts must be finite and
+    >= 0; populations must be finite and at least POPULATION_FLOOR, which
     the engine relies on to keep S and I at zero or above.
     """
 
@@ -139,9 +138,9 @@ class ContactMatrix:
         n = len(self.table)
         if self.m.shape != (n, n):
             raise ValidationError(f"matrix shape {self.m.shape} does not match {n} locations")
-        # one pass over the n^2 counts: min() is NaN if any count is
-        if self.m.size and not self.m.min() >= 0.0:
-            raise ValidationError("contact matrix has negative or NaN entries")
+        # min() and max() are NaN if any count is
+        if self.m.size and not (self.m.min() >= 0.0 and self.m.max() < np.inf):
+            raise ValidationError("contact matrix has negative, infinite or NaN entries")
         if self.populations.shape != (n,):
             raise ValidationError(f"populations shape {self.populations.shape} does not match {n} locations")
         if not (np.all(self.populations >= POPULATION_FLOOR) and np.all(np.isfinite(self.populations))):
@@ -169,6 +168,9 @@ class ContactMatrix:
         ``with_entry_counts`` is born with this cache set: its entries are
         a subset of its parent's, so it inherits their indices and
         distances and never scans its n^2 counts or calls the haversine.
+        The cache lives as long as the matrix: a sweep or replay computes
+        it on a ``dataclasses.replace`` copy that it owns, so the caller's
+        matrix is left as it was.
         """
         index = np.flatnonzero(self.m != 0)
         if self.m.size < 2**31:
@@ -191,7 +193,8 @@ class ContactMatrix:
     def with_entry_counts(self, counts: np.ndarray) -> "ContactMatrix":
         """A matrix whose count at each of this matrix's ``entries`` is
         ``counts`` (in the same order) and zero elsewhere, with this
-        matrix's table, populations (copied) and clamp count.
+        matrix's table, populations (the same read-only array) and clamp
+        count.
 
         Its ``entries`` are set on creation to this matrix's indices and
         distances where ``counts > 0``: those are its row-major nonzeros,
@@ -202,7 +205,7 @@ class ContactMatrix:
         m[index] = counts
         out = ContactMatrix(
             m=m.reshape(self.m.shape),
-            populations=self.populations.copy(),
+            populations=self.populations,
             table=self.table,
             population_clamp_count=self.population_clamp_count,
         )
@@ -210,25 +213,9 @@ class ContactMatrix:
         vars(out)["entries"] = _read_only(index[kept], distances[kept])
         return out
 
-    @contextmanager
-    def entries_scope(self):
-        """A block that owns the caches it computes, ``entries`` and
-        ``inter_location_trips``: on leaving it, each that was not there on
-        entry is dropped again, so the matrix keeps no more memory than it
-        came in with."""
-        absent = [name for name in _CACHES if name not in self.__dict__]
-        try:
-            yield self
-        finally:
-            for name in absent:
-                self.__dict__.pop(name, None)
-
     def cross_trips(self) -> float:
         """Total daily trips between distinct locations."""
         return float(self.m.sum() - np.trace(self.m))
-
-
-_CACHES = ("entries", "inter_location_trips")
 
 
 def _read_only(*arrays) -> tuple:
@@ -280,8 +267,10 @@ def load_trips(trip_file, locations_file):
     Ids are stripped of padding and matched against the table; records
     carry the table's own id strings. Duplicate (origin, destination,
     hour) rows are merged by summing counts so sharded inputs ingest
-    idempotently. Any malformed row is collected and reported; one or
-    more malformed rows abort the load with a message identifying them.
+    idempotently. A count must lie in [1, 2**53]: 2**53 is the largest
+    integer that a float count holds exactly. Any malformed row is
+    collected and reported; one or more malformed rows abort the load
+    with a message identifying them.
 
     Returns (LocationTable, list of TripRecord).
     """
@@ -314,6 +303,9 @@ def load_trips(trip_file, locations_file):
                 continue
             if count < 1:
                 errors.append(f"row {rownum}: non-positive count {count}")
+                continue
+            if count > 2**53:
+                errors.append(f"row {rownum}: count above 2**53, the largest a float count holds exactly")
                 continue
             key = (ids[k], ids[j], hour)
             merged[key] = merged.get(key, 0) + count

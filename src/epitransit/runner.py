@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -254,13 +254,12 @@ def _hist_dict(h: transit.DistanceHistogram) -> dict:
 def _aggregate(values: list) -> dict:
     """Mean and population sd over the uncensored values of one statistic."""
     clean = [v for v in values if v is not None]
-    out = {
+    return {
         "n": len(clean),
         "censored": len(values) - len(clean),
         "mean": float(np.mean(clean)) if clean else None,
         "sd": float(np.std(clean)) if clean else None,
     }
-    return out
 
 
 # The scalar fields of a ComparisonReport; locations_timing is per threshold.
@@ -364,22 +363,17 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
     by disease, so the result does not depend on the execution order. A
     pair whose comparison raises ``NoAdmissibleLag`` stays out of the
     ledger and the aggregates, is counted in its cell's
-    ``failed_comparisons`` and still takes its ``run_index``. The
-    matrix's two caches, ``entries`` and ``inter_location_trips``, are
-    computed at most once per sweep, shared by every calibration,
-    thinning and histogram, and dropped when the sweep ends if it
-    computed them. Each thinned matrix is born with the entries it
-    inherits from the matrix, and is released once its cell has run.
-    Every disease's params are checked against the matrix
+    ``failed_comparisons`` and still takes its ``run_index``. The sweep
+    works on ``dataclasses.replace(matrix)``, a matrix of its own that
+    shares the caller's arrays, so its two caches, ``entries`` and
+    ``inter_location_trips``, are computed once per sweep, shared by
+    every calibration, thinning and histogram, and freed with it; the
+    caller's matrix is left as it was. Each thinned matrix is born with
+    the entries it inherits from the matrix, and is released once its
+    cell has run. Every disease's params are checked against the matrix
     (``engine.check_scale``) before anything is calibrated or run.
     """
-    if matrix is None:
-        matrix = base_matrix(config)
-    with matrix.entries_scope():
-        return _sweep(config, matrix)
-
-
-def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
+    matrix = base_matrix(config) if matrix is None else replace(matrix)
     params = [_params(config, disease) for disease in config.diseases]
     for p in params:
         engine.check_scale(p, matrix)
@@ -392,7 +386,6 @@ def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
     ]
     pairs = [(s, r) for s in range(config.seed_draws) for r in range(config.replicates)]
     baselines = [[_run(config, matrix, p, seed_locs[s], s, r) for s, r in pairs] for p in params]
-    total_runs = len(params) * len(pairs)
 
     # per disease, in cell order
     cells = [[] for _ in config.diseases]
@@ -415,7 +408,6 @@ def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
             for (s, r), mpt in zip(pairs, baselines[d]):
                 run_index = ((d * len(planned) + c) * config.seed_draws + s) * config.replicates + r
                 ptt = _run(config, sub, params[d], seed_locs[s], s, r)
-                total_runs += 1
                 try:
                     report = metrics.compare(ptt, mpt, config.compare)
                 except metrics.NoAdmissibleLag:
@@ -460,7 +452,7 @@ def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
         cells=[row for rows in cells for row in rows],
         ledger=[entry for entries in ledgers for entry in entries],
         infeasible_cells=infeasible,
-        total_runs=total_runs,
+        total_runs=len(params) * len(pairs) * (1 + len(planned)),
         histograms=histograms,
         example_curves={
             disease.name: curve for disease, curve in zip(config.diseases, curves) if curve is not None
@@ -471,16 +463,15 @@ def _sweep(config: ScenarioConfig, matrix: ContactMatrix) -> SweepResult:
 def replay_run(config: ScenarioConfig, entry: dict, matrix: ContactMatrix | None = None) -> metrics.ComparisonReport:
     """Reproduce one ledger entry's comparison bit-exactly, through the
     sweep's own calibration, thinning and run helpers. Like a sweep, it
-    leaves the matrix's ``entries`` and ``inter_location_trips`` caches
-    as it found them."""
-    if matrix is None:
-        matrix = base_matrix(config)
+    works on ``dataclasses.replace(matrix)``, so the ``entries`` and
+    ``inter_location_trips`` caches it computes are freed with that copy
+    and the caller's matrix is left as it was."""
+    matrix = base_matrix(config) if matrix is None else replace(matrix)
     disease = next(d for d in config.diseases if d.name == entry["disease"])
     params = _params(config, disease)
     s, r, loc = entry["seed_draw"], entry["replicate"], entry["seed_location_index"]
-    with matrix.entries_scope():
-        model = _calibrated_model(config, matrix, entry["k"], entry["theta"])
-        sub = _thin(config, matrix, entry["band_index"], model)
+    model = _calibrated_model(config, matrix, entry["k"], entry["theta"])
+    sub = _thin(config, matrix, entry["band_index"], model)
     return metrics.compare(
         _run(config, sub, params, loc, s, r), _run(config, matrix, params, loc, s, r), config.compare
     )
@@ -541,9 +532,8 @@ def export_results(result: SweepResult, out_dir) -> list:
     for (disease, band), group in groups.items():
         row = [disease, _fmt(group[0]["r0"]), band]
         for name in stat_names:
-            means = [c["aggregates"][name]["mean"] for c in group]
-            means = [m for m in means if m is not None]
-            row += [_fmt(float(np.mean(means)) if means else None), _fmt(float(np.std(means)) if means else None)]
+            pooled = _aggregate([c["aggregates"][name]["mean"] for c in group])
+            row += [_fmt(pooled["mean"]), _fmt(pooled["sd"])]
         rows.append(row)
     write_csv(
         "metrics_vs_r0.csv",

@@ -9,14 +9,15 @@ balance recovers the drawn populations. The module does no file I/O:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .checks import is_int, is_real
-from .mobility import HOURS_PER_DAY, ContactMatrix, LocationTable, derive_populations
+from .mobility import EARTH_RADIUS_KM, HOURS_PER_DAY, ContactMatrix, LocationTable, derive_populations
 
-KM_PER_DEGREE = 111.19492664455873  # 6371 km * pi / 180
+KM_PER_DEGREE = math.radians(EARTH_RADIUS_KM)  # 111.19492664455873 km along a meridian
 
 
 @dataclass(frozen=True)

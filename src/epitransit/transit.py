@@ -260,7 +260,7 @@ def sample_transit_matrix(matrix: ContactMatrix, model: GammaTripModel, rng_seed
     gives the same matrix as drawing over all n^2 entries. The thinned
     matrix inherits its ``entries`` from the input's (see
     ``ContactMatrix.with_entry_counts``), so its histogram never scans its
-    n^2 counts. Populations are copied from the input matrix: the
+    n^2 counts. It shares the input matrix's read-only populations: the
     comparison is about reduced flows, not reduced populations. Output
     is bit-reproducible for a fixed seed.
     """

@@ -138,10 +138,9 @@ def series_records() -> dict:
     for city_name, (city, city_seed, run_seeds) in CITIES.items():
         _, base = generate_synthetic_city(city, city_seed)
         matrices = {"base": base}
-        with base.entries_scope():
-            for k, theta, seed in THINNED:
-                model = transit.calibrate(transit.GammaTripModel(k, theta), base)
-                matrices[f"k{k}t{theta}"] = transit.sample_transit_matrix(base, model, seed)
+        for k, theta, seed in THINNED:
+            model = transit.calibrate(transit.GammaTripModel(k, theta), base)
+            matrices[f"k{k}t{theta}"] = transit.sample_transit_matrix(base, model, seed)
         for matrix_name, matrix in matrices.items():
             for name, beta, gamma in runner.DISEASE_DEFAULTS:
                 for variant in engine.HAZARD_VARIANTS:

@@ -93,6 +93,18 @@ class TestSynthCityAndIngest:
         )
         assert code == 1
 
+    def test_ingest_huge_count_is_a_row_error(self, tmp_path, capsys):
+        # a 400-digit count used to overflow when added into the float matrix
+        (tmp_path / "locations.csv").write_text("id,lat,lon\nA,0,0\nB,0,1\n")
+        (tmp_path / "trips.csv").write_text("origin,destination,hour,count\nA,B,9," + "9" * 400 + "\n")
+        code = main(
+            ["ingest", "--trips", str(tmp_path / "trips.csv"),
+             "--locations", str(tmp_path / "locations.csv"), "--out-dir", str(tmp_path / "out")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and not (tmp_path / "out").exists()
+        assert err.startswith("error: ") and "row 2: count above 2**53" in err and "Traceback" not in err
+
     def test_usage_error_is_validation_exit(self):
         assert main(["simulate", "--matrix", "x.npz"]) == 1  # missing required args
 
@@ -157,6 +169,23 @@ class TestSimulateCompareTheory:
         code = main(["simulate", "--matrix", str(bad), "--beta", "1.55", "--gamma", "0.2",
                      "--out", str(tmp_path / "a.csv")])
         assert code == 1 and calls == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "theory"])
+    def test_infinite_count_fails(self, city_dir, tmp_path, capsys, command):
+        # the populations stay the finite ones stored, so only the count check sees it
+        with np.load(city_dir / "matrix.npz") as data:
+            arrays = dict(data)
+        arrays["m"][0, 1] = np.inf
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        out = tmp_path / "out.csv"
+        args = {
+            "simulate": ["--out", str(out)],
+            "theory": ["--source", "L0000", "--out", str(out)],
+        }[command]
+        code = main([command, "--matrix", str(bad), "--beta", "0.5", "--gamma", "0.3333", *args])
+        assert code == 1 and not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("beta", ["inf", "nan"])

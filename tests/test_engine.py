@@ -147,22 +147,24 @@ class TestSirStep:
 class TestIntroduce:
     def test_no_hazard_no_change(self):
         m = two_location_matrix()
-        out = advance_day(fresh_state(m), m, EpidemicParams(beta=0.5, gamma=0.5), np.random.default_rng(0))
-        assert np.all(out.I == 0.0)
-        assert out.day == 1
+        state = fresh_state(m)
+        assert advance_day(state, m, EpidemicParams(beta=0.5, gamma=0.5), np.random.default_rng(0)).size == 0
+        assert np.all(state.I == 0.0)
+        assert state.day == 1
 
     def test_certain_introduction_adds_one_case(self):
         m = two_location_matrix(flow_ba=1e9, n_a=1000.0)
         state = fresh_state(m)
         state.I[1] = 100.0
         state.S[1] = 0.0
+        state.onset_day[1] = 0
         # enormous beta drives h to 1
         params = EpidemicParams(beta=1e12, gamma=0.5)
         assert introduce(state, m, params, np.random.default_rng(0)).tolist() == [0]
-        out = advance_day(state, m, params, np.random.default_rng(0))
-        assert out.I[0] == 1.0
-        assert out.S[0] == m.populations[0] - 1.0
-        assert out.onset_day[0] == 1
+        assert advance_day(state, m, params, np.random.default_rng(0)).tolist() == [0]
+        assert state.I[0] == 1.0
+        assert state.S[0] == m.populations[0] - 1.0
+        assert state.onset_day.tolist() == [1, 0]
 
     def test_empirical_rate_matches_hazard(self):
         # state engineered so h = 1/3 * (1 - e^-ln10) = 0.3 exactly
@@ -172,6 +174,7 @@ class TestIntroduce:
         state = fresh_state(m)
         state.I[1] = 50.0
         state.S[1] = 50.0
+        state.onset_day[1] = 0
         params = EpidemicParams(beta=0.5, gamma=0.5)
         h = hazard_vector(state, m, params)[0]
         assert h == pytest.approx(0.3, rel=1e-12)
@@ -184,14 +187,15 @@ class TestIntroduce:
         state = fresh_state(m)
         state.seed(0)
         state.S[1], state.R[1] = 99.0, 1.0
+        state.onset_day[1] = 0
         params = EpidemicParams(beta=0.5, gamma=0.5)
         rng = np.random.default_rng(9)
         before = rng.bit_generator.state
         assert introduce(state, m, params, rng).size == 0
         assert state.day == 0 and state.I[0] == 1.0 and state.I[1] == 0.0
-        out = advance_day(state, m, params, rng)
+        assert advance_day(state, m, params, rng).size == 0
         assert rng.bit_generator.state == before
-        assert out.day == 1 and out.I[1] == 0.0
+        assert state.day == 1 and state.I[1] == 0.0
 
 
 class TestSeedOutbreak:
@@ -301,7 +305,7 @@ class TestRunSimulation:
         prev_R = state.R.copy()
         prev_S = state.S.copy()
         for _ in range(120):
-            state = advance_day(state, small_city, params, rng)
+            advance_day(state, small_city, params, rng)
             total = state.S + state.I + state.R
             assert np.all(np.abs(total - state.N) <= 1e-9 * state.N)
             assert np.all(state.R >= prev_R - 1e-12)

@@ -59,7 +59,8 @@ def test_invariants_hold_every_day(matrix, beta, gamma, variant, seed_loc, rng_s
         for after, before in ((stepped.S, state.S), (stepped.I, state.I), (stepped.R, state.R)):
             assert after[idle].tobytes() == before[idle].tobytes()
 
-        new = advance_day(state.copy(), matrix, params, rng)
+        new = state.copy()
+        hits = advance_day(new, matrix, params, rng)
         assert new.day == day
         assert np.all(np.abs(new.S + new.I + new.R - new.N) <= 1e-9 * new.N)
         assert np.all(new.S >= 0.0) and np.all(new.I >= 0.0)
@@ -67,6 +68,9 @@ def test_invariants_hold_every_day(matrix, beta, gamma, variant, seed_loc, rng_s
         assert np.all(new.R >= state.R)
         first_infected[(first_infected < 0) & (new.I > 0.0)] = day
         assert np.array_equal(new.onset_day, first_infected)
+        # virgin by onset day is virgin by compartments, and the hits are the day's onsets
+        assert np.array_equal(new.onset_day < 0, (new.I == 0.0) & (new.R == 0.0))
+        assert np.array_equal(hits, np.flatnonzero(new.onset_day == day))
         state = new
 
 
@@ -93,7 +97,7 @@ def test_hazard_on_virgin_rows_matches_the_whole_vector(matrix, beta, variant, d
     state = CompartmentState.fully_susceptible(matrix.populations)
     state.I = np.minimum(infected, state.N)
     state.S = state.N - state.I
-    virgin = np.flatnonzero(state.virgin_mask)
+    virgin = np.flatnonzero(state.I == 0.0)
     picked = data.draw(st.sets(st.sampled_from(virgin)) if virgin.size else st.just(set()))
     rows = np.array(sorted(picked), dtype=np.intp)
     params = EpidemicParams(beta=beta, gamma=0.5, hazard_variant=variant)
@@ -134,8 +138,9 @@ def test_introduce_reads_the_state_and_draws_one_uniform_per_location(
     state.R = np.minimum(recovered[:n], state.N - state.I)
     state.S = state.N - state.I - state.R
     state.day = day
-    virgin = np.flatnonzero(state.virgin_mask)
-    state.onset_day[~state.virgin_mask] = day
+    seen = (state.I > 0.0) | (state.R > 0.0)
+    virgin = np.flatnonzero(~seen)
+    state.onset_day[seen] = day
     before = (state.SIR.tobytes(), state.onset_day.tobytes(), state.day)
     rng = np.random.default_rng(rng_seed)
     clone = np.random.default_rng(rng_seed)
@@ -173,7 +178,8 @@ def copying_reference(matrix, params, seed_rule, rng_seed):
             neg = arr < 0.0
             new.R[neg] += arr[neg]
             arr[neg] = 0.0
-        hits = state.virgin_mask & (u < h)
+        # virgin by compartments, not by onset day as the engine reads it
+        hits = (I == 0.0) & (state.R == 0.0) & (u < h)
         new.I[hits] = 1.0
         new.S[hits] = N[hits] - 1.0
         new.onset_day[hits] = new.day

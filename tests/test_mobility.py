@@ -113,6 +113,19 @@ class TestLoadTrips:
         with pytest.raises(ValidationError, match="row 2.*count"):
             load_trips(trips_path, locs_path)
 
+    def test_count_above_2_53_names_row(self, write_csvs):
+        # 2**53 is the largest integer a float count holds exactly
+        too_big = "count above 2**53, the largest a float count holds exactly"
+        trips_path, locs_path = write_csvs(
+            ["A,0,0", "B,0,1"], [f"A,B,9,{2**53}", f"A,B,10,{2**53 + 1}", "B,A,9," + "9" * 400]
+        )
+        with pytest.raises(ValidationError) as exc:
+            load_trips(trips_path, locs_path)
+        assert str(exc.value) == f"{trips_path}: 2 malformed row(s): row 3: {too_big}; row 4: {too_big}"
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], [f"A,B,9,{2**53}"])
+        table, trips = load_trips(trips_path, locs_path)
+        assert build_contact_matrix(table, trips).m[1, 0] == 2.0**53
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_trips(tmp_path / "nope.csv", tmp_path / "nope2.csv")
@@ -204,10 +217,11 @@ class TestContactMatrix:
             ([[0.0, 1.0], [2.0, 0.0]], [np.inf, 10.0]),
             ([[0.0, 1.0], [2.0, 0.0]], [10.0, 10.0, 10.0]),
             ([[0.0, np.nan], [2.0, 0.0]], [10.0, 10.0]),
+            ([[0.0, np.inf], [2.0, 0.0]], [10.0, 10.0]),
             ([[0.0, -1.0], [2.0, 0.0]], [10.0, 10.0]),
         ],
         ids=["population_below_floor", "nan_population", "infinite_population", "wrong_length",
-             "nan_count", "negative_count"],
+             "nan_count", "infinite_count", "negative_count"],
     )
     def test_bad_counts_or_populations_rejected(self, flows, populations):
         with pytest.raises(ValidationError):
@@ -216,25 +230,6 @@ class TestContactMatrix:
     def test_shape_must_match_the_table(self, square_table):
         with pytest.raises(ValidationError, match=r"matrix shape \(3, 3\) does not match 4 locations"):
             ContactMatrix(m=np.zeros((3, 3)), populations=np.ones(4), table=square_table)
-
-    def test_entries_scope_drops_only_a_cache_it_computed(self, square_table):
-        m = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5), TripRecord("C", "D", 9, 2)])
-        with m.entries_scope():
-            index, distances = m.entries
-            assert m.entries[0] is index
-            trips = m.inter_location_trips
-        assert "entries" not in vars(m) and "inter_location_trips" not in vars(m)
-        kept = m.entries
-        with m.entries_scope():
-            assert m.entries is kept
-            assert m.inter_location_trips is not trips
-        # the cache computed inside is dropped, the one that came in stays
-        assert m.entries is kept and "inter_location_trips" not in vars(m)
-        assert np.array_equal(m.entries[0], index) and np.array_equal(m.entries[1], distances)
-        kept_trips = m.inter_location_trips
-        with m.entries_scope():
-            pass
-        assert m.entries is kept and m.inter_location_trips is kept_trips
 
     def test_inter_location_trips_are_the_off_diagonal_entries(self, square_table):
         m = build_contact_matrix(
