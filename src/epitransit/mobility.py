@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -270,7 +270,9 @@ def load_trips(trip_file, locations_file):
     idempotently. A count must lie in [1, 2**53]: 2**53 is the largest
     integer that a float count holds exactly. Any malformed row is
     collected and reported; one or more malformed rows abort the load
-    with a message identifying them.
+    with a message identifying them. So does any (origin, destination)
+    whose daily total, over every hour and duplicate row, exceeds 2**53,
+    since its matrix entry could not hold it; the message names both ids.
 
     Returns (LocationTable, list of TripRecord).
     """
@@ -310,6 +312,17 @@ def load_trips(trip_file, locations_file):
             key = (ids[k], ids[j], hour)
             merged[key] = merged.get(key, 0) + count
     _raise_if_errors(trip_file, errors)
+    if sum(merged.values()) > 2**53:  # else no daily total can be above it
+        daily: dict[tuple, int] = {}
+        for (o, d, _), count in merged.items():
+            daily[o, d] = daily.get((o, d), 0) + count
+        over = sorted(key for key, total in daily.items() if total > 2**53)
+        if over:
+            o, d = over[0]
+            raise ValidationError(
+                f"{trip_file}: {len(over)} (origin, destination) pair(s) with more than 2**53 daily trips, "
+                f"the largest a float count holds exactly; first: {o!r} to {d!r}, {daily[o, d]} trips"
+            )
     n_merged = n_rows - len(merged)
     if n_merged:
         log.info("%s: merged %d duplicate (origin, destination, hour) rows", trip_file, n_merged)
@@ -395,36 +408,18 @@ def matrix_from_flows(m, populations=None, table=None) -> ContactMatrix:
     return ContactMatrix(m=m, populations=populations, table=table, population_clamp_count=clamps)
 
 
-@dataclass(frozen=True)
-class NetworkStats:
-    """Degree statistics of the daily contact network."""
-
-    num_locations: int
-    num_edges: int
-    degrees: np.ndarray = field(repr=False)
-    mean_degree: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.num_locations,
-            "e": self.num_edges,
-            "mean_degree": self.mean_degree,
-            "degree_histogram": degree_histogram(self.degrees),
-        }
-
-
-def network_stats(matrix: ContactMatrix) -> NetworkStats:
-    """Per-location degree (in plus out, self-flow counted once) and totals."""
+def network_stats(matrix: ContactMatrix) -> dict:
+    """The ``network_stats.json`` dict: the number of locations ``n``, of
+    directed inter-location edges ``e``, the mean per-location degree (in
+    plus out, self-flow counted once) and its ``degree_histogram``."""
     m = matrix.m
     degrees = m.sum(axis=1) + m.sum(axis=0) - np.diagonal(m)
-    num_edges = int(np.count_nonzero(m) - np.count_nonzero(np.diagonal(m)))
-    mean_degree = float(degrees.mean()) if matrix.n else 0.0
-    return NetworkStats(
-        num_locations=matrix.n,
-        num_edges=num_edges,
-        degrees=degrees,
-        mean_degree=mean_degree,
-    )
+    return {
+        "n": matrix.n,
+        "e": int(np.count_nonzero(m) - np.count_nonzero(np.diagonal(m))),
+        "mean_degree": float(degrees.mean()) if matrix.n else 0.0,
+        "degree_histogram": degree_histogram(degrees),
+    }
 
 
 def degree_histogram(degrees: np.ndarray) -> list:
@@ -444,9 +439,9 @@ def degree_histogram(degrees: np.ndarray) -> list:
     return out
 
 
-def write_network_stats(stats: NetworkStats, path) -> None:
+def write_network_stats(stats: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stats.to_json_dict(), fh, sort_keys=True, indent=2)
+        json.dump(stats, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

@@ -46,6 +46,10 @@ _TAG_TRANSIT = 2
 _TAG_CITY = 3
 
 
+# a disease name names a file and fills a cells.csv field unquoted
+_NAME_UNSAFE = '/\\,"\0\r\n'
+
+
 @dataclass(frozen=True)
 class Disease:
     name: str
@@ -53,8 +57,10 @@ class Disease:
     gamma: float
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError(f"disease name must be a string, got {self.name!r}")
+        if not isinstance(self.name, str) or not self.name or any(ch in self.name for ch in _NAME_UNSAFE):
+            raise ValueError(
+                f"disease name must be a non-empty string without / \\ , \" NUL CR or LF, got {self.name!r}"
+            )
         if not (is_real(self.beta) and self.beta > 0 and is_real(self.gamma) and 0.0 < self.gamma <= 1.0):
             raise ValueError(f"disease {self.name}: require beta > 0 and gamma in (0, 1]")
 
@@ -74,7 +80,8 @@ class ScenarioConfig:
     else every pair ``band_pairs`` yields (``mu``, k, theta); ``CompareConfig``
     and ``CityConfig``. Checked here: the counts, ``master_seed``,
     ``max_pairs``, the list shapes, unique disease names (a replay and the
-    exports find a disease by name), the city or matrix file, and ``seed_rule``
+    exports find a disease by name), compare thresholds that name distinct
+    ``cells.csv`` columns, the city or matrix file, and ``seed_rule``
     (in ``engine.SEED_RULES`` or an integer; ``engine.seed_outbreak`` checks an
     index against the matrix). Ranges and pairs become tuples.
     """
@@ -127,6 +134,10 @@ class ScenarioConfig:
         dupes = sorted({name for name in names if names.count(name) > 1})
         if dupes:
             raise ValueError(f"duplicate disease name(s): {', '.join(dupes)}")
+        stats = _stat_names(self.compare.thresholds)
+        clashes = sorted({name for name in stats if stats.count(name) > 1})
+        if clashes:
+            raise ValueError(f"compare thresholds share a column name: {', '.join(clashes)}")
         bands = [transit.DeltaBand.from_label(label) for label in self.delta_bands]
         pairs = self.pairs if self.pairs is not None else [p for b in bands for p in band_pairs(self, b)]
         for k, theta in pairs:
@@ -241,14 +252,6 @@ class SweepResult:
     def load_json(cls, path) -> "SweepResult":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
-
-
-def _hist_dict(h: transit.DistanceHistogram) -> dict:
-    return {
-        "bin_edges": [float(v) for v in h.bin_edges],
-        "masses": [float(v) for v in h.masses],
-        "p95_km": h.p95_km,
-    }
 
 
 def _aggregate(values: list) -> dict:
@@ -391,12 +394,12 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
     cells = [[] for _ in config.diseases]
     ledgers = [[] for _ in config.diseases]
     curves = [None] * len(config.diseases)
-    histograms = {"full": _hist_dict(transit.distance_histogram(matrix))}
+    histograms = {"full": transit.distance_histogram(matrix)}
 
     for c, cell in enumerate(planned):
         sub = _thin(config, matrix, cell.band_index, cell.model)
         if cell.pair_index == 0:
-            histograms[f"{cell.band}:k{cell.k}:t{cell.theta}"] = _hist_dict(transit.distance_histogram(sub))
+            histograms[f"{cell.band}:k{cell.k}:t{cell.theta}"] = transit.distance_histogram(sub)
 
         for d, disease in enumerate(config.diseases):
             keys = {

@@ -9,7 +9,8 @@ The layer works on a matrix's nonzero entries, never on its n^2 cells:
 ``ContactMatrix.entries`` (flat indices and distances) feeds thinning,
 and ``ContactMatrix.inter_location_trips`` (the off-diagonal distances
 and counts, derived from it once per matrix) feeds calibration and the
-distance histogram. A thinned matrix inherits its entries from the
+distance histogram, which bins those trips once for both its masses
+and its 95th percentile. A thinned matrix inherits its entries from the
 matrix it was drawn from, since its nonzeros are a subset of them.
 """
 
@@ -274,16 +275,7 @@ def sample_transit_matrix(matrix: ContactMatrix, model: GammaTripModel, rng_seed
     return matrix.with_entry_counts(rng.binomial(counts, probs))
 
 
-@dataclass(frozen=True)
-class DistanceHistogram:
-    """Count-weighted distribution of inter-location trip distances."""
-
-    bin_edges: np.ndarray
-    masses: np.ndarray
-    p95_km: float
-
-
-def distance_histogram(matrix: ContactMatrix) -> DistanceHistogram:
+def distance_histogram(matrix: ContactMatrix) -> dict:
     """Trip-distance histogram in HISTOGRAM_BIN_KM bins, and 95th percentile.
 
     Weighted by trip counts over inter-location entries; self-flows are
@@ -291,60 +283,53 @@ def distance_histogram(matrix: ContactMatrix) -> DistanceHistogram:
     ``inter_location_trips``, which a thinned matrix derives from the
     entries it inherited: its histogram scans none of its n^2 counts and
     evaluates no haversine.
+
+    Returns the dict a sweep stores and exports:
+    ``{"bin_edges": [...], "masses": [...], "p95_km": float}``. A matrix
+    with no inter-location trip gives one empty bin and a p95 of 0.
     """
     distances, counts = matrix.inter_location_trips
     if counts.size == 0:
-        return DistanceHistogram(np.array([0.0, HISTOGRAM_BIN_KM]), np.array([0.0]), 0.0)
-    max_d = float(distances.max())
-    n_bins = max(1, int(np.ceil(max_d / HISTOGRAM_BIN_KM + 1e-12)))
-    edges = np.arange(n_bins + 1, dtype=float) * HISTOGRAM_BIN_KM
-    hist, _ = np.histogram(distances, bins=edges, weights=counts)
-    masses = hist / counts.sum()
-    p95 = weighted_percentile(distances, counts, 0.95)
-    return DistanceHistogram(edges, masses, p95)
+        return {"bin_edges": [0.0, HISTOGRAM_BIN_KM], "masses": [0.0], "p95_km": 0.0}
+    edges, masses, p95 = _histogram(distances, counts)
+    return {"bin_edges": edges.tolist(), "masses": masses.tolist(), "p95_km": p95}
 
 
-# The most bins weighted_percentile's bin pass allocates; distances on
-# Earth need at most about 4000 bins of HISTOGRAM_BIN_KM.
-_MAX_PERCENTILE_BINS = 1 << 16
+def _histogram(distances: np.ndarray, counts: np.ndarray):
+    """(bin edges, masses, 95th percentile) of distances weighted by
+    counts, from one binning.
 
+    The edges are multiples of HISTOGRAM_BIN_KM from 0 past the largest
+    distance. A distance d goes to bin ``searchsorted(edges[1:-1], d,
+    side="right")``, NumPy's own histogram rule: bins closed on the left,
+    the largest value in the last bin. The domain is
+    non-negative finite distances, and non-negative integer counts of
+    positive sum below 2**53, so every bin total is exact in any order
+    and the masses equal NumPy's histogram's bit for bit.
 
-def weighted_percentile(values, weights, q: float) -> float:
-    """Smallest value whose cumulative weight share reaches q.
-
-    Equals the value at the first position where the cumulative weight
-    of the stably sorted values reaches ``q * sum(weights)``, or the
-    largest value when none does. The domain is non-negative finite
-    values, and non-negative integer-valued weights that sum below 2**53,
-    so that every partial sum is exact in any order. Values outside it
-    (negative, NaN or infinite), or no values at all, raise ValueError.
-
-    One bin pass replaces the full sort: values are binned by
-    truncating ``values * (1 / HISTOGRAM_BIN_KM)`` (a coarser scale when
-    the range would need more than _MAX_PERCENTILE_BINS bins), which is
-    monotone in the value, so the stable sort keeps each bin's values
-    together and in bin order. Exact bin totals locate the bin that
-    holds the q-th weighted share, and only that bin is stably sorted.
+    The percentile is the distance at the first position where the
+    cumulative count of the stably sorted distances reaches 0.95 of the
+    total. Bins are monotone in the distance, so that sort keeps each
+    bin's distances together and in bin order: the cumulative bin totals
+    locate the bin that holds that share, and only that bin is stably
+    sorted.
     """
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    lo, hi = values.min(), values.max()  # ValueError when there are none
+    lo, hi = float(distances.min()), float(distances.max())
     if not (lo >= 0.0 and hi < np.inf):
-        raise ValueError("weighted_percentile requires non-negative finite values")
-    scale = 1.0 / HISTOGRAM_BIN_KM
-    if hi * scale >= _MAX_PERCENTILE_BINS:
-        scale = (_MAX_PERCENTILE_BINS - 1) / hi
-    bins = (values * scale).astype(np.int64)
-    cum = np.cumsum(np.bincount(bins, weights=weights))
-    target = q * cum[-1]
-    # bins below the smallest value's are empty, yet match a target of 0
-    first = int(lo * scale)
-    b = min(first + int(np.searchsorted(cum[first:], target, side="left")), cum.size - 1)
+        raise ValueError("distance histogram requires non-negative finite distances")
+    n_bins = max(1, int(np.ceil(hi / HISTOGRAM_BIN_KM + 1e-12)))
+    edges = np.arange(n_bins + 1, dtype=float) * HISTOGRAM_BIN_KM
+    bins = np.searchsorted(edges[1:-1], distances, side="right")
+    totals = np.bincount(bins, weights=counts, minlength=n_bins)
+    cum = np.cumsum(totals)
+    target = 0.95 * cum[-1]
+    # target > 0, so the bin found holds trips
+    b = int(np.searchsorted(cum, target, side="left"))
     in_b = bins == b
-    members = values[in_b]
+    members = distances[in_b]
     order = np.argsort(members, kind="stable")
-    in_bin = np.cumsum(weights[in_b][order])
+    in_bin = np.cumsum(counts[in_b][order])
     if b > 0:
         in_bin += cum[b - 1]
     idx = int(np.searchsorted(in_bin, target, side="left"))
-    return float(members[order][min(idx, members.size - 1)])
+    return edges, totals / cum[-1], float(members[order][idx])

@@ -105,6 +105,17 @@ class TestSynthCityAndIngest:
         assert code == 1 and not (tmp_path / "out").exists()
         assert err.startswith("error: ") and "row 2: count above 2**53" in err and "Traceback" not in err
 
+    def test_ingest_daily_total_above_2_53_fails(self, tmp_path, capsys):
+        (tmp_path / "locations.csv").write_text("id,lat,lon\nA,0,0\nB,0,1\n")
+        (tmp_path / "trips.csv").write_text(f"origin,destination,hour,count\nA,B,9,{2**53}\nA,B,10,1\n")
+        code = main(
+            ["ingest", "--trips", str(tmp_path / "trips.csv"),
+             "--locations", str(tmp_path / "locations.csv"), "--out-dir", str(tmp_path / "out")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and not (tmp_path / "out").exists()
+        assert err.startswith("error: ") and "'A' to 'B'" in err and "Traceback" not in err
+
     def test_usage_error_is_validation_exit(self):
         assert main(["simulate", "--matrix", "x.npz"]) == 1  # missing required args
 
@@ -270,6 +281,13 @@ class TestSimulateCompareTheory:
         assert code == 1
 
 
+# a disease name names a prevalence_pair_*.csv file and fills a cells.csv field
+_UNSAFE_DISEASE_NAMES = {
+    "empty": "", "slash": "flu/a", "backslash": "flu\\a", "comma": "x,y",
+    "quote": 'say "flu"', "nul": "a\0b", "cr": "a\rb", "lf": "a\nb",
+}
+
+
 class TestSweepAndExport:
     def test_sweep_then_reexport_byte_identical(self, tmp_path):
         config = ScenarioConfig(
@@ -380,6 +398,8 @@ class TestSweepAndExport:
             {"city": {"n_locations": 30, "extent_km": float("inf")}},
             {"city": {"n_locations": 30, "extent_km": 10**400}},
             {"pairs": [[3, float("inf")]]},
+            {"compare": {"thresholds": [0.201, 0.204]}},
+            *({"diseases": [{"name": name, "beta": 0.5, "gamma": 0.2}]} for name in _UNSAFE_DISEASE_NAMES.values()),
         ],
         ids=["unknown_band", "string_seed_draws", "disease_missing_keys", "string_horizon",
              "level_above_one", "zero_min_overlap", "negative_max_pairs", "scalar_thresholds",
@@ -387,7 +407,8 @@ class TestSweepAndExport:
              "string_extinction_threshold", "unknown_hazard_variant", "unknown_seed_rule",
              "one_element_pair", "pair_k_zero", "string_delta_bands", "nested_delta_bands",
              "duplicate_disease_names", "infinite_beta", "nan_extinction_threshold",
-             "infinite_extent_km", "huge_int_extent_km", "infinite_theta"],
+             "infinite_extent_km", "huge_int_extent_km", "infinite_theta", "colliding_thresholds",
+             *(f"disease_name_{kind}" for kind in _UNSAFE_DISEASE_NAMES)],
     )
     def test_sweep_bad_config_fails_before_any_run(self, tmp_path, monkeypatch, capsys, bad):
         calls = []

@@ -126,6 +126,30 @@ class TestLoadTrips:
         table, trips = load_trips(trips_path, locs_path)
         assert build_contact_matrix(table, trips).m[1, 0] == 2.0**53
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[f"A,B,9,{2**53}", "A,B,10,1"], [f"A,B,9,{2**53}", "A,B,9,1"], [f"A,B,8,{2**52}", f"A,B,9,{2**52}", "A,B,9,1"]],
+        ids=["two_hours", "duplicate_rows", "both"],
+    )
+    def test_daily_total_above_2_53_names_both_ids(self, write_csvs, rows):
+        # each row is within the bound, but m[1, 0] would silently hold 2**53
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["B,A,9,5", *rows])
+        with pytest.raises(ValidationError) as exc:
+            load_trips(trips_path, locs_path)
+        assert str(exc.value) == (
+            f"{trips_path}: 1 (origin, destination) pair(s) with more than 2**53 daily trips, "
+            f"the largest a float count holds exactly; first: 'A' to 'B', {2**53 + 1} trips"
+        )
+
+    def test_daily_totals_up_to_2_53_load(self, write_csvs):
+        # the file's total is above 2**53, but no single pair's is
+        trips_path, locs_path = write_csvs(
+            ["A,0,0", "B,0,1"], [f"A,B,8,{2**52}", f"A,B,9,{2**52}", f"B,A,9,{2**53}", "A,A,9,1"]
+        )
+        table, trips = load_trips(trips_path, locs_path)
+        m = build_contact_matrix(table, trips).m
+        assert m[1, 0] == m[0, 1] == 2.0**53 and m[0, 0] == 1.0
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_trips(tmp_path / "nope.csv", tmp_path / "nope2.csv")
@@ -308,23 +332,23 @@ class TestNetworkStats:
     def test_single_trip_degrees(self, square_table):
         m = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5)])
         stats = network_stats(m)
-        assert stats.degrees[square_table.index["A"]] == 5.0
-        assert stats.degrees[square_table.index["B"]] == 5.0
-        assert stats.num_edges == 1
+        # A and B have degree 5, the two other locations 0
+        assert stats["n"] == 4 and stats["e"] == 1
+        assert stats["mean_degree"] == 2.5
+        assert stats["degree_histogram"] == [[0.0, 1.0, 2], [1.0, 2.0, 0], [2.0, 4.0, 0], [4.0, 8.0, 2]]
 
     def test_self_flow_only(self):
         m = matrix_from_flows(np.array([[24.0]]))
         stats = network_stats(m)
         # in + out - self counts the self-flow once: 2*24 - 24
-        assert stats.degrees[0] == 24.0
-        assert stats.num_edges == 0
+        assert stats["mean_degree"] == 24.0
+        assert stats["degree_histogram"][-1] == [16.0, 32.0, 1]
+        assert stats["e"] == 0
 
     def test_empty_matrix(self, square_table):
         m = build_contact_matrix(square_table, [])
         stats = network_stats(m)
-        assert np.all(stats.degrees == 0.0)
-        assert stats.num_edges == 0
-        assert stats.mean_degree == 0.0
+        assert stats == {"n": 4, "e": 0, "mean_degree": 0.0, "degree_histogram": [[0.0, 1.0, 4]]}
 
     def test_json_export(self, square_table, tmp_path):
         import json

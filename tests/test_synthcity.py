@@ -3,7 +3,7 @@ import pytest
 
 from epitransit.mobility import POPULATION_FLOOR, build_contact_matrix, load_trips, write_city_csvs
 from epitransit.synthcity import CityConfig, generate_synthetic_city
-from epitransit.transit import distance_histogram, weighted_percentile
+from epitransit.transit import distance_histogram
 
 
 class TestGeneration:
@@ -43,7 +43,7 @@ class TestGeneration:
 
     def test_p95_stable_across_seeds(self):
         config = CityConfig(n_locations=200, extent_km=100.0, trips_per_capita=0.5)
-        p95s = [distance_histogram(generate_synthetic_city(config, s)[1]).p95_km for s in range(10)]
+        p95s = [distance_histogram(generate_synthetic_city(config, s)[1])["p95_km"] for s in range(10)]
         assert all(np.isfinite(p95s))
         spread = (max(p95s) - min(p95s)) / np.mean(p95s)
         assert spread <= 0.10

@@ -23,8 +23,8 @@ from epitransit.transit import (
     gamma_pdf,
     gammaln,
     label_probabilities,
+    _histogram,
     sample_transit_matrix,
-    weighted_percentile,
 )
 
 
@@ -237,37 +237,31 @@ class TestDistanceHistogram:
         table = LocationTable(["a", "b"], [0, 0], [0, 10 / 111.19492664455873])
         m = matrix_from_flows(np.array([[0.0, 7.0], [7.0, 0.0]]), table=table)
         hist = distance_histogram(m)
-        assert hist.masses.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.count_nonzero(hist.masses) == 1  # a single occupied bin
-        assert hist.masses.max() == pytest.approx(1.0)
-        assert hist.p95_km == pytest.approx(10.0, abs=1e-9)
+        assert set(hist) == {"bin_edges", "masses", "p95_km"}
+        assert sum(hist["masses"]) == pytest.approx(1.0, abs=1e-9)
+        assert np.count_nonzero(hist["masses"]) == 1  # a single occupied bin
+        assert max(hist["masses"]) == pytest.approx(1.0)
+        assert hist["p95_km"] == pytest.approx(10.0, abs=1e-9)
 
     def test_self_flows_only_give_one_empty_bin(self):
         hist = distance_histogram(matrix_from_flows(np.diag([24.0, 48.0])))
-        assert hist.bin_edges.tolist() == [0.0, 5.0]
-        assert hist.masses.tolist() == [0.0]
-        assert hist.p95_km == 0.0
+        assert hist == {"bin_edges": [0.0, 5.0], "masses": [0.0], "p95_km": 0.0}
 
     def test_masses_sum_to_one(self, small_city):
         hist = distance_histogram(small_city)
-        assert hist.masses.sum() == pytest.approx(1.0, abs=1e-9)
+        assert len(hist["masses"]) == len(hist["bin_edges"]) - 1
+        assert sum(hist["masses"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_transit_sample_narrows_the_range(self, small_city):
         # directional check: mediate-band transit p95 below full-mobility p95
         model = calibrate(GammaTripModel(k=2, theta=16, mu=0.35), small_city)
         sub = sample_transit_matrix(small_city, model, 5)
-        assert distance_histogram(sub).p95_km < distance_histogram(small_city).p95_km
+        assert distance_histogram(sub)["p95_km"] < distance_histogram(small_city)["p95_km"]
 
-    def test_weighted_percentile(self):
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        weights = np.array([1.0, 1.0, 1.0, 97.0])
-        assert weighted_percentile(values, weights, 0.95) == 4.0
-        assert weighted_percentile(values, weights, 0.01) == 1.0
-
-    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
-    def test_weighted_percentile_rejects_values_outside_its_domain(self, bad):
-        with pytest.raises(ValueError, match="non-negative finite values"):
-            weighted_percentile(np.array([1.0, bad, 3.0]), np.array([1.0, 1.0, 1.0]), 0.95)
+    def test_rejects_distances_outside_its_domain(self):
+        for bad in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-negative finite distances"):
+                _histogram(np.array([1.0, bad, 3.0]), np.array([1.0, 1.0, 1.0]))
 
 
 class TestModelValidation:

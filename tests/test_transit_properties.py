@@ -1,10 +1,10 @@
-"""Property tests: transit thinning, calibration and the weighted
-percentile, on random small cities and random weighted samples."""
+"""Property tests: transit thinning, calibration and the distance
+histogram, on random small cities and random weighted samples."""
 
 import dataclasses
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
@@ -14,9 +14,9 @@ from epitransit.transit import (
     HISTOGRAM_BIN_KM,
     GammaTripModel,
     InfeasibleModeShare,
+    _histogram,
     calibrate,
     sample_transit_matrix,
-    weighted_percentile,
 )
 
 
@@ -121,29 +121,33 @@ def stable_sort_percentile(values, weights, q):
     return float(values[order][min(idx, values.size - 1)])
 
 
-# each draw takes its values from one of these: spread over many bins, on
-# exact bin edges, inside one bin, or wider than the bin pass's bin cap
-_VALUE_KINDS = (
+# each draw takes its distances from one of these: spread over many bins,
+# on exact bin edges, inside one bin, or as far apart as places on Earth
+_DISTANCE_KINDS = (
     st.floats(0.0, 200.0),
     st.integers(0, 40).map(lambda i: i * HISTOGRAM_BIN_KM),
     st.floats(0.0, HISTOGRAM_BIN_KM, exclude_max=True),
-    st.floats(0.0, 1e300),
+    st.floats(0.0, 20_100.0),
 )
 
 
 @st.composite
-def weighted_samples(draw):
-    kind = draw(st.sampled_from(_VALUE_KINDS))
-    pool = draw(st.lists(kind, min_size=1, max_size=4))  # values drawn again from here are ties
-    values = draw(st.lists(st.one_of(kind, st.sampled_from(pool)), min_size=1, max_size=60))
-    weights = draw(st.lists(st.integers(0, 10**6), min_size=len(values), max_size=len(values)))
-    return np.array(values), np.array(weights, dtype=float)
+def weighted_distances(draw):
+    kind = draw(st.sampled_from(_DISTANCE_KINDS))
+    pool = draw(st.lists(kind, min_size=1, max_size=4))  # distances drawn again from here are ties
+    distances = draw(st.lists(st.one_of(kind, st.sampled_from(pool)), min_size=1, max_size=60))
+    counts = draw(st.lists(st.integers(0, 10**6), min_size=len(distances), max_size=len(distances)))
+    return np.array(distances), np.array(counts, dtype=float)
 
 
-# a q above 1 is reached by no share, which gives the largest value
-@given(sample=weighted_samples(), q=st.one_of(st.sampled_from([0.0, 0.95, 1.0]), st.floats(0.0, 1.0), st.floats(1.0, 2.0)))
-@example(sample=(np.array([5.0, 10.0, 10.0, 0.0, 15.0]), np.array([1.0, 2.0, 0.0, 3.0, 4.0])), q=1.0)
-@example(sample=(np.array([1.0, 2.0, 1.0]), np.array([0.0, 0.0, 0.0])), q=0.95)
-def test_weighted_percentile_equals_a_stable_sort(sample, q):
-    values, weights = sample
-    assert weighted_percentile(values, weights, q) == stable_sort_percentile(values, weights, q)
+@given(sample=weighted_distances())
+@example(sample=(np.array([5.0, 10.0, 10.0, 0.0, 15.0]), np.array([1.0, 2.0, 0.0, 3.0, 4.0])))
+@example(sample=(np.array([5.0, 5.0, 0.0]), np.array([0.0, 19.0, 1.0])))
+def test_one_pass_histogram_equals_np_histogram_and_a_stable_sort(sample):
+    distances, counts = sample
+    assume(counts.sum() > 0)
+    edges, masses, p95 = _histogram(distances, counts)
+    assert edges[0] == 0.0 and edges[-1] >= distances.max()
+    assert np.array_equal(edges, np.arange(edges.size) * HISTOGRAM_BIN_KM)
+    assert np.array_equal(masses, np.histogram(distances, edges, weights=counts)[0] / counts.sum())
+    assert p95 == stable_sort_percentile(distances, counts, 0.95)
