@@ -29,18 +29,31 @@ day's totals are recorded by one reduction over the block. S and I
 never go below zero, so the update needs no clamp: new infections are
 capped at S; recoveries gamma*I are at most I since gamma <= 1, and
 I + new infections is at least I; and a seeded location starts at
-S = N - 1 >= 0, since populations are at least ``POPULATION_FLOOR``. Once no location is virgin the hazard cannot act,
-so the run skips the draw and the day is the step alone. Compartments
-are real-valued; runs end when total infecteds drop below an extinction
-threshold, since real-valued I never reaches exactly 0. The module does
-no file I/O: ``cli`` writes a run's ``PrevalenceSeries`` as the
-prevalence CSV.
+S = N - 1 >= 0, since populations are at least ``POPULATION_FLOOR``.
+
+Once no location is virgin the hazard cannot act, and nothing couples the
+locations any more: ``sir_step`` is elementwise, so a location's S, I and
+R depend only on its N and on the days since its onset. A ``CourseTable``
+holds them for every location at ages 0, 1, ... after seeding; it is
+stepped by ``sir_step`` from a block in which every location is seeded on
+day 0, so it holds the same numbers a run would reach. From the day every
+location has a case, a run reads the rest of its series from the table,
+in chunks of days, instead of stepping it. The table grows only as far
+as runs read it and is kept on the ``EpidemicParams`` for one populations
+array (``EpidemicParams.course``), so every run of a sweep with those
+params shares it: thinned matrices share their parent's populations.
+
+Compartments are real-valued; runs end when total infecteds drop below
+an extinction threshold, since real-valued I never reaches exactly 0.
+The module does no file I/O: ``cli`` writes a run's ``PrevalenceSeries``
+as the prevalence CSV.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,6 +102,15 @@ class EpidemicParams:
         rates = np.array(((self.beta,), (self.gamma,)), dtype=float)
         rates.flags.writeable = False
         return rates
+
+    def course(self, populations: np.ndarray) -> "CourseTable":
+        """The course table of these params on ``populations``. The last
+        one built is kept on this instance while it is asked for the same
+        array (by identity), and is freed with the instance."""
+        table = self.__dict__.get("_course")
+        if table is None or table.populations is not populations:
+            table = self.__dict__["_course"] = CourseTable(populations)
+        return table
 
 
 def _row(i: int, name: str) -> property:
@@ -139,9 +161,6 @@ class CompartmentState:
         n = populations.shape[0]
         N = populations.astype(float)
         return cls(S=N, I=np.zeros(n), R=np.zeros(n), N=N)
-
-    def copy(self) -> "CompartmentState":
-        return CompartmentState(*self.SIR, N=self.N, day=self.day, onset_day=self.onset_day.copy())
 
     def seed(self, j) -> None:
         """Place one infected case into location j, or into each location
@@ -263,6 +282,117 @@ def advance_day(
     return hits
 
 
+# A run reads its course table in chunks of days: the first of
+# COURSE_FIRST_CHUNK days, then doubling up to max(1, COURSE_CHUNK // n)
+# days, about COURSE_CHUNK elements per compartment.
+COURSE_FIRST_CHUNK = 4
+COURSE_CHUNK = 8192
+
+
+class CourseTable:
+    """S, I and R of every location at ages 0, 1, ... days after its onset,
+    for one populations array and one (beta, gamma).
+
+    ``block[a]`` is the (3, n) state, rows S, I and R, of a run in which
+    every location was seeded ``a`` days ago. ``ages`` fills it on demand
+    by ``sir_step`` on a state in which every location is seeded on day 0,
+    so it holds what stepping a run gives, bit for bit, and only as many
+    ages as runs have read: its memory follows the longest run, not the
+    horizon. The rows live in a store whose capacity doubles (up to the
+    horizon) when a read needs more, so filling copies the table once at
+    most. The store is an anonymous memory map of its own (``_unpaged``):
+    the rows past the filled ones take no memory, and a freed store goes
+    back to the system at once.
+    """
+
+    def __init__(self, populations: np.ndarray):
+        self.populations = populations
+        self._state = CompartmentState.fully_susceptible(populations)
+        self._state.seed(np.arange(populations.shape[0]))
+        self._store = self._state.SIR[None].copy()
+        self._filled = 1
+
+    @property
+    def block(self) -> np.ndarray:
+        """The filled ages, a (ages, 3, n) view."""
+        return self._store[: self._filled]
+
+    def ages(self, count: int, params: EpidemicParams) -> np.ndarray:
+        """The table, flattened, once it holds at least ``count`` ages."""
+        if self._filled < count:
+            capacity = self._store.shape[0]
+            if capacity < count:
+                store = _unpaged((min(max(count, 2 * capacity), params.horizon + 1), *self._store.shape[1:]))
+                store[: self._filled] = self.block
+                self._store = store
+            for row in self._store[self._filled : count]:
+                row[...] = sir_step(self._state, params).SIR
+            self._filled = count
+        return self.block.reshape(-1)
+
+
+def _unpaged(shape: tuple) -> np.ndarray:
+    """A float array of zeros in a private anonymous memory map of its
+    own, unmapped when the array is freed; a page takes memory only once
+    written. NumPy's allocator would take a course table's store from the
+    malloc heap, which keeps what is freed (a sweep's tables then stayed
+    in the process's peak memory after the sweep), or, from 4 MB on, ask
+    for huge pages, which can make rows never written resident."""
+    flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8, **flags)).reshape(shape)
+
+
+def _room(totals: np.ndarray, rows: int, horizon: int) -> np.ndarray:
+    """``totals`` with room for ``rows`` days, doubled (up to the horizon)
+    when it has less: memory follows the days simulated, not the horizon."""
+    if rows <= totals.shape[0]:
+        return totals
+    grown = min(max(rows, 2 * totals.shape[0]), horizon + 1)
+    return np.concatenate((totals, np.empty((grown - totals.shape[0], 3))))
+
+
+def _read_course(table: CourseTable, params: EpidemicParams, onset_day: np.ndarray, totals: np.ndarray, days: int):
+    """Record a run's days after ``days``, the day every location has a
+    case, from the course table, and end it where stepping would: at the
+    horizon, or on the first day total I falls below the extinction
+    threshold. Returns (totals, last day).
+
+    Day t of compartment c at location j is the table's age
+    t - onset_day[j]. A chunk of days starting on day t is one ``np.take``
+    from the flat table shifted by t - ``days`` ages into a contiguous
+    (days, 3, n) buffer, and one row sum over its last axis records those
+    days. Every offset is at least 0, since no onset comes after ``days``,
+    and below the table's size, since the seed location's onset is day 0
+    and the table is filled up to the chunk's last day first. Chunks
+    double from ``COURSE_FIRST_CHUNK`` days up to ``COURSE_CHUNK // n``,
+    so a run that ends soon after its last onset reads little past its end.
+    """
+    n = onset_day.shape[0]
+    age = 3 * n  # elements per age in the flat table
+    k = max(1, COURSE_CHUNK // n)
+    full = days
+    base = (full - onset_day) * age + np.arange(age).reshape(3, n)
+    # offsets[a] = base + a * age, written as the chunks grow into them
+    offsets = np.empty((k, 3, n), dtype=base.dtype)
+    chunk = np.empty((k, 3, n))
+    size = 0
+    while days < params.horizon and not totals[days, 1] < params.extinction_threshold:
+        if size < k:
+            grown = min(k, max(COURSE_FIRST_CHUNK, 2 * size))
+            np.add(base, np.arange(size * age, grown * age, age)[:, None, None], out=offsets[size:grown])
+            size = grown
+        t = days + 1
+        last = min(size, params.horizon + 1 - t)
+        flat = table.ages(t + last, params)
+        totals = _room(totals, t + last, params.horizon)
+        # offsets are in range, so "clip" reads the same as "raise" without its copy of out
+        np.take(flat[(t - full) * age :], offsets[:last], out=chunk[:last], mode="clip")
+        chunk[:last].sum(axis=-1, out=totals[t : t + last])
+        ended = np.flatnonzero(totals[t : t + last, 1] < params.extinction_threshold)
+        days = t + int(ended[0]) if ended.size else t + last - 1
+    return totals, days
+
+
 def check_scale(params: EpidemicParams, matrix: ContactMatrix) -> None:
     """Raise ValueError unless beta * max(N) is finite: ``sir_step`` forms
     beta*S first, and an overflow to inf times I = 0 turns a run into NaN."""
@@ -326,8 +456,9 @@ def run_simulation(
     not the horizon. The onset count starts at 1, the seeded location,
     and grows by the hits ``advance_day`` returns, since each hit was
     virgin. While some location is virgin a day is ``advance_day``. Once
-    none is, nothing is drawn, so a day is ``sir_step`` alone and the
-    fraction stays exactly 1.0.
+    none is, nothing more is drawn and the fraction stays exactly 1.0:
+    the rest of the series is read from ``params.course`` for the
+    matrix's populations (``_read_course``), not stepped.
     """
     check_scale(params, matrix)
     rng = np.random.default_rng(rng_seed)
@@ -343,16 +474,14 @@ def run_simulation(
     onsets = 1
     frac_loc = [onsets / n]
     days = 0
-    while days < params.horizon and not totals[days, 1] < params.extinction_threshold:
-        if onsets < n:
-            onsets += advance_day(state, matrix, params, rng).size
-            frac_loc.append(onsets / n)
-        else:
-            sir_step(state, params)
+    while onsets < n and days < params.horizon and not totals[days, 1] < params.extinction_threshold:
+        onsets += advance_day(state, matrix, params, rng).size
+        frac_loc.append(onsets / n)
         days += 1
-        if days == totals.shape[0]:
-            totals = np.concatenate((totals, np.empty((min(days, params.horizon + 1 - days), 3))))
+        totals = _room(totals, days + 1, params.horizon)
         SIR.sum(axis=1, out=totals[days])
+    if onsets == n:
+        totals, days = _read_course(params.course(matrix.populations), params, state.onset_day, totals, days)
 
     frac = np.ones(days + 1)
     frac[: len(frac_loc)] = frac_loc

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from epitransit.engine import (
+    COURSE_CHUNK,
+    HAZARD_VARIANTS,
     CompartmentState,
     EpidemicParams,
     _hazard_kernel,
@@ -182,6 +184,41 @@ class TestIntroduce:
         hits = sum(introduce(state, m, params, rng).tolist() == [0] for _ in range(10_000))
         assert hits / 10_000 == pytest.approx(0.3, abs=0.015)
 
+    @pytest.mark.parametrize("variant", HAZARD_VARIANTS)
+    @pytest.mark.parametrize("n", [8, 28])
+    def test_one_day_introduction_frequency_matches_the_hazard_per_location(self, variant, n):
+        # Oracle for introduce: over R = 10,000 independent days drawn from
+        # one state, each virgin location's hit count lies within 5 binomial
+        # standard deviations of R * h(t, j) from hazard_vector (two-sided
+        # p about 6e-7 per location), and a location with h = 0 is never hit.
+        # Location 0 is infected, 1-7 are virgin with hazards from 0 to 0.94,
+        # and 8 onwards already have a case: with n = 8 the hazard reads the
+        # whole product, with n = 28 only the virgin rows.
+        R = 10_000
+        populations = np.full(n, 1000.0)
+        populations[3:8] = 50.0
+        flows = np.zeros((n, n))
+        # exposure m * x * S is the same in both variants: S = 50 at 3-7
+        flows[3:8, 0] = np.array([0.02, 0.2, 1.0, 3.0, 8.0]) * (1.0 if variant == "as_printed" else 50.0)
+        m = matrix_from_flows(flows, populations=populations)
+        state = fresh_state(m)
+        state.I[0], state.S[0] = 10.0, 990.0
+        state.I[8:], state.S[8:] = 1.0, 999.0
+        state.onset_day[0] = 0
+        state.onset_day[8:] = 0
+        params = EpidemicParams(beta=0.5, gamma=0.3, hazard_variant=variant)
+        virgin = np.flatnonzero(state.onset_day < 0)
+        assert virgin.tolist() == list(range(1, 8))
+        h = hazard_vector(state, m, params)[virgin]
+        assert h[:2].tolist() == [0.0, 0.0] and 0.009 < h[2] and h[-1] > 0.9
+
+        rng = np.random.default_rng((n, HAZARD_VARIANTS.index(variant)))
+        hits = np.zeros(n)
+        for _ in range(R):
+            hits[introduce(state, m, params, rng)] += 1
+        assert not hits[state.onset_day >= 0].any()
+        assert np.all(np.abs(hits[virgin] - R * h) <= 5.0 * np.sqrt(R * h * (1.0 - h)))
+
     def test_no_virgin_location_draws_nothing(self):
         m = two_location_matrix()
         state = fresh_state(m)
@@ -331,6 +368,23 @@ class TestRunSimulation:
             tracemalloc.stop()
         assert 300 < len(series) < 400
         assert peak < 64 * 1024
+
+    def test_one_course_table_per_populations_holding_the_ages_read(self, small_city):
+        # a thinned matrix shares its parent's populations, so one table
+        # serves both arms; it reaches the last day of the longest run that
+        # reads it and at most one chunk past it, however far the horizon lies
+        sub = sample_transit_matrix(small_city, calibrate(GammaTripModel(k=3, theta=5, mu=0.35), small_city), 11)
+        params = EpidemicParams(beta=1.55, gamma=0.2, horizon=10**6)
+        runs = [run_simulation(m, params, "proportional", s) for s in range(4) for m in (small_city, sub)]
+        # the transit arm leaves one location out of reach, so only full-mobility runs read the table
+        reading = [len(run) for run in runs if run.frac_locations[-1] == 1.0]
+        assert len(reading) == 4 and max(reading) < max(len(run) for run in runs)
+        table = params.course(small_city.populations)
+        assert table is params.course(sub.populations)
+        assert max(reading) <= table.block.shape[0] < max(reading) + max(1, COURSE_CHUNK // small_city.n)
+        # another populations array gets a table of its own
+        other = matrix_from_flows(small_city.m, populations=small_city.populations)
+        assert params.course(other.populations) is not table
 
 
 class TestSubsamplingDominance:

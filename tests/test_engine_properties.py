@@ -53,13 +53,13 @@ def test_invariants_hold_every_day(matrix, beta, gamma, variant, seed_loc, rng_s
     state.seed(seed_loc % matrix.n)
     first_infected = np.where(state.I > 0.0, 0, -1)
     for day in range(1, DAYS + 1):
-        stepped = sir_step(state.copy(), params)
+        stepped = sir_step(CompartmentState(*state.SIR, N=state.N, day=state.day), params)
         assert np.all(stepped.S >= 0.0) and np.all(stepped.I >= 0.0)
         idle = state.I == 0.0
         for after, before in ((stepped.S, state.S), (stepped.I, state.I), (stepped.R, state.R)):
             assert after[idle].tobytes() == before[idle].tobytes()
 
-        new = state.copy()
+        new = CompartmentState(*state.SIR, N=state.N, day=state.day, onset_day=state.onset_day.copy())
         hits = advance_day(new, matrix, params, rng)
         assert new.day == day
         assert np.all(np.abs(new.S + new.I + new.R - new.N) <= 1e-9 * new.N)
@@ -229,7 +229,11 @@ def large_cities(draw):
     drawing up to 160,000 flows one by one is slow."""
     n = draw(st.integers(min_value=129, max_value=400))
     density = draw(st.floats(0.01, 1.0))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return large_city(n, density, draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+def large_city(n, density, seed):
+    rng = np.random.default_rng(seed)
     flows = rng.uniform(0.0, 500.0, (n, n)) * (rng.random((n, n)) < density)
     populations = rng.uniform(POPULATION_FLOOR, 5000.0, n)
     return matrix_from_flows(flows, populations=populations)
@@ -250,6 +254,43 @@ def test_run_matches_a_copying_reference_at_real_sizes(matrix, beta, gamma, vari
     assert_matches(series, copying_reference(matrix, params, "proportional", rng_seed))
 
 
+@settings(max_examples=10)
+@given(
+    matrix=large_cities(),
+    beta=st.floats(0.0, 20.0),
+    gamma=st.floats(0.01, 1.0),
+    variant=st.sampled_from(HAZARD_VARIANTS),
+    share=st.floats(0.0, 1.0),
+    horizon=st.integers(min_value=1, max_value=400),
+    runs=st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=2**32 - 1)), min_size=2, max_size=4
+    ),
+)
+# every run reads the table: on the matrix from day 11-13 to day 157-158,
+# on the sibling from day 53-56 to day 188-195
+@example(matrix=large_city(200, 0.05, 3), beta=0.5, gamma=0.2, variant="no_inner_s", share=0.02, horizon=400,
+         runs=[(False, 1), (True, 1), (True, 2), (False, 3)])
+# a horizon that cuts the sibling's runs inside a chunk of the table, but not the matrix's
+@example(matrix=large_city(200, 0.05, 3), beta=0.5, gamma=0.2, variant="no_inner_s", share=0.02, horizon=170,
+         runs=[(True, 1), (False, 2)])
+# a horizon one day after one sibling run has every location seeded, and before another has
+@example(matrix=large_city(200, 0.05, 3), beta=0.5, gamma=0.2, variant="no_inner_s", share=0.02, horizon=54,
+         runs=[(True, 2), (False, 1), (True, 1)])
+def test_a_run_does_not_depend_on_what_the_course_table_holds(matrix, beta, gamma, variant, share, horizon, runs):
+    # runs of one params on a matrix and on a sibling that shares its
+    # populations read one course table; each pass puts the runs on a new
+    # table in one order, so a long run fills it before a short one reads
+    # it in one pass and after in the other
+    sibling = matrix.with_entry_counts(matrix.m.take(matrix.entries[0]) * share)
+    for order in (runs, runs[::-1]):
+        params = EpidemicParams(beta=beta, gamma=gamma, horizon=horizon, hazard_variant=variant)
+        for on_sibling, rng_seed in order:
+            m = sibling if on_sibling else matrix
+            assert_matches(run_simulation(m, params, "proportional", rng_seed),
+                           copying_reference(m, params, "proportional", rng_seed))
+        assert params.course(matrix.populations) is params.course(sibling.populations)
+
+
 @given(
     n=st.integers(min_value=1, max_value=5000),
     spread=st.integers(min_value=0, max_value=60),
@@ -266,42 +307,38 @@ def test_block_row_sums_equal_one_dimensional_sums_bit_for_bit(n, spread, seed):
 
 
 def test_no_introduction_step_once_every_location_has_a_case(monkeypatch):
+    # from the day every location has a case on, no uniform is drawn and no
+    # hazard is computed: the generator's state after the run is its state
+    # after the last introduction draw, on the day before
     n = 30
     matrix = matrix_from_flows(np.full((n, n), 0.1), populations=np.full(n, 1000.0))
     params = EpidemicParams(beta=2.0, gamma=0.1, horizon=2000)
-    introduced, hazards, generators, steps = [], [], [], []
-    introduce, hazard_vector, step = engine.introduce, engine.hazard_vector, engine.sir_step
+    draws, hazards = [], []
+    introduce, hazard_vector = engine.introduce, engine.hazard_vector
 
     def counted_introduce(state, matrix, params, rng):
-        introduced.append(state.day)
-        generators.append(rng)
-        return introduce(state, matrix, params, rng)
+        hits = introduce(state, matrix, params, rng)
+        # the day drawn from, the generator, and its state once that day's uniforms are drawn
+        draws.append((state.day, rng, rng.bit_generator.state))
+        return hits
 
     def counted_hazard_vector(state, matrix, params, rows=None):
         hazards.append(state.day)
         return hazard_vector(state, matrix, params, rows)
 
-    def watched_step(state, params):
-        # the day stepped from, and the generator once that day's uniforms are drawn
-        steps.append((state.day, generators[0].bit_generator.state))
-        return step(state, params)
-
     monkeypatch.setattr(engine, "introduce", counted_introduce)
     monkeypatch.setattr(engine, "hazard_vector", counted_hazard_vector)
-    monkeypatch.setattr(engine, "sir_step", watched_step)
     series = engine.run_simulation(matrix, params, 0, 7)
 
     full = int(np.argmax(series.frac_locations == 1.0))
     assert series.frac_locations[full] == 1.0 and 1 < full <= 5
     assert len(series) > full + 100
+    days, generators, states = zip(*draws)
     assert len(set(generators)) == 1
-    # introductions and hazards act on the days before `full` only
-    assert introduced == list(range(full)) and max(hazards) < full
+    # introductions and hazards act on the days before `full` only, and each draws
+    assert list(days) == list(range(full)) and max(hazards) < full
+    assert all(a != b for a, b in zip(states, states[1:]))
     # the uniforms drawn on day full - 1 are the last ones
-    after = [state for day, state in steps if day >= full - 1]
-    assert len(after) == len(series) - full
-    assert all(state == after[0] for state in after)
-    assert steps[0][1] != after[0]
-    assert generators[0].bit_generator.state == after[0]
+    assert generators[0].bit_generator.state == states[-1]
     monkeypatch.undo()
     assert_matches(series, copying_reference(matrix, params, 0, 7))
