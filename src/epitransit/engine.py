@@ -13,35 +13,51 @@ Locations with cases evolve deterministically:
 
     S' = S - min(beta*S*I/N, S),  I' = I + min(beta*S*I/N, S) - gamma*I,  R' = R + gamma*I
 
-A day is draw, step, seed (``advance_day``): ``introduce`` draws which
-virgin locations the hazard hits, from the day-t state; ``sir_step``
-applies the deterministic update to every location at once; and
-``CompartmentState.seed`` writes one case into each hit. Where I = 0
-both flows are exactly zero, so virgin and burned-out locations come out
-of the step unchanged without being masked out. A location is virgin
-iff its ``onset_day`` is -1, and ``seed`` is the only writer of
-``onset_day``. This is the same as I = R = 0 on every state a run
-reaches: a seeded location keeps I = 1 until its next step, which gives
-it R = gamma > 0, R never falls, and an unseeded location's flows are
-exactly 0. A run keeps one state, with S, I and R as the rows of one
-(3, n) block, and advances it in place in six whole-array calls; a
-day's totals are recorded by one reduction over the block. S and I
-never go below zero, so the update needs no clamp: new infections are
-capped at S; recoveries gamma*I are at most I since gamma <= 1, and
+Only the hazard couples the locations, and ``sir_step`` is elementwise,
+so a location's S, I and R depend only on its N and on the days since its
+onset. A ``CourseTable`` holds them for every location of one populations
+array: a pre-onset row (S = N, I = R = 0), then the ages 0, 1, ... after
+seeding, filled by ``sir_step`` from a block in which every location is
+seeded on day 0. So a run steps no state. It keeps its onset days and,
+per location, one flat index into the table's I plane: the pre-onset row
+while the location is virgin, then one row (3n elements) further each
+day from its onset on. Every day of a run is one ``np.take`` of the n
+infecteds and one sum, which adds the same numbers in the same order as
+the I row sum of a stepped (3, n) block, so it is the same to the bit.
+
+A day while some location is virgin (``advance_day``) draws the hits
+from the day-t infecteds (``introduce``), moves every seeded location one
+row on, and records the hits as onsets on day t+1. The draw reads day-t
+values only, so this is an exact simultaneous update. The hazard
+(``hazard_vector``) is computed on the virgin rows only, where the
+printed formula needs neither its self term nor a guard:
+
+- x_j = 0 on a virgin row and m[j,j] is finite and >= 0, so the self term
+  m[j,j] * x_j is +0.0, and subtracting it changes no bit of the sum;
+- S_j = N_j on a virgin row, so beta * S_j and 1 + beta * S_j are the
+  table's ``beta_N`` and ``one_plus_beta_N``;
+- no clip and no overflow guard: the inner sum is >= 0, since m and x
+  are, so 1 - exp(-inner) lies in [0, 1]; beta * N is finite
+  (``check_scale``); and the rounded beta*N*(1 - exp(-inner)) is at most
+  beta*N, which is at most the rounded 1 + beta*N, so h lies in [0, 1].
+
+A location is virgin iff its onset day is -1. Once no location is
+virgin, nothing more is drawn, and the run reads the rest of its
+infecteds from the table in chunks of days (``_read_course``). A run
+records only total I day by day: its fraction of locations with a case
+comes from its onsets, its final size from one gather of the S plane on
+its last day, and its S and R totals are gathered from the table when
+first read. The table grows only as far as runs read it and is kept on
+the ``EpidemicParams`` for one populations array
+(``EpidemicParams.course``), so every run of a sweep with those params
+shares it: thinned matrices share their parent's populations.
+
+``sir_step`` needs no clamp: S and I never go below zero. New infections
+are capped at S; recoveries gamma*I are at most I since gamma <= 1, and
 I + new infections is at least I; and a seeded location starts at
 S = N - 1 >= 0, since populations are at least ``POPULATION_FLOOR``.
-
-Once no location is virgin the hazard cannot act, and nothing couples the
-locations any more: ``sir_step`` is elementwise, so a location's S, I and
-R depend only on its N and on the days since its onset. A ``CourseTable``
-holds them for every location at ages 0, 1, ... after seeding; it is
-stepped by ``sir_step`` from a block in which every location is seeded on
-day 0, so it holds the same numbers a run would reach. From the day every
-location has a case, a run reads the rest of its series from the table,
-in chunks of days, instead of stepping it. The table grows only as far
-as runs read it and is kept on the ``EpidemicParams`` for one populations
-array (``EpidemicParams.course``), so every run of a sweep with those
-params shares it: thinned matrices share their parent's populations.
+Where I = 0 both flows are exactly zero, so a burned-out location keeps
+its numbers.
 
 Compartments are real-valued; runs end when total infecteds drop below
 an extinction threshold, since real-valued I never reaches exactly 0.
@@ -54,7 +70,7 @@ from __future__ import annotations
 import logging
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -109,7 +125,7 @@ class EpidemicParams:
         array (by identity), and is freed with the instance."""
         table = self.__dict__.get("_course")
         if table is None or table.populations is not populations:
-            table = self.__dict__["_course"] = CourseTable(populations)
+            table = self.__dict__["_course"] = CourseTable(populations, self.beta)
         return table
 
 
@@ -124,82 +140,51 @@ def _row(i: int, name: str) -> property:
 
 
 class CompartmentState:
-    """Per-location S/I/R counts at one day, plus onset bookkeeping.
+    """Per-location S/I/R counts at one day: what ``sir_step`` advances.
 
     S, I and R are the rows of one (3, n) float array ``SIR``, which the
-    constructor fills with copies of its S, I and R, so a day's three
-    totals take one reduction. ``rows`` holds the views of those rows, and
-    ``S``, ``I`` and ``R`` return them; writing through them, or assigning
-    to them, changes the block. ``SI`` (rows S and I) and ``IR`` (rows I
-    and R) are views of the block as well, built once, which ``sir_step``
-    updates by one call each. ``flows`` is a (2, n) scratch array that
-    ``sir_step`` reuses for new infections and recoveries.
-    ``onset_day[j]`` is the first day location j had I > 0, or -1 while
-    it is virgin; ``seed`` alone writes it.
-
-    ``sir_step`` and ``seed`` keep S and I at zero or above
-    without a clamp, as long as they start there and N is at least
-    ``POPULATION_FLOOR`` (see the module docstring).
+    constructor fills with copies of its S, I and R. ``rows`` holds the
+    views of those rows, and ``S``, ``I`` and ``R`` return them; writing
+    through them, or assigning to them, changes the block. ``SI`` (rows S
+    and I) and ``IR`` (rows I and R) are views of the block as well, built
+    once, which ``sir_step`` updates by one call each. ``flows`` is a
+    (2, n) scratch array that ``sir_step`` reuses for new infections and
+    recoveries. ``N`` is the populations, as floats.
     """
 
     S = _row(0, "Susceptibles")
     I = _row(1, "Infecteds")
     R = _row(2, "Recovereds")
 
-    def __init__(self, S, I, R, N, day: int = 0, onset_day: np.ndarray | None = None):
+    def __init__(self, S, I, R, N):
         self.SIR = np.array((S, I, R), dtype=float)
         self.rows = tuple(self.SIR)
         self.SI = self.SIR[:2]
         self.IR = self.SIR[1:]
         self.flows = np.empty((2, self.SIR.shape[1]))
         self.N = N
-        self.day = day
-        self.onset_day = np.full(self.SIR.shape[1], -1, dtype=np.int64) if onset_day is None else onset_day
-
-    @classmethod
-    def fully_susceptible(cls, populations: np.ndarray) -> "CompartmentState":
-        n = populations.shape[0]
-        N = populations.astype(float)
-        return cls(S=N, I=np.zeros(n), R=np.zeros(n), N=N)
-
-    def seed(self, j) -> None:
-        """Place one infected case into location j, or into each location
-        of the index array j, with onset on the current day. Every j must
-        be virgin. The only writer of a new case: a run's first case and
-        every introduction go through it."""
-        self.I[j] = 1.0
-        self.S[j] = self.N[j] - 1.0
-        self.onset_day[j] = self.day
-
-
-def _hazard_kernel(beta, S, inner):
-    """Outbreak probability from transmission rate, susceptibles, and
-    the summed exposure term inside the exponential. Clamped to [0, 1]."""
-    with np.errstate(over="ignore"):
-        h = beta * S * (-np.expm1(-inner)) / (1.0 + beta * S)
-    return np.clip(h, 0.0, 1.0)
 
 
 def hazard_vector(
-    state: CompartmentState, matrix: ContactMatrix, params: EpidemicParams, rows: np.ndarray | None = None
+    x: np.ndarray, virgin: np.ndarray, matrix: ContactMatrix, params: EpidemicParams, course: "CourseTable"
 ) -> np.ndarray:
-    """Daily outbreak probability for every location, or for the
-    locations indexed by ``rows`` only, in that order.
+    """h(t, j) for the virgin locations ``virgin``, in that order, from the
+    day-t infected fractions ``x`` = I / N of every location; ``course``
+    is the table of ``params`` on the matrix's populations.
 
-    The exposure sum excludes each location's self-flow. Only meaningful
-    for virgin locations; callers mask accordingly. With ``rows``, only
-    those rows of the matrix are read.
+    Exact without the self term, S or a clip (see the module docstring).
+    While a quarter of the locations or fewer are virgin, only their rows
+    of the matrix are read. Such a row's sum can differ from the whole
+    product's in the last bit (BLAS groups rows), which moves an
+    introduction only if its uniform falls within that bit of the hazard.
     """
-    x = state.I / state.N
-    if rows is None:
-        inner = matrix.m @ x - np.diagonal(matrix.m) * x
-        S = state.S
+    if 4 * virgin.size <= x.shape[0]:
+        inner = matrix.m[virgin] @ x
     else:
-        inner = matrix.m[rows] @ x - matrix.m[rows, rows] * x[rows]
-        S = state.S[rows]
+        inner = (matrix.m @ x)[virgin]
     if params.hazard_variant == "as_printed":
-        inner = inner * S
-    return _hazard_kernel(params.beta, S, inner)
+        inner *= course.N[virgin]
+    return course.beta_N[virgin] * -np.expm1(-inner) / course.one_plus_beta_N[virgin]
 
 
 def sir_step(state: CompartmentState, params: EpidemicParams) -> CompartmentState:
@@ -228,107 +213,135 @@ def sir_step(state: CompartmentState, params: EpidemicParams) -> CompartmentStat
     np.minimum(new_inf, state.S, out=new_inf)
     state.IR += flows
     state.SI -= flows
-    state.day += 1
     return state
 
 
 def introduce(
-    state: CompartmentState,
+    x: np.ndarray,
+    virgin: np.ndarray,
     matrix: ContactMatrix,
     params: EpidemicParams,
+    course: "CourseTable",
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """The ascending indices of the virgin locations (``onset_day`` -1)
-    that gain a case on day t+1, each with probability h(t, j). Reads the
-    day-t ``state`` and changes nothing.
+    """The locations among ``virgin`` (ascending) that gain a case on day
+    t+1, each with probability h(t, j), from the day-t infected fractions
+    ``x``. Draws one uniform for every location and changes nothing else.
 
-    On every day on which some location is virgin, one uniform is drawn
-    for every location. A location with a case never becomes virgin
-    again, so the draws fill a prefix of the days and day t's uniforms
-    are the same in every run with the same seed: paired runs on
-    different matrices consume the same stream. On a day with no virgin
-    location neither the hazard nor a uniform is computed. While a
-    quarter of the locations or fewer are virgin, only their rows of the
-    matrix are read. Such a row's sum can differ from the whole
-    product's in the last bit (BLAS groups rows), which moves an
-    introduction only if its uniform falls within that bit of the hazard.
+    A run calls it on every day on which some location is virgin, and on
+    no other. A location with a case never becomes virgin again, so the
+    draws fill a prefix of the days and day t's uniforms are the same in
+    every run with the same seed: paired runs on different matrices
+    consume the same stream.
     """
-    virgin = np.flatnonzero(state.onset_day < 0)
-    if not virgin.size:
-        return virgin
-    n = state.S.shape[0]
-    if 4 * virgin.size <= n:
-        h = hazard_vector(state, matrix, params, virgin)
-    else:
-        h = hazard_vector(state, matrix, params)[virgin]
-    return virgin[rng.random(n)[virgin] < h]
+    h = hazard_vector(x, virgin, matrix, params, course)
+    return virgin[rng.random(x.shape[0])[virgin] < h]
+
+
+class _Run:
+    """Where one run stands on its course table on day ``day``.
+
+    ``onset_day[j]`` is the day location j got its case, or -1 while it is
+    virgin, and ``virgin`` lists the virgin locations. ``at[j]`` is the
+    flat index of location j's infecteds in the table on that day: on the
+    pre-onset row while it is virgin, then one row, ``step[j]`` = 3n
+    elements, further each day. ``seed`` alone writes the onsets.
+    """
+
+    __slots__ = ("day", "onset_day", "virgin", "at", "step")
+
+    def __init__(self, n: int):
+        self.day = 0
+        self.onset_day = np.full(n, -1, dtype=np.int64)
+        self.virgin = np.arange(n)
+        self.at = np.arange(n, 2 * n)  # I plane of the pre-onset row
+        self.step = np.zeros(n, dtype=self.at.dtype)
+
+    def seed(self, j) -> None:
+        """Give location j, or each virgin location of the index array j,
+        its case on the current day: its infecteds are read from age 0."""
+        n = self.onset_day.shape[0]
+        self.onset_day[j] = self.day
+        self.at[j] = 4 * n + j  # I plane of row 1, age 0
+        self.step[j] = 3 * n
+        self.virgin = (self.onset_day < 0).nonzero()[0]
 
 
 def advance_day(
-    state: CompartmentState,
+    run: _Run,
+    I: np.ndarray,
     matrix: ContactMatrix,
     params: EpidemicParams,
+    course: "CourseTable",
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One full day, in place: draw the hits from day t, step every
-    location to day t+1, then seed the hits with onset day t+1; returns
-    the hits, the locations whose onset is day t+1. The step leaves the
-    still-virgin hits as they were, and the draw reads day-t values only,
-    so this is an exact simultaneous update."""
-    hits = introduce(state, matrix, params, rng)
-    sir_step(state, params)
+    """One day while some location is virgin, in place: draw the hits
+    from the day-t infecteds ``I``, move every seeded location one row on
+    to day t+1, then seed the hits with onset day t+1; returns the hits."""
+    hits = introduce(I / course.N, run.virgin, matrix, params, course, rng)
+    run.at += run.step
+    run.day += 1
     if hits.size:
-        state.seed(hits)
+        run.seed(hits)
     return hits
 
 
-# A run reads its course table in chunks of days: the first of
-# COURSE_FIRST_CHUNK days, then doubling up to max(1, COURSE_CHUNK // n)
-# days, about COURSE_CHUNK elements per compartment.
+# Once every location has a case, a run reads its course table in chunks
+# of days: the first of COURSE_FIRST_CHUNK days, then doubling up to
+# max(1, COURSE_CHUNK // n) days, about COURSE_CHUNK infecteds.
 COURSE_FIRST_CHUNK = 4
 COURSE_CHUNK = 8192
 
 
 class CourseTable:
-    """S, I and R of every location at ages 0, 1, ... days after its onset,
-    for one populations array and one (beta, gamma).
+    """S, I and R of every location before its onset and at ages 0, 1, ...
+    days after it, for one populations array and one (beta, gamma).
 
-    ``block[a]`` is the (3, n) state, rows S, I and R, of a run in which
-    every location was seeded ``a`` days ago. ``ages`` fills it on demand
-    by ``sir_step`` on a state in which every location is seeded on day 0,
+    ``block[0]`` is the pre-onset (3, n) state, rows S = N, I = 0 and
+    R = 0, and ``block[1 + a]`` is the state of a run in which every
+    location was seeded ``a`` days ago. ``rows`` fills it on demand by
+    ``sir_step`` on a state in which every location is seeded on day 0,
     so it holds what stepping a run gives, bit for bit, and only as many
-    ages as runs have read: its memory follows the longest run, not the
+    rows as runs have read: its memory follows the longest run, not the
     horizon. The rows live in a store whose capacity doubles (up to the
     horizon) when a read needs more, so filling copies the table once at
     most. The store is an anonymous memory map of its own (``_unpaged``):
     the rows past the filled ones take no memory, and a freed store goes
-    back to the system at once.
+    back to the system at once. ``N``, ``beta_N`` = beta * N and
+    ``one_plus_beta_N`` = 1 + beta * N are the factors of the hazard on a
+    virgin location.
     """
 
-    def __init__(self, populations: np.ndarray):
+    def __init__(self, populations: np.ndarray, beta: float):
         self.populations = populations
-        self._state = CompartmentState.fully_susceptible(populations)
-        self._state.seed(np.arange(populations.shape[0]))
-        self._store = self._state.SIR[None].copy()
-        self._filled = 1
+        N = populations.astype(float)
+        n = N.shape[0]
+        self.N = N
+        self.beta_N = beta * N
+        self.one_plus_beta_N = 1.0 + self.beta_N
+        self._state = CompartmentState(N - 1.0, np.ones(n), np.zeros(n), N)
+        self._store = np.array(((N, np.zeros(n), np.zeros(n)), self._state.SIR))
+        self._flat = self._store.reshape(-1)
+        self._filled = 2
 
     @property
     def block(self) -> np.ndarray:
-        """The filled ages, a (ages, 3, n) view."""
+        """The filled rows, a (rows, 3, n) view."""
         return self._store[: self._filled]
 
-    def ages(self, count: int, params: EpidemicParams) -> np.ndarray:
-        """The table, flattened, once it holds at least ``count`` ages."""
+    def rows(self, count: int, params: EpidemicParams) -> np.ndarray:
+        """The store, flattened, once it holds at least ``count`` rows: the
+        pre-onset row and ages 0 to count - 2."""
         if self._filled < count:
             capacity = self._store.shape[0]
             if capacity < count:
-                store = _unpaged((min(max(count, 2 * capacity), params.horizon + 1), *self._store.shape[1:]))
+                store = _unpaged((min(max(count, 2 * capacity), params.horizon + 2), *self._store.shape[1:]))
                 store[: self._filled] = self.block
-                self._store = store
+                self._store, self._flat = store, store.reshape(-1)
             for row in self._store[self._filled : count]:
                 row[...] = sir_step(self._state, params).SIR
             self._filled = count
-        return self.block.reshape(-1)
+        return self._flat
 
 
 def _unpaged(shape: tuple) -> np.ndarray:
@@ -348,49 +361,58 @@ def _room(totals: np.ndarray, rows: int, horizon: int) -> np.ndarray:
     if rows <= totals.shape[0]:
         return totals
     grown = min(max(rows, 2 * totals.shape[0]), horizon + 1)
-    return np.concatenate((totals, np.empty((grown - totals.shape[0], 3))))
+    return np.concatenate((totals, np.empty(grown - totals.shape[0])))
 
 
-def _read_course(table: CourseTable, params: EpidemicParams, onset_day: np.ndarray, totals: np.ndarray, days: int):
-    """Record a run's days after ``days``, the day every location has a
+def _read_course(course: CourseTable, params: EpidemicParams, at: np.ndarray, total_I: np.ndarray, days: int):
+    """Record a run's total I after ``days``, the day every location has a
     case, from the course table, and end it where stepping would: at the
     horizon, or on the first day total I falls below the extinction
-    threshold. Returns (totals, last day).
+    threshold. ``at`` is each location's flat index into the table's I
+    plane on day ``days``. Returns (total_I, last day).
 
-    Day t of compartment c at location j is the table's age
-    t - onset_day[j]. A chunk of days starting on day t is one ``np.take``
-    from the flat table shifted by t - ``days`` ages into a contiguous
-    (days, 3, n) buffer, and one row sum over its last axis records those
-    days. Every offset is at least 0, since no onset comes after ``days``,
-    and below the table's size, since the seed location's onset is day 0
-    and the table is filled up to the chunk's last day first. Chunks
-    double from ``COURSE_FIRST_CHUNK`` days up to ``COURSE_CHUNK // n``,
-    so a run that ends soon after its last onset reads little past its end.
+    A chunk of days starting on day t is one ``np.take`` from the flat
+    table shifted by t - ``days`` rows into a contiguous (days, n) buffer,
+    and one row sum over its last axis records those days. Every index is
+    in range, since the seed location's onset is day 0 and the table is
+    filled up to the chunk's last day first. Chunks double from
+    ``COURSE_FIRST_CHUNK`` days up to ``COURSE_CHUNK // n``, so a run that
+    ends soon after its last onset reads little past its end.
     """
-    n = onset_day.shape[0]
-    age = 3 * n  # elements per age in the flat table
+    n = at.shape[0]
+    row = 3 * n  # elements per row of the flat table
     k = max(1, COURSE_CHUNK // n)
     full = days
-    base = (full - onset_day) * age + np.arange(age).reshape(3, n)
-    # offsets[a] = base + a * age, written as the chunks grow into them
-    offsets = np.empty((k, 3, n), dtype=base.dtype)
-    chunk = np.empty((k, 3, n))
+    # offsets[a] = at + a * row, written as the chunks grow into them
+    offsets = np.empty((k, n), dtype=at.dtype)
+    chunk = np.empty((k, n))
     size = 0
-    while days < params.horizon and not totals[days, 1] < params.extinction_threshold:
+    while days < params.horizon and not total_I[days] < params.extinction_threshold:
         if size < k:
             grown = min(k, max(COURSE_FIRST_CHUNK, 2 * size))
-            np.add(base, np.arange(size * age, grown * age, age)[:, None, None], out=offsets[size:grown])
+            np.add(at, np.arange(size * row, grown * row, row)[:, None], out=offsets[size:grown])
             size = grown
         t = days + 1
         last = min(size, params.horizon + 1 - t)
-        flat = table.ages(t + last, params)
-        totals = _room(totals, t + last, params.horizon)
+        flat = course.rows(t + last + 1, params)
+        total_I = _room(total_I, t + last, params.horizon)
         # offsets are in range, so "clip" reads the same as "raise" without its copy of out
-        np.take(flat[(t - full) * age :], offsets[:last], out=chunk[:last], mode="clip")
-        chunk[:last].sum(axis=-1, out=totals[t : t + last])
-        ended = np.flatnonzero(totals[t : t + last, 1] < params.extinction_threshold)
+        flat[(t - full) * row :].take(offsets[:last], out=chunk[:last], mode="clip")
+        chunk[:last].sum(axis=-1, out=total_I[t : t + last])
+        ended = (total_I[t : t + last] < params.extinction_threshold).nonzero()[0]
         days = t + int(ended[0]) if ended.size else t + last - 1
-    return totals, days
+    return total_I, days
+
+
+def _plane_totals(block: np.ndarray, onset_day: np.ndarray, length: int, plane: int) -> np.ndarray:
+    """The totals of compartment ``plane`` (0 S, 1 I, 2 R) over all
+    locations on each day of a run of ``length`` days with onsets
+    ``onset_day``, read from the course table rows ``block``: one gather
+    and one row sum, the same to the bit as the row sums of stepped
+    states. A virgin location reads the pre-onset row on every day."""
+    onset = np.where(onset_day < 0, length, onset_day)
+    rows = np.maximum(np.arange(1, length + 1)[:, None] - onset, 0)
+    return block[rows, plane, np.arange(onset.shape[0])].sum(axis=-1)
 
 
 def check_scale(params: EpidemicParams, matrix: ContactMatrix) -> None:
@@ -422,19 +444,33 @@ def seed_outbreak(matrix: ContactMatrix, rule, rng: np.random.Generator) -> int:
 
 @dataclass
 class PrevalenceSeries:
-    """Day-indexed aggregates of one simulation run."""
+    """Day-indexed aggregates of one simulation run.
+
+    ``total_S`` and ``total_R`` are gathered from ``course``, the course
+    table the run read, when first read, and kept; a series keeps its
+    table alive while it lives. A run's days in the table do not move
+    when the table grows, so they are what stepping would have given
+    whenever they are read.
+    """
 
     prevalence: np.ndarray
     frac_locations: np.ndarray
-    total_S: np.ndarray
     total_I: np.ndarray
-    total_R: np.ndarray
     onset_days: np.ndarray
     final_size: float
     seed_location: int
+    course: CourseTable = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.prevalence.shape[0]
+
+    @cached_property
+    def total_S(self) -> np.ndarray:
+        return _plane_totals(self.course.block, self.onset_days, len(self), 0)
+
+    @cached_property
+    def total_R(self) -> np.ndarray:
+        return _plane_totals(self.course.block, self.onset_days, len(self), 2)
 
 
 def run_simulation(
@@ -445,55 +481,55 @@ def run_simulation(
 ) -> PrevalenceSeries:
     """Run one epidemic realization and collect its prevalence series.
 
-    Starts all-susceptible, seeds one case, then iterates daily updates
-    until the horizon or until total infecteds fall below the extinction
-    threshold. Identical (matrix, params, seed_rule, rng_seed) inputs
-    reproduce the series bit for bit. Raises ValueError first if the
-    params do not fit the matrix (``check_scale``).
+    Seeds one case, then runs day by day until the horizon or until
+    total infecteds fall below the extinction threshold. Identical
+    (matrix, params, seed_rule, rng_seed) inputs reproduce the series bit
+    for bit. Raises ValueError first if the params do not fit the matrix
+    (``check_scale``).
 
-    A day is recorded by one reduction, ``SIR.sum(axis=1)``, into a
-    buffer that doubles when full, so memory follows the days simulated,
-    not the horizon. The onset count starts at 1, the seeded location,
-    and grows by the hits ``advance_day`` returns, since each hit was
-    virgin. While some location is virgin a day is ``advance_day``. Once
-    none is, nothing more is drawn and the fraction stays exactly 1.0:
-    the rest of the series is read from ``params.course`` for the
-    matrix's populations (``_read_course``), not stepped.
+    The run reads ``params.course`` for the matrix's populations and
+    steps no state (see the module docstring). A day's total I is one
+    gather from the table and one sum, into a buffer that doubles when
+    full, so memory follows the days simulated, not the horizon. While
+    some location is virgin a day is ``advance_day``. Once none is,
+    nothing more is drawn, and the rest of the series is read in chunks
+    (``_read_course``). The fraction of locations with a case is the
+    running count of onsets over n.
     """
     check_scale(params, matrix)
     rng = np.random.default_rng(rng_seed)
-    state = CompartmentState.fully_susceptible(matrix.populations)
     seed_loc = seed_outbreak(matrix, seed_rule, rng)
-    state.seed(seed_loc)
+    course = params.course(matrix.populations)
+    run = _Run(matrix.n)
+    run.seed(seed_loc)
 
-    n = matrix.n
     total_pop = float(matrix.populations.sum())
-    SIR = state.SIR
-    totals = np.empty((min(params.horizon + 1, 256), 3))
-    SIR.sum(axis=1, out=totals[0])
-    onsets = 1
-    frac_loc = [onsets / n]
+    I = course.rows(2, params).take(run.at)
+    total_I = np.empty(min(params.horizon + 1, 256))
+    total_I[0] = I.sum()
     days = 0
-    while onsets < n and days < params.horizon and not totals[days, 1] < params.extinction_threshold:
-        onsets += advance_day(state, matrix, params, rng).size
-        frac_loc.append(onsets / n)
+    while run.virgin.size and days < params.horizon and not total_I[days] < params.extinction_threshold:
+        advance_day(run, I, matrix, params, course, rng)
         days += 1
-        totals = _room(totals, days + 1, params.horizon)
-        SIR.sum(axis=1, out=totals[days])
-    if onsets == n:
-        totals, days = _read_course(params.course(matrix.populations), params, state.onset_day, totals, days)
+        total_I = _room(total_I, days + 1, params.horizon)
+        # at is in range, so "clip" reads the same as "raise" without its copy of out
+        course.rows(days + 2, params).take(run.at, out=I, mode="clip")
+        total_I[days] = I.sum()
+    if not run.virgin.size:
+        total_I, days = _read_course(course, params, run.at, total_I, days)
 
-    frac = np.ones(days + 1)
-    frac[: len(frac_loc)] = frac_loc
-    total_S, total_I, total_R = totals[: days + 1].T.copy()
-    final_size = float((total_pop - total_S[-1]) / total_pop)
+    onset_day = run.onset_day
+    frac = np.cumsum(np.bincount(onset_day[onset_day >= 0], minlength=days + 1)) / matrix.n
+    total_I = total_I[: days + 1]
+    # the S plane lies n elements before the I plane, and the last day
+    # days - run.day rows on from the day at points to
+    last_S = course.rows(days + 2, params).take(run.at + (3 * (days - run.day) - 1) * matrix.n).sum()
     return PrevalenceSeries(
         prevalence=total_I / total_pop,
         frac_locations=frac,
-        total_S=total_S,
         total_I=total_I,
-        total_R=total_R,
-        onset_days=state.onset_day,
-        final_size=final_size,
+        onset_days=onset_day,
+        final_size=float((total_pop - last_S) / total_pop),
         seed_location=seed_loc,
+        course=course,
     )

@@ -47,3 +47,11 @@ def two_location_matrix(flow_ab=5.0, flow_ba=5.0, n_a=100.0, n_b=100.0):
     """Matrix helper: index 0 = A, 1 = B, m[dest, origin]."""
     m = np.array([[0.0, flow_ba], [flow_ab, 0.0]])
     return matrix_from_flows(m, populations=np.array([n_a, n_b]))
+
+
+def day_states(series, params, matrix):
+    """(days, 3, n): S, I and R of every location on every day of a run,
+    read from its course table by the run's onsets."""
+    onset = np.where(series.onset_days < 0, len(series), series.onset_days)
+    rows = np.maximum(np.arange(len(series))[:, None] + 1 - onset, 0)
+    return params.course(matrix.populations).block[rows, :, np.arange(matrix.n)].transpose(0, 2, 1)

@@ -2,11 +2,12 @@
 
 ``tests/golden.json`` pins two things.
 
-- Series: a sha256 over every ``PrevalenceSeries`` field of the runs, with
-  fixed seeds, of each default disease x hazard variant x matrix (the base
-  matrix and two thinned copies) x city (a 60-location 5-km city, n = 200
-  and n = 1000), plus summary values of each series: length, final size,
-  peak day and peak magnitude.
+- Series: a sha256 over what a ``PrevalenceSeries`` reports
+  (``SERIES_FIELDS``: its data fields and the S and R totals it derives)
+  for the runs, with fixed seeds, of each default disease x hazard
+  variant x matrix (the base matrix and two thinned copies) x city (a
+  60-location 5-km city, n = 200 and n = 1000), plus summary values of
+  each series: length, final size, peak day and peak magnitude.
 - Exports: a sha256 of every file that ``sweep`` and ``export`` write for
   two small configs, run through ``cli.main`` under the relative output
   directory ``out``. One config has failed comparisons; the other uses the
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -106,13 +106,19 @@ def environment() -> dict:
     }
 
 
+# What a series reports, in the order the digests in golden.json hash it.
+SERIES_FIELDS = (
+    "prevalence", "frac_locations", "total_S", "total_I", "total_R", "onset_days", "final_size", "seed_location",
+)
+
+
 def series_digest(series: engine.PrevalenceSeries) -> str:
-    """sha256 over every field of the series: its name, and for an array
-    its dtype, shape and bytes, else its repr."""
+    """sha256 over every ``SERIES_FIELDS`` value of the series: its name,
+    and for an array its dtype, shape and bytes, else its repr."""
     h = hashlib.sha256()
-    for f in dataclasses.fields(series):
-        value = getattr(series, f.name)
-        h.update(f.name.encode())
+    for name in SERIES_FIELDS:
+        value = getattr(series, name)
+        h.update(name.encode())
         if isinstance(value, np.ndarray):
             h.update(f"{value.dtype.str}{value.shape}".encode())
             h.update(np.ascontiguousarray(value).tobytes())

@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from epitransit import engine
 from epitransit.engine import (
     COURSE_CHUNK,
     HAZARD_VARIANTS,
     CompartmentState,
     EpidemicParams,
-    _hazard_kernel,
     advance_day,
     check_scale,
     hazard_vector,
@@ -21,7 +21,7 @@ from epitransit.engine import (
 from epitransit.mobility import matrix_from_flows
 from epitransit.transit import GammaTripModel, calibrate, sample_transit_matrix
 
-from conftest import two_location_matrix
+from conftest import day_states, two_location_matrix
 
 
 class TestParams:
@@ -48,33 +48,35 @@ def test_overflowing_beta_rejected_before_the_run():
 
 
 def fresh_state(matrix):
-    return CompartmentState.fully_susceptible(matrix.populations)
+    N = matrix.populations.astype(float)
+    return CompartmentState(N, np.zeros(matrix.n), np.zeros(matrix.n), N)
+
+
+def hazard(matrix, params, infected, virgin):
+    """hazard_vector on the virgin locations ``virgin`` while location j has ``infected[j]`` cases."""
+    course = params.course(matrix.populations)
+    return hazard_vector(np.asarray(infected, dtype=float) / course.N, np.asarray(virgin), matrix, params, course)
 
 
 class TestHazard:
     def test_zero_when_no_infection_anywhere(self):
         m = two_location_matrix()
         params = EpidemicParams(beta=0.5, gamma=0.5)
-        assert hazard_vector(fresh_state(m), m, params)[0] == 0.0
+        assert hazard(m, params, [0.0, 0.0], [0, 1]).tolist() == [0.0, 0.0]
 
     def test_zero_when_beta_zero(self):
         m = two_location_matrix()
-        state = fresh_state(m)
-        state.seed(1)
         params = EpidemicParams(beta=0.0, gamma=0.5)
-        assert hazard_vector(state, m, params)[0] == 0.0
+        assert hazard(m, params, [0.0, 1.0], [0])[0] == 0.0
 
     def test_saturated_limit(self):
-        # direct evaluation: beta*S/(1+beta*S) with the exponential term at 1
-        m = two_location_matrix(flow_ba=1e9, n_a=1001.0, n_b=100.0)
-        state = fresh_state(m)
-        state.I[1] = 100.0
-        state.S[1] = 0.0
-        state.S[0] = 1000.0
+        # direct evaluation: beta*N/(1+beta*N) with the exponential term at 1
+        m = two_location_matrix(flow_ba=1e9, n_a=1000.0, n_b=100.0)
         params = EpidemicParams(beta=0.5, gamma=0.5)
-        assert hazard_vector(state, m, params)[0] == pytest.approx(500.0 / 501.0, abs=1e-4)
+        assert hazard(m, params, [0.0, 100.0], [0])[0] == pytest.approx(500.0 / 501.0, abs=1e-4)
 
     def test_matches_scalar_formula(self):
+        # the virgin location's own flow is nonzero, and its term drops out since x_j = 0
         rng = np.random.default_rng(8)
         for variant in ("as_printed", "no_inner_s"):
             for _ in range(50):
@@ -82,29 +84,35 @@ class TestHazard:
                 flows = rng.uniform(0, 20, (n, n))
                 pops = rng.uniform(50, 500, n)
                 m = matrix_from_flows(flows, populations=pops)
-                state = fresh_state(m)
-                state.I = rng.uniform(0, pops / 2, n)
-                state.S = pops - state.I
+                infected = rng.uniform(0, pops / 2, n)
                 j = int(rng.integers(n))
-                state.I[j] = 0.0
-                state.S[j] = pops[j]
+                infected[j] = 0.0
                 beta = rng.uniform(0.5, 15)
                 params = EpidemicParams(beta=beta, gamma=0.5, hazard_variant=variant)
-                x = state.I / pops
+                x = infected / pops
                 inner = sum(flows[j, k] * x[k] for k in range(n) if k != j)
                 if variant == "as_printed":
-                    inner *= state.S[j]
-                expected = beta * state.S[j] * (1 - math.exp(-inner)) / (1 + beta * state.S[j])
-                assert hazard_vector(state, m, params)[j] == pytest.approx(expected, rel=1e-12)
+                    inner *= pops[j]
+                expected = beta * pops[j] * (1 - math.exp(-inner)) / (1 + beta * pops[j])
+                assert hazard(m, params, infected, [j])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_bounds_under_fuzz(self):
+        # no clip: on virgin rows h lies in [0, 1] as computed, from flows
+        # that saturate the exponential to flows that leave it at 0
         rng = np.random.default_rng(9)
-        beta = rng.uniform(0.5, 15, 10_000)
-        S = rng.uniform(0, 1e5, 10_000)
-        inner = rng.uniform(0, 1e8, 10_000)
-        h = _hazard_kernel(beta, S, inner)
-        assert np.all((h >= 0.0) & (h <= 1.0))
-        assert np.all(_hazard_kernel(beta, S, 0.0) == 0.0)
+        for variant in HAZARD_VARIANTS:
+            for _ in range(200):
+                n = 6
+                flows = rng.uniform(0, 1e8, (n, n)) * (rng.random((n, n)) < 0.5)
+                pops = rng.uniform(1.0, 1e5, n)
+                m = matrix_from_flows(flows, populations=pops)
+                params = EpidemicParams(beta=rng.uniform(0.5, 15), gamma=0.5, hazard_variant=variant)
+                virgin = np.flatnonzero(rng.random(n) < 0.6)
+                infected = rng.uniform(0, pops)
+                infected[virgin] = 0.0
+                h = hazard(m, params, infected, virgin)
+                assert np.all((h >= 0.0) & (h <= 1.0))
+                assert np.all(hazard(m, params, np.zeros(n), virgin) == 0.0)
 
 
 class TestSirStep:
@@ -113,10 +121,10 @@ class TestSirStep:
         state = fresh_state(m)
         state.S[0], state.I[0] = 99.0, 1.0
         out = sir_step(state, EpidemicParams(beta=0.5, gamma=1 / 3))
+        assert out is state
         assert out.S[0] == pytest.approx(98.505, abs=1e-5)
         assert out.I[0] == pytest.approx(1.16167, abs=1e-5)
         assert out.R[0] == pytest.approx(0.33333, abs=1e-5)
-        assert out.day == 1
 
     def test_burned_out_location_inert(self):
         m = two_location_matrix()
@@ -148,91 +156,98 @@ class TestSirStep:
 
 class TestIntroduce:
     def test_no_hazard_no_change(self):
+        # no case anywhere: nothing is hit, and one uniform per location is drawn
         m = two_location_matrix()
-        state = fresh_state(m)
-        assert advance_day(state, m, EpidemicParams(beta=0.5, gamma=0.5), np.random.default_rng(0)).size == 0
-        assert np.all(state.I == 0.0)
-        assert state.day == 1
+        params = EpidemicParams(beta=0.5, gamma=0.5)
+        course = params.course(m.populations)
+        rng, clone = np.random.default_rng(0), np.random.default_rng(0)
+        assert introduce(np.zeros(2), np.arange(2), m, params, course, rng).size == 0
+        clone.random(2)
+        assert rng.bit_generator.state == clone.bit_generator.state
 
     def test_certain_introduction_adds_one_case(self):
         m = two_location_matrix(flow_ba=1e9, n_a=1000.0)
-        state = fresh_state(m)
-        state.I[1] = 100.0
-        state.S[1] = 0.0
-        state.onset_day[1] = 0
         # enormous beta drives h to 1
         params = EpidemicParams(beta=1e12, gamma=0.5)
-        assert introduce(state, m, params, np.random.default_rng(0)).tolist() == [0]
-        assert advance_day(state, m, params, np.random.default_rng(0)).tolist() == [0]
-        assert state.I[0] == 1.0
-        assert state.S[0] == m.populations[0] - 1.0
-        assert state.onset_day.tolist() == [1, 0]
+        course = params.course(m.populations)
+        run = engine._Run(2)
+        run.seed(1)
+        flat = course.rows(2, params)
+        I = np.take(flat, run.at)
+        assert I.tolist() == [0.0, 1.0]
+        assert introduce(I / course.N, run.virgin, m, params, course, np.random.default_rng(0)).tolist() == [0]
+        assert advance_day(run, I, m, params, course, np.random.default_rng(0)).tolist() == [0]
+        assert run.day == 1 and run.onset_day.tolist() == [1, 0] and run.virgin.size == 0
+        # location 0 reads age 0 (one case, S = N - 1), location 1 age 1
+        flat = course.rows(3, params)
+        assert flat[run.at[0]] == 1.0 and flat[run.at[0] - m.n] == m.populations[0] - 1.0
+        assert flat[run.at[1]] == course.block[2, 1, 1]
 
     def test_empirical_rate_matches_hazard(self):
-        # state engineered so h = 1/3 * (1 - e^-ln10) = 0.3 exactly
+        # infecteds engineered so h = 1/3 * (1 - e^-ln10) = 0.3 exactly
         n_a = 1.0
         flow = 2.0 * math.log(10.0)
         m = two_location_matrix(flow_ba=flow, n_a=n_a, n_b=100.0)
-        state = fresh_state(m)
-        state.I[1] = 50.0
-        state.S[1] = 50.0
-        state.onset_day[1] = 0
         params = EpidemicParams(beta=0.5, gamma=0.5)
-        h = hazard_vector(state, m, params)[0]
+        course = params.course(m.populations)
+        x, virgin = np.array([0.0, 0.5]), np.array([0])
+        h = hazard_vector(x, virgin, m, params, course)[0]
         assert h == pytest.approx(0.3, rel=1e-12)
         rng = np.random.default_rng(123)
-        hits = sum(introduce(state, m, params, rng).tolist() == [0] for _ in range(10_000))
+        hits = sum(introduce(x, virgin, m, params, course, rng).tolist() == [0] for _ in range(10_000))
         assert hits / 10_000 == pytest.approx(0.3, abs=0.015)
 
     @pytest.mark.parametrize("variant", HAZARD_VARIANTS)
     @pytest.mark.parametrize("n", [8, 28])
     def test_one_day_introduction_frequency_matches_the_hazard_per_location(self, variant, n):
         # Oracle for introduce: over R = 10,000 independent days drawn from
-        # one state, each virgin location's hit count lies within 5 binomial
-        # standard deviations of R * h(t, j) from hazard_vector (two-sided
-        # p about 6e-7 per location), and a location with h = 0 is never hit.
-        # Location 0 is infected, 1-7 are virgin with hazards from 0 to 0.94,
-        # and 8 onwards already have a case: with n = 8 the hazard reads the
-        # whole product, with n = 28 only the virgin rows.
+        # one day's infecteds, each virgin location's hit count lies within 5
+        # binomial standard deviations of R * h(t, j) from hazard_vector
+        # (two-sided p about 6e-7 per location), and a location with h = 0
+        # is never hit. Location 0 is infected, 1-7 are virgin with hazards
+        # from 0 to 0.94, and 8 onwards already have a case: with n = 8 the
+        # hazard reads the whole product, with n = 28 only the virgin rows.
         R = 10_000
         populations = np.full(n, 1000.0)
         populations[3:8] = 50.0
         flows = np.zeros((n, n))
-        # exposure m * x * S is the same in both variants: S = 50 at 3-7
+        # exposure m * x * S is the same in both variants: S = N = 50 at 3-7
         flows[3:8, 0] = np.array([0.02, 0.2, 1.0, 3.0, 8.0]) * (1.0 if variant == "as_printed" else 50.0)
         m = matrix_from_flows(flows, populations=populations)
-        state = fresh_state(m)
-        state.I[0], state.S[0] = 10.0, 990.0
-        state.I[8:], state.S[8:] = 1.0, 999.0
-        state.onset_day[0] = 0
-        state.onset_day[8:] = 0
         params = EpidemicParams(beta=0.5, gamma=0.3, hazard_variant=variant)
-        virgin = np.flatnonzero(state.onset_day < 0)
-        assert virgin.tolist() == list(range(1, 8))
-        h = hazard_vector(state, m, params)[virgin]
+        course = params.course(m.populations)
+        infected = np.zeros(n)
+        infected[0] = 10.0
+        infected[8:] = 1.0
+        x = infected / course.N
+        virgin = np.arange(1, 8)
+        h = hazard_vector(x, virgin, m, params, course)
         assert h[:2].tolist() == [0.0, 0.0] and 0.009 < h[2] and h[-1] > 0.9
 
         rng = np.random.default_rng((n, HAZARD_VARIANTS.index(variant)))
         hits = np.zeros(n)
         for _ in range(R):
-            hits[introduce(state, m, params, rng)] += 1
-        assert not hits[state.onset_day >= 0].any()
+            hits[introduce(x, virgin, m, params, course, rng)] += 1
+        assert not np.delete(hits, virgin).any()
         assert np.all(np.abs(hits[virgin] - R * h) <= 5.0 * np.sqrt(R * h * (1.0 - h)))
 
-    def test_no_virgin_location_draws_nothing(self):
-        m = two_location_matrix()
-        state = fresh_state(m)
-        state.seed(0)
-        state.S[1], state.R[1] = 99.0, 1.0
-        state.onset_day[1] = 0
-        params = EpidemicParams(beta=0.5, gamma=0.5)
-        rng = np.random.default_rng(9)
-        before = rng.bit_generator.state
-        assert introduce(state, m, params, rng).size == 0
-        assert state.day == 0 and state.I[0] == 1.0 and state.I[1] == 0.0
-        assert advance_day(state, m, params, rng).size == 0
-        assert rng.bit_generator.state == before
-        assert state.day == 1 and state.I[1] == 0.0
+    def test_no_virgin_location_draws_nothing(self, monkeypatch):
+        # location 0 gets its case on day 1; from then on no location is
+        # virgin, and the run draws no further uniform
+        m = two_location_matrix(flow_ba=1e9, n_a=1000.0)
+        params = EpidemicParams(beta=1e12, gamma=0.5, horizon=50)
+        calls = []
+
+        def counted_introduce(x, virgin, matrix, params, course, rng):
+            hits = introduce(x, virgin, matrix, params, course, rng)
+            calls.append((rng, rng.bit_generator.state))
+            return hits
+
+        monkeypatch.setattr(engine, "introduce", counted_introduce)
+        series = run_simulation(m, params, 1, 0)
+        assert series.onset_days.tolist() == [1, 0] and len(series) > 10
+        [(rng, state)] = calls
+        assert rng.bit_generator.state == state
 
 
 class TestSeedOutbreak:
@@ -335,20 +350,18 @@ class TestRunSimulation:
         assert np.array_equal(series.prevalence, oracle_prev)
 
     def test_conservation_and_monotonicity(self, small_city):
+        # each location's state on each day of a run is a row of the
+        # course table, chosen by its onset: per location S+I+R = N, S and
+        # I stay >= 0, S never rises and R never falls, and the day's
+        # infecteds add up to the run's total I
         params = EpidemicParams(beta=1.55, gamma=0.2, horizon=120)
-        rng = np.random.default_rng(5)
-        state = CompartmentState.fully_susceptible(small_city.populations)
-        state.seed(int(np.argmax(small_city.populations)))
-        prev_R = state.R.copy()
-        prev_S = state.S.copy()
-        for _ in range(120):
-            advance_day(state, small_city, params, rng)
-            total = state.S + state.I + state.R
-            assert np.all(np.abs(total - state.N) <= 1e-9 * state.N)
-            assert np.all(state.R >= prev_R - 1e-12)
-            assert np.all(state.S <= prev_S + 1e-12)
-            assert np.all(state.S >= 0) and np.all(state.I >= 0)
-            prev_R, prev_S = state.R.copy(), state.S.copy()
+        series = run_simulation(small_city, params, "most_populous", 5)
+        S, I, R = day_states(series, params, small_city).transpose(1, 0, 2)
+        N = small_city.populations
+        assert np.all(np.abs(S + I + R - N) <= 1e-9 * N)
+        assert np.all(np.diff(R, axis=0) >= -1e-12) and np.all(np.diff(S, axis=0) <= 1e-12)
+        assert np.all(S >= 0) and np.all(I >= 0)
+        np.testing.assert_allclose(I.sum(axis=1), series.total_I, rtol=1e-12)
 
     def test_onset_fraction_nondecreasing(self, small_city):
         params = EpidemicParams(beta=1.55, gamma=0.2, horizon=150)
@@ -381,7 +394,9 @@ class TestRunSimulation:
         assert len(reading) == 4 and max(reading) < max(len(run) for run in runs)
         table = params.course(small_city.populations)
         assert table is params.course(sub.populations)
-        assert max(reading) <= table.block.shape[0] < max(reading) + max(1, COURSE_CHUNK // small_city.n)
+        # its rows: the pre-onset row, then the ages read
+        ages = table.block.shape[0] - 1
+        assert max(reading) <= ages < max(reading) + max(1, COURSE_CHUNK // small_city.n)
         # another populations array gets a table of its own
         other = matrix_from_flows(small_city.m, populations=small_city.populations)
         assert params.course(other.populations) is not table

@@ -1,5 +1,6 @@
-"""Property tests: day-by-day engine invariants on random small cities, and
-the in-place engine against a reference that copies the state every day."""
+"""Property tests: day-by-day engine invariants on random small cities, the
+hazard on virgin rows, and runs against a reference that copies its state
+every day and computes the printed hazard of every location."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -11,13 +12,14 @@ from epitransit.engine import (
     HAZARD_VARIANTS,
     CompartmentState,
     EpidemicParams,
-    advance_day,
     hazard_vector,
     run_simulation,
     seed_outbreak,
     sir_step,
 )
 from epitransit.mobility import POPULATION_FLOOR, matrix_from_flows
+
+from conftest import day_states
 
 DAYS = 40
 
@@ -47,31 +49,31 @@ def cities(draw):
 @example(matrix=FLOOR_CITY, beta=5.0, gamma=0.2, variant="as_printed", seed_loc=0, rng_seed=0)
 @example(matrix=FLOOR_CITY, beta=1e6, gamma=1.0, variant="no_inner_s", seed_loc=2, rng_seed=1)
 def test_invariants_hold_every_day(matrix, beta, gamma, variant, seed_loc, rng_seed):
-    params = EpidemicParams(beta=beta, gamma=gamma, hazard_variant=variant)
-    rng = np.random.default_rng(rng_seed)
-    state = CompartmentState.fully_susceptible(matrix.populations)
-    state.seed(seed_loc % matrix.n)
-    first_infected = np.where(state.I > 0.0, 0, -1)
-    for day in range(1, DAYS + 1):
-        stepped = sir_step(CompartmentState(*state.SIR, N=state.N, day=state.day), params)
+    params = EpidemicParams(beta=beta, gamma=gamma, horizon=DAYS, hazard_variant=variant)
+    series = run_simulation(matrix, params, seed_loc % matrix.n, rng_seed)
+    states = day_states(series, params, matrix)
+    N = matrix.populations.astype(float)
+    onset = series.onset_days
+    assert onset[seed_loc % matrix.n] == 0
+    for day in range(1, len(series)):
+        before, after = states[day - 1], states[day]
+        stepped = sir_step(CompartmentState(*before, N=N), params)
         assert np.all(stepped.S >= 0.0) and np.all(stepped.I >= 0.0)
-        idle = state.I == 0.0
-        for after, before in ((stepped.S, state.S), (stepped.I, state.I), (stepped.R, state.R)):
-            assert after[idle].tobytes() == before[idle].tobytes()
+        idle = before[1] == 0.0
+        assert stepped.SIR[:, idle].tobytes() == before[:, idle].tobytes()
+        # a location with a case moves on as stepping moves it, and a hit starts at one case
+        seen = (onset >= 0) & (onset < day)
+        assert stepped.SIR[:, seen].tobytes() == after[:, seen].tobytes()
+        hits = onset == day
+        assert np.all(before[1:, hits] == 0.0)
+        assert np.all(after[1, hits] == 1.0) and np.all(after[0, hits] == N[hits] - 1.0) and np.all(after[2, hits] == 0.0)
 
-        new = CompartmentState(*state.SIR, N=state.N, day=state.day, onset_day=state.onset_day.copy())
-        hits = advance_day(new, matrix, params, rng)
-        assert new.day == day
-        assert np.all(np.abs(new.S + new.I + new.R - new.N) <= 1e-9 * new.N)
-        assert np.all(new.S >= 0.0) and np.all(new.I >= 0.0)
-        assert np.all(new.S <= state.S)
-        assert np.all(new.R >= state.R)
-        first_infected[(first_infected < 0) & (new.I > 0.0)] = day
-        assert np.array_equal(new.onset_day, first_infected)
-        # virgin by onset day is virgin by compartments, and the hits are the day's onsets
-        assert np.array_equal(new.onset_day < 0, (new.I == 0.0) & (new.R == 0.0))
-        assert np.array_equal(hits, np.flatnonzero(new.onset_day == day))
-        state = new
+        assert np.all(np.abs(after.sum(axis=0) - N) <= 1e-9 * N)
+        assert np.all(after[0] >= 0.0) and np.all(after[1] >= 0.0)
+        assert np.all(after[0] <= before[0]) and np.all(after[2] >= before[2])
+        # virgin by onset day is virgin by compartments
+        virgin = (onset < 0) | (onset > day)
+        assert np.array_equal(virgin, (after[1] == 0.0) & (after[2] == 0.0))
 
 
 @st.composite
@@ -85,6 +87,18 @@ def sparse_cities(draw):
     return matrix_from_flows(flows * links, populations=populations)
 
 
+def printed_hazard(matrix, params, S, I):
+    """h(t, j) of every location as printed: the whole product minus each
+    location's self term, S in the exponent for "as_printed", clipped."""
+    x = I / matrix.populations.astype(float)
+    inner = matrix.m @ x - np.diagonal(matrix.m) * x
+    if params.hazard_variant == "as_printed":
+        inner = inner * S
+    with np.errstate(over="ignore"):
+        h = params.beta * S * (-np.expm1(-inner)) / (1.0 + params.beta * S)
+    return np.clip(h, 0.0, 1.0)
+
+
 @given(
     matrix=sparse_cities(),
     beta=st.floats(0.0, 20.0),
@@ -92,19 +106,42 @@ def sparse_cities(draw):
     data=st.data(),
 )
 def test_hazard_on_virgin_rows_matches_the_whole_vector(matrix, beta, variant, data):
+    # the virgin rows hold a quarter of the locations or fewer (only their
+    # rows of the matrix are read) or more (the whole product is)
     n = matrix.n
     infected = data.draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 0.5, 1.0, 7.0, 250.0])))
-    state = CompartmentState.fully_susceptible(matrix.populations)
-    state.I = np.minimum(infected, state.N)
-    state.S = state.N - state.I
-    virgin = np.flatnonzero(state.I == 0.0)
+    N = matrix.populations.astype(float)
+    I = np.minimum(infected, N)
+    virgin = np.flatnonzero(I == 0.0)
     picked = data.draw(st.sets(st.sampled_from(virgin)) if virgin.size else st.just(set()))
     rows = np.array(sorted(picked), dtype=np.intp)
     params = EpidemicParams(beta=beta, gamma=0.5, hazard_variant=variant)
     # a row's sum may group its terms differently from the whole product's,
     # so the two agree to round-off, not bit for bit
-    whole = hazard_vector(state, matrix, params)[rows]
-    np.testing.assert_allclose(hazard_vector(state, matrix, params, rows), whole, rtol=1e-12, atol=0.0)
+    whole = printed_hazard(matrix, params, N - I, I)[rows]
+    got = hazard_vector(I / N, rows, matrix, params, params.course(matrix.populations))
+    np.testing.assert_allclose(got, whole, rtol=1e-12, atol=0.0)
+
+
+@given(
+    flows=hnp.arrays(float, (6, 6), elements=st.floats(0.0, 1e150)),
+    populations=hnp.arrays(float, 6, elements=st.floats(POPULATION_FLOOR, 1e8)),
+    beta=st.floats(0.0, 1e300),
+    variant=st.sampled_from(HAZARD_VARIANTS),
+    share=hnp.arrays(float, 6, elements=st.floats(0.0, 1.0)),
+    virgin=st.sets(st.integers(min_value=0, max_value=5), min_size=1),
+)
+def test_hazard_on_virgin_rows_lies_in_the_unit_interval(flows, populations, beta, variant, share, virgin):
+    # no clip: h lies in [0, 1] as computed, from exposures that leave the
+    # exponential at 0 to ones that saturate it, and beta * N up to 1e308
+    matrix = matrix_from_flows(flows, populations=populations)
+    params = EpidemicParams(beta=beta, gamma=0.5, hazard_variant=variant)
+    engine.check_scale(params, matrix)
+    rows = np.array(sorted(virgin))
+    x = share.copy()
+    x[rows] = 0.0
+    h = hazard_vector(x, rows, matrix, params, params.course(matrix.populations))
+    assert np.all((h >= 0.0) & (h <= 1.0))
 
 
 LEVELS = st.sampled_from([0.0, 0.5, 1.0, 7.0, 250.0])
@@ -121,70 +158,70 @@ TWO_VIRGIN = np.array([250.0, 0.0, 7.0, 0.0] + [0.0] * 8)
     variant=st.sampled_from(HAZARD_VARIANTS),
     infected=hnp.arrays(float, 12, elements=LEVELS),
     recovered=hnp.arrays(float, 12, elements=LEVELS),
-    day=st.integers(min_value=0, max_value=500),
+    first_virgin=st.integers(min_value=0, max_value=11),
     rng_seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-@example(matrix=CROWDED_CITY, beta=1e6, variant="as_printed", infected=ONE_VIRGIN, recovered=np.zeros(12), day=9,
-         rng_seed=0)
-@example(matrix=CROWDED_CITY, beta=1e6, variant="no_inner_s", infected=TWO_VIRGIN,
-         recovered=np.zeros(12), day=0, rng_seed=0)
+@example(matrix=CROWDED_CITY, beta=1e6, variant="as_printed", infected=ONE_VIRGIN, recovered=np.zeros(12),
+         first_virgin=3, rng_seed=0)
+@example(matrix=CROWDED_CITY, beta=1e6, variant="no_inner_s", infected=TWO_VIRGIN, recovered=np.zeros(12),
+         first_virgin=3, rng_seed=0)
 def test_introduce_reads_the_state_and_draws_one_uniform_per_location(
-    matrix, beta, variant, infected, recovered, day, rng_seed
+    matrix, beta, variant, infected, recovered, first_virgin, rng_seed
 ):
-    # a mix of virgin, infected and burned-out (I = 0 < R) locations
+    # a mix of virgin, infected and burned-out (I = 0 < R) locations, of
+    # which a run asks about the virgin ones; it asks only while there is
+    # one, here location first_virgin
     n = matrix.n
-    state = CompartmentState.fully_susceptible(matrix.populations)
-    state.I = np.minimum(infected[:n], state.N)
-    state.R = np.minimum(recovered[:n], state.N - state.I)
-    state.S = state.N - state.I - state.R
-    state.day = day
-    seen = (state.I > 0.0) | (state.R > 0.0)
-    virgin = np.flatnonzero(~seen)
-    state.onset_day[seen] = day
-    before = (state.SIR.tobytes(), state.onset_day.tobytes(), state.day)
+    N = matrix.populations.astype(float)
+    I = np.minimum(infected[:n], N)
+    R = recovered[:n].copy()
+    I[first_virgin % n] = R[first_virgin % n] = 0.0
+    virgin = np.flatnonzero((I == 0.0) & (R == 0.0))
+    x = I / N
+    before = (x.tobytes(), virgin.tobytes())
     rng = np.random.default_rng(rng_seed)
     clone = np.random.default_rng(rng_seed)
+    params = EpidemicParams(beta=beta, gamma=0.5, hazard_variant=variant)
 
-    hits = engine.introduce(state, matrix, EpidemicParams(beta=beta, gamma=0.5, hazard_variant=variant), rng)
+    hits = engine.introduce(x, virgin, matrix, params, params.course(matrix.populations), rng)
 
-    assert (state.SIR.tobytes(), state.onset_day.tobytes(), state.day) == before
+    assert (x.tobytes(), virgin.tobytes()) == before
     assert np.all(np.diff(hits) > 0) and np.isin(hits, virgin).all()
-    if virgin.size:
-        clone.random(n)
+    clone.random(n)
     assert rng.bit_generator.state == clone.bit_generator.state
 
 
 def copying_reference(matrix, params, seed_rule, rng_seed):
-    """One run that builds a new state every day and draws n uniforms every
-    day, virgin locations or not; returns what run_simulation reports."""
+    """One run that builds new S, I and R arrays every day, computes the
+    printed hazard of every location and draws n uniforms every day,
+    virgin locations or not; returns what run_simulation reports."""
     rng = np.random.default_rng(rng_seed)
-    state = CompartmentState.fully_susceptible(matrix.populations)
+    n = matrix.n
+    N = matrix.populations.astype(float)
+    S, I, R = N.copy(), np.zeros(n), np.zeros(n)
+    onset = np.full(n, -1, dtype=np.int64)
     seed_loc = seed_outbreak(matrix, seed_rule, rng)
-    state.seed(seed_loc)
-    rows = [(state.S.sum(), state.I.sum(), state.R.sum(), np.count_nonzero(state.onset_day >= 0) / matrix.n)]
-    for _ in range(params.horizon):
+    I[seed_loc], S[seed_loc], onset[seed_loc] = 1.0, N[seed_loc] - 1.0, 0
+    rows = [(S.sum(), I.sum(), R.sum(), np.count_nonzero(onset >= 0) / n)]
+    for day in range(1, params.horizon + 1):
         if rows[-1][1] < params.extinction_threshold:
             break
-        h = hazard_vector(state, matrix, params)
-        u = rng.random(matrix.n)
-        S, I, N = state.S, state.I, state.N
+        h = printed_hazard(matrix, params, S, I)
+        u = rng.random(n)
         new_inf = np.minimum(params.beta * S * I / N, S)
         recov = params.gamma * I
-        new = CompartmentState(
-            S=S - new_inf, I=I + new_inf - recov, R=state.R + recov, N=N,
-            day=state.day + 1, onset_day=state.onset_day.copy(),
-        )
-        for arr in (new.S, new.I):
+        new_S, new_I, new_R = S - new_inf, I + new_inf - recov, R + recov
+        for arr in (new_S, new_I):
             neg = arr < 0.0
-            new.R[neg] += arr[neg]
+            new_R[neg] += arr[neg]
             arr[neg] = 0.0
         # virgin by compartments, not by onset day as the engine reads it
-        hits = (I == 0.0) & (state.R == 0.0) & (u < h)
-        new.I[hits] = 1.0
-        new.S[hits] = N[hits] - 1.0
-        new.onset_day[hits] = new.day
-        state = new
-        rows.append((state.S.sum(), state.I.sum(), state.R.sum(), np.count_nonzero(state.onset_day >= 0) / matrix.n))
+        hits = (I == 0.0) & (R == 0.0) & (u < h)
+        new_I[hits] = 1.0
+        new_S[hits] = N[hits] - 1.0
+        onset[hits] = day
+        S, I, R = new_S, new_I, new_R
+        rows.append((S.sum(), I.sum(), R.sum(), np.count_nonzero(onset >= 0) / n))
     total_S, total_I, total_R, frac = (np.array(col) for col in zip(*rows))
     total_pop = float(matrix.populations.sum())
     return {
@@ -193,7 +230,7 @@ def copying_reference(matrix, params, seed_rule, rng_seed):
         "total_S": total_S,
         "total_I": total_I,
         "total_R": total_R,
-        "onset_days": state.onset_day,
+        "onset_days": onset,
         "final_size": float((total_pop - total_S[-1]) / total_pop),
         "seed_location": seed_loc,
     }
@@ -291,40 +328,71 @@ def test_a_run_does_not_depend_on_what_the_course_table_holds(matrix, beta, gamm
         assert params.course(matrix.populations) is params.course(sibling.populations)
 
 
+@settings(max_examples=20)
 @given(
+    beta=st.floats(1.0, 4.0),
+    gamma=st.floats(0.1, 0.5),
+    variant=st.sampled_from(HAZARD_VARIANTS),
+    populations=hnp.arrays(float, 5, elements=st.floats(2000.0, 5000.0)),
+    seeds=st.tuples(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=4)),
+)
+def test_totals_read_after_the_table_grows_are_the_stepped_ones(beta, gamma, variant, populations, seeds):
+    # a short run, then a longer one on the same params, which reallocates
+    # the course table's store; only then are the first run's S and R
+    # totals gathered. The short run has one case at a location of one
+    # person, cut off from the others, and dies out while I = (1 - gamma)^t
+    # is at least 1e-3; the long one spreads over five locations of
+    # thousands, and falls from a peak above that.
+    rng_seed, seed_loc = seeds
+    matrix = matrix_from_flows(np.full((6, 6), 50.0), populations=np.concatenate(([POPULATION_FLOOR], populations)))
+    isolated = matrix.with_entry_counts(np.zeros(matrix.entries[0].size))
+    params = EpidemicParams(beta=beta, gamma=gamma, horizon=400, hazard_variant=variant)
+    table = params.course(matrix.populations)
+    short = run_simulation(isolated, params, 0, rng_seed)
+    store = table._store
+    long = run_simulation(matrix, params, 1 + seed_loc, rng_seed)
+    assert table._store is not store and len(long) > len(short)
+    assert_matches(short, copying_reference(isolated, params, 0, rng_seed))
+    assert_matches(long, copying_reference(matrix, params, 1 + seed_loc, rng_seed))
+
+
+@given(
+    days=st.integers(min_value=1, max_value=8),
     n=st.integers(min_value=1, max_value=5000),
     spread=st.integers(min_value=0, max_value=60),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_block_row_sums_equal_one_dimensional_sums_bit_for_bit(n, spread, seed):
-    # run_simulation records a day as SIR.sum(axis=1, out=row); the series
-    # must read as if each compartment had been summed on its own
+def test_block_row_sums_equal_one_dimensional_sums_bit_for_bit(days, n, spread, seed):
+    # a run records a chunk of days, or gathers its S and R totals, as the
+    # row sums of a (days, n) block; the series must read as if each day's
+    # compartment had been summed on its own, as a stepped state's row is
     rng = np.random.default_rng(seed)
-    block = rng.standard_normal((3, n)) * 2.0 ** rng.integers(-spread, spread + 1, (3, n))
-    record = np.empty((2, 3))
-    block.sum(axis=1, out=record[1])
-    assert record[1].tobytes() == np.array([row.sum() for row in block]).tobytes()
+    block = rng.standard_normal((days, n)) * 2.0 ** rng.integers(-spread, spread + 1, (days, n))
+    record = np.empty(days + 1)
+    block.sum(axis=-1, out=record[1:])
+    assert record[1:].tobytes() == np.array([row.sum() for row in block]).tobytes()
 
 
 def test_no_introduction_step_once_every_location_has_a_case(monkeypatch):
     # from the day every location has a case on, no uniform is drawn and no
-    # hazard is computed: the generator's state after the run is its state
-    # after the last introduction draw, on the day before
+    # hazard is computed: each day before it draws once, and the
+    # generator's state after the run is its state after the last
+    # introduction draw, on the day before
     n = 30
     matrix = matrix_from_flows(np.full((n, n), 0.1), populations=np.full(n, 1000.0))
     params = EpidemicParams(beta=2.0, gamma=0.1, horizon=2000)
     draws, hazards = [], []
     introduce, hazard_vector = engine.introduce, engine.hazard_vector
 
-    def counted_introduce(state, matrix, params, rng):
-        hits = introduce(state, matrix, params, rng)
-        # the day drawn from, the generator, and its state once that day's uniforms are drawn
-        draws.append((state.day, rng, rng.bit_generator.state))
+    def counted_introduce(x, virgin, matrix, params, course, rng):
+        hits = introduce(x, virgin, matrix, params, course, rng)
+        # the virgin count, the generator, and its state once that day's uniforms are drawn
+        draws.append((virgin.size, rng, rng.bit_generator.state))
         return hits
 
-    def counted_hazard_vector(state, matrix, params, rows=None):
-        hazards.append(state.day)
-        return hazard_vector(state, matrix, params, rows)
+    def counted_hazard_vector(x, virgin, matrix, params, course):
+        hazards.append(virgin.size)
+        return hazard_vector(x, virgin, matrix, params, course)
 
     monkeypatch.setattr(engine, "introduce", counted_introduce)
     monkeypatch.setattr(engine, "hazard_vector", counted_hazard_vector)
@@ -333,10 +401,12 @@ def test_no_introduction_step_once_every_location_has_a_case(monkeypatch):
     full = int(np.argmax(series.frac_locations == 1.0))
     assert series.frac_locations[full] == 1.0 and 1 < full <= 5
     assert len(series) > full + 100
-    days, generators, states = zip(*draws)
+    virgins, generators, states = zip(*draws)
     assert len(set(generators)) == 1
-    # introductions and hazards act on the days before `full` only, and each draws
-    assert list(days) == list(range(full)) and max(hazards) < full
+    # one introduction and one hazard on each of days 0 .. full - 1, each
+    # with the day's virgin locations, and each draws
+    assert len(draws) == full and list(hazards) == list(virgins)
+    assert list(virgins) == [n - round(f * n) for f in series.frac_locations[:full]]
     assert all(a != b for a, b in zip(states, states[1:]))
     # the uniforms drawn on day full - 1 are the last ones
     assert generators[0].bit_generator.state == states[-1]

@@ -1,7 +1,9 @@
 import json
 import math
+from dataclasses import fields
 
 import golden
+from epitransit.engine import PrevalenceSeries
 
 SUMMARY_RTOL = 1e-9
 
@@ -31,3 +33,10 @@ def test_series_and_exports_match_the_golden_file(tmp_path):
         if not math.isclose(got["series"][key][name], w[name], rel_tol=SUMMARY_RTOL)
     )
     assert not bad, f"[{mode}] {len(bad)} series summaries differ, first: {bad[:5]}"
+
+
+def test_the_series_digest_covers_everything_a_series_reports():
+    # every data field but the course table the totals are gathered from,
+    # and the two derived totals
+    reported = {f.name for f in fields(PrevalenceSeries)} - {"course"} | {"total_S", "total_R"}
+    assert set(golden.SERIES_FIELDS) == reported and len(golden.SERIES_FIELDS) == len(reported)
