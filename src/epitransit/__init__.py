@@ -1,7 +1,7 @@
 """Metapopulation epidemic simulation over origin-destination mobility,
 with distance-filtered transit subsampling and trajectory comparison."""
 
-from .engine import CompartmentState, EpidemicParams, PrevalenceSeries, run_simulation
+from .engine import EpidemicParams, PrevalenceSeries, run_simulation
 from .metrics import CompareConfig, ComparisonReport, compare
 from .mobility import (
     ContactMatrix,
@@ -22,7 +22,6 @@ __all__ = [
     "CityConfig",
     "CompareConfig",
     "ComparisonReport",
-    "CompartmentState",
     "ContactMatrix",
     "DeltaBand",
     "Disease",

@@ -17,13 +17,15 @@ Only the hazard couples the locations, and ``sir_step`` is elementwise,
 so a location's S, I and R depend only on its N and on the days since its
 onset. A ``CourseTable`` holds them for every location of one populations
 array: a pre-onset row (S = N, I = R = 0), then the ages 0, 1, ... after
-seeding, filled by ``sir_step`` from a block in which every location is
-seeded on day 0. So a run steps no state. It keeps its onset days and,
-per location, one flat index into the table's I plane: the pre-onset row
-while the location is virgin, then one row (3n elements) further each
-day from its onset on. Every day of a run is one ``np.take`` of the n
-infecteds and one sum, which adds the same numbers in the same order as
-the I row sum of a stepped (3, n) block, so it is the same to the bit.
+seeding. Age 0 is the (3, n) block in which every location is seeded
+that day (S = N - 1, I = 1, R = 0), and each later row is a copy of the
+row before it, advanced in place by ``sir_step``. So a run steps no
+state. It keeps its onset days and, per location, one flat index into
+the table's I plane: the pre-onset row while the location is virgin,
+then one row (3n elements) further each day from its onset on. Every
+day of a run is one ``np.take`` of the n infecteds and one sum, which
+adds the same numbers in the same order as the I row sum of a stepped
+(3, n) block, so it is the same to the bit.
 
 A day while some location is virgin (``advance_day``) draws the hits
 from the day-t infecteds (``introduce``), moves every seeded location one
@@ -43,7 +45,7 @@ printed formula needs neither its self term nor a guard:
 
 A location is virgin iff its onset day is -1. Once no location is
 virgin, nothing more is drawn, and the run reads the rest of its
-infecteds from the table in chunks of days (``_read_course``). A run
+infecteds from the table in fixed chunks of days (``_read_course``). A run
 records only total I day by day: its fraction of locations with a case
 comes from its onsets, its final size from one gather of the S plane on
 its last day, and its S and R totals are gathered from the table when
@@ -129,42 +131,6 @@ class EpidemicParams:
         return table
 
 
-def _row(i: int, name: str) -> property:
-    def get(self) -> np.ndarray:
-        return self.rows[i]
-
-    def set(self, value) -> None:
-        self.rows[i][...] = value
-
-    return property(get, set, doc=f"{name} per location: row {i} of ``SIR``; assigning copies into it.")
-
-
-class CompartmentState:
-    """Per-location S/I/R counts at one day: what ``sir_step`` advances.
-
-    S, I and R are the rows of one (3, n) float array ``SIR``, which the
-    constructor fills with copies of its S, I and R. ``rows`` holds the
-    views of those rows, and ``S``, ``I`` and ``R`` return them; writing
-    through them, or assigning to them, changes the block. ``SI`` (rows S
-    and I) and ``IR`` (rows I and R) are views of the block as well, built
-    once, which ``sir_step`` updates by one call each. ``flows`` is a
-    (2, n) scratch array that ``sir_step`` reuses for new infections and
-    recoveries. ``N`` is the populations, as floats.
-    """
-
-    S = _row(0, "Susceptibles")
-    I = _row(1, "Infecteds")
-    R = _row(2, "Recovereds")
-
-    def __init__(self, S, I, R, N):
-        self.SIR = np.array((S, I, R), dtype=float)
-        self.rows = tuple(self.SIR)
-        self.SI = self.SIR[:2]
-        self.IR = self.SIR[1:]
-        self.flows = np.empty((2, self.SIR.shape[1]))
-        self.N = N
-
-
 def hazard_vector(
     x: np.ndarray, virgin: np.ndarray, matrix: ContactMatrix, params: EpidemicParams, course: "CourseTable"
 ) -> np.ndarray:
@@ -187,33 +153,33 @@ def hazard_vector(
     return course.beta_N[virgin] * -np.expm1(-inner) / course.one_plus_beta_N[virgin]
 
 
-def sir_step(state: CompartmentState, params: EpidemicParams) -> CompartmentState:
-    """Advance the deterministic dynamics one day, in place, as one
-    whole-array update in six NumPy calls; returns ``state``.
+def sir_step(SIR: np.ndarray, N: np.ndarray, params: EpidemicParams) -> np.ndarray:
+    """Advance the deterministic dynamics of the (3, n) S/I/R block ``SIR``
+    of populations ``N`` one day, in place, as one whole-array update in
+    six NumPy calls; returns ``SIR``.
 
     One multiply of the S and I rows by the (beta, gamma) column
-    ``params.rates`` writes both rows of ``state.flows``: beta*S, which
-    becomes the new infections once multiplied by I, divided by N and
-    capped at S, and the recoveries gamma*I. Then ``IR += flows`` and
-    ``SI -= flows``: I and R gain them, then S and I lose them, so each
-    compartment sees the same operations in the same order as
-    S - inf, I + inf - rec and R + rec. The cap at S keeps S at zero or
-    above: the uncapped update overshoots S for beta*I/N > 1, which is a
-    discretization artifact, not an epidemic one. I stays at zero or
-    above too, since gamma <= 1 makes gamma*I at most I and adding new
-    infections leaves I + inf at least I, so no clamp is needed. Where
-    I = 0 the new infections min(0, S) and recoveries are exactly zero,
-    so virgin and burned-out locations pass through bit-identical.
+    ``params.rates`` gives the (2, n) flows: beta*S, which becomes the new
+    infections once multiplied by I, divided by N and capped at S, and the
+    recoveries gamma*I. Then the I and R rows gain the flows, and the S
+    and I rows lose them, so each compartment sees the same operations in
+    the same order as S - inf, I + inf - rec and R + rec. The cap at S
+    keeps S at zero or above: the uncapped update overshoots S for
+    beta*I/N > 1, which is a discretization artifact, not an epidemic one.
+    I stays at zero or above too, since gamma <= 1 makes gamma*I at most I
+    and adding new infections leaves I + inf at least I, so no clamp is
+    needed. Where I = 0 the new infections min(0, S) and recoveries are
+    exactly zero, so virgin and burned-out locations pass through
+    bit-identical.
     """
-    flows = state.flows
+    flows = np.multiply(SIR[:2], params.rates)
     new_inf = flows[0]
-    np.multiply(state.SI, params.rates, out=flows)
-    new_inf *= state.I
-    new_inf /= state.N
-    np.minimum(new_inf, state.S, out=new_inf)
-    state.IR += flows
-    state.SI -= flows
-    return state
+    new_inf *= SIR[1]
+    new_inf /= N
+    np.minimum(new_inf, SIR[0], out=new_inf)
+    SIR[1:] += flows
+    SIR[:2] -= flows
+    return SIR
 
 
 def introduce(
@@ -287,9 +253,7 @@ def advance_day(
 
 
 # Once every location has a case, a run reads its course table in chunks
-# of days: the first of COURSE_FIRST_CHUNK days, then doubling up to
-# max(1, COURSE_CHUNK // n) days, about COURSE_CHUNK infecteds.
-COURSE_FIRST_CHUNK = 4
+# of max(1, COURSE_CHUNK // n) days, about COURSE_CHUNK infecteds.
 COURSE_CHUNK = 8192
 
 
@@ -299,10 +263,10 @@ class CourseTable:
 
     ``block[0]`` is the pre-onset (3, n) state, rows S = N, I = 0 and
     R = 0, and ``block[1 + a]`` is the state of a run in which every
-    location was seeded ``a`` days ago. ``rows`` fills it on demand by
-    ``sir_step`` on a state in which every location is seeded on day 0,
-    so it holds what stepping a run gives, bit for bit, and only as many
-    rows as runs have read: its memory follows the longest run, not the
+    location was seeded ``a`` days ago. ``rows`` fills it on demand, each
+    row a copy of the one before stepped in place by ``sir_step``, so it
+    holds what stepping a run gives, bit for bit, and only as many rows
+    as runs have read: its memory follows the longest run, not the
     horizon. The rows live in a store whose capacity doubles (up to the
     horizon) when a read needs more, so filling copies the table once at
     most. The store is an anonymous memory map of its own (``_unpaged``):
@@ -319,8 +283,7 @@ class CourseTable:
         self.N = N
         self.beta_N = beta * N
         self.one_plus_beta_N = 1.0 + self.beta_N
-        self._state = CompartmentState(N - 1.0, np.ones(n), np.zeros(n), N)
-        self._store = np.array(((N, np.zeros(n), np.zeros(n)), self._state.SIR))
+        self._store = np.array(((N, np.zeros(n), np.zeros(n)), (N - 1.0, np.ones(n), np.zeros(n))))
         self._flat = self._store.reshape(-1)
         self._filled = 2
 
@@ -338,8 +301,9 @@ class CourseTable:
                 store = _unpaged((min(max(count, 2 * capacity), params.horizon + 2), *self._store.shape[1:]))
                 store[: self._filled] = self.block
                 self._store, self._flat = store, store.reshape(-1)
-            for row in self._store[self._filled : count]:
-                row[...] = sir_step(self._state, params).SIR
+            for f in range(self._filled, count):
+                self._store[f] = self._store[f - 1]
+                sir_step(self._store[f], self.N, params)
             self._filled = count
         return self._flat
 
@@ -375,25 +339,19 @@ def _read_course(course: CourseTable, params: EpidemicParams, at: np.ndarray, to
     table shifted by t - ``days`` rows into a contiguous (days, n) buffer,
     and one row sum over its last axis records those days. Every index is
     in range, since the seed location's onset is day 0 and the table is
-    filled up to the chunk's last day first. Chunks double from
-    ``COURSE_FIRST_CHUNK`` days up to ``COURSE_CHUNK // n``, so a run that
-    ends soon after its last onset reads little past its end.
+    filled up to the chunk's last day first. A chunk is k =
+    ``COURSE_CHUNK // n`` days (at least one), cut at the horizon; the
+    (k, n) offsets into the table are built once per run.
     """
     n = at.shape[0]
     row = 3 * n  # elements per row of the flat table
     k = max(1, COURSE_CHUNK // n)
     full = days
-    # offsets[a] = at + a * row, written as the chunks grow into them
-    offsets = np.empty((k, n), dtype=at.dtype)
+    offsets = at + np.arange(0, k * row, row)[:, None]  # offsets[a] = at + a * row
     chunk = np.empty((k, n))
-    size = 0
     while days < params.horizon and not total_I[days] < params.extinction_threshold:
-        if size < k:
-            grown = min(k, max(COURSE_FIRST_CHUNK, 2 * size))
-            np.add(at, np.arange(size * row, grown * row, row)[:, None], out=offsets[size:grown])
-            size = grown
         t = days + 1
-        last = min(size, params.horizon + 1 - t)
+        last = min(k, params.horizon + 1 - t)
         flat = course.rows(t + last + 1, params)
         total_I = _room(total_I, t + last, params.horizon)
         # offsets are in range, so "clip" reads the same as "raise" without its copy of out

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -459,11 +460,28 @@ def save_matrix_npz(matrix: ContactMatrix, path) -> None:
 
 
 def load_matrix_npz(path) -> ContactMatrix:
-    with np.load(path, allow_pickle=False) as data:
+    """Read a matrix saved by ``save_matrix_npz``. Raises ValidationError,
+    naming the file, if it is not a readable ``.npz`` archive (a single
+    ``.npy`` array, a pickle, text, or an empty or truncated file), an
+    array is missing or ``clamps`` is not one integer >= 0;
+    ``ContactMatrix`` checks the rest."""
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            data = None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValidationError(f"{path}: not a .npz archive of arrays")
+        for key in ("m", "populations", "ids", "lat", "lon", "clamps"):
+            if key not in data:
+                raise ValidationError(f"{path}: matrix file lacks the array {key!r}")
+        clamps = data["clamps"]
+        if clamps.size != 1 or clamps.dtype.kind not in "iu" or clamps.item() < 0:
+            raise ValidationError(f"{path}: clamps must hold one integer >= 0, got {clamps.tolist()!r}")
         table = LocationTable(data["ids"].tolist(), data["lat"], data["lon"])
         return ContactMatrix(
             m=data["m"].copy(),
             populations=data["populations"].copy(),
             table=table,
-            population_clamp_count=int(data["clamps"][0]),
+            population_clamp_count=clamps.item(),
         )

@@ -121,6 +121,8 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must hold integers, got {getattr(self, name)!r}")
         if self.pairs is not None:
             self.pairs = [tuple(_as_list(p, "each pair", 2)) for p in _as_list(self.pairs, "pairs")]
+            if not all(is_int(v) for p in self.pairs for v in p):
+                raise ValueError(f"pairs must hold integers, got {self.pairs!r}")
         for name in ("matrix_npz", "output_dir"):
             if getattr(self, name) is not None and not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
@@ -469,8 +471,10 @@ def replay_run(config: ScenarioConfig, entry: dict, matrix: ContactMatrix | None
     works on ``dataclasses.replace(matrix)``, so the ``entries`` and
     ``inter_location_trips`` caches it computes are freed with that copy
     and the caller's matrix is left as it was."""
+    disease = next((d for d in config.diseases if d.name == entry["disease"]), None)
+    if disease is None:
+        raise ValueError(f"ledger entry's disease {entry['disease']!r} is not in the config")
     matrix = base_matrix(config) if matrix is None else replace(matrix)
-    disease = next(d for d in config.diseases if d.name == entry["disease"])
     params = _params(config, disease)
     s, r, loc = entry["seed_draw"], entry["replicate"], entry["seed_location_index"]
     model = _calibrated_model(config, matrix, entry["k"], entry["theta"])

@@ -199,6 +199,40 @@ class TestSimulateCompareTheory:
         assert code == 1 and not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (lambda a, fh: np.savez(fh, **{k: v for k, v in a.items() if k != "ids"}), "lacks the array 'ids'"),
+            (lambda a, fh: np.savez(fh, **{**a, "clamps": np.array([], dtype=np.int64)}), "clamps must hold one"),
+            (lambda a, fh: np.savez(fh, **{**a, "clamps": np.array([-1])}), "clamps must hold one integer >= 0"),
+            (lambda a, fh: np.savez(fh, **{**a, "clamps": np.array([0.5])}), "clamps must hold one integer >= 0"),
+            (lambda a, fh: np.save(fh, a["m"]), "not a .npz archive"),
+            (lambda a, fh: fh.write(b"origin,destination\n"), "not a .npz archive"),
+            (lambda a, fh: None, "not a .npz archive"),
+            (lambda a, fh: (np.savez(fh, **a), fh.truncate(fh.tell() // 2)), "not a .npz archive"),
+        ],
+        ids=["no_ids", "empty_clamps", "negative_clamps", "float_clamps", "npy_array", "text", "empty", "truncated"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "theory", "sweep"])
+    def test_malformed_matrix_file_names_it(self, city_dir, tmp_path, capsys, command, write, message):
+        with np.load(city_dir / "matrix.npz") as data:
+            arrays = dict(data)
+        bad = tmp_path / "bad.npz"
+        with open(bad, "wb") as fh:
+            write(arrays, fh)
+        out = tmp_path / "out"
+        if command == "sweep":
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"seed_draws": 1, "replicates": 1, "pairs": [[3, 5]],
+                                               "delta_bands": ["low"], "city": None, "matrix_npz": str(bad)}))
+            args = ["sweep", "--config", str(config_path), "--output-dir", str(out)]
+        else:
+            source = ["--source", "L0000"] if command == "theory" else []
+            args = [command, "--matrix", str(bad), "--beta", "0.5", "--gamma", "0.3333", *source, "--out", str(out)]
+        assert main(args) == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("beta", ["inf", "nan"])
     def test_simulate_non_finite_beta_fails_before_any_run(self, city_dir, tmp_path, monkeypatch, beta):
         calls = []
@@ -398,6 +432,7 @@ class TestSweepAndExport:
             {"city": {"n_locations": 30, "extent_km": float("inf")}},
             {"city": {"n_locations": 30, "extent_km": 10**400}},
             {"pairs": [[3, float("inf")]]},
+            {"pairs": [[2, 6.5]]},
             {"compare": {"thresholds": [0.201, 0.204]}},
             *({"diseases": [{"name": name, "beta": 0.5, "gamma": 0.2}]} for name in _UNSAFE_DISEASE_NAMES.values()),
         ],
@@ -407,7 +442,7 @@ class TestSweepAndExport:
              "string_extinction_threshold", "unknown_hazard_variant", "unknown_seed_rule",
              "one_element_pair", "pair_k_zero", "string_delta_bands", "nested_delta_bands",
              "duplicate_disease_names", "infinite_beta", "nan_extinction_threshold",
-             "infinite_extent_km", "huge_int_extent_km", "infinite_theta", "colliding_thresholds",
+             "infinite_extent_km", "huge_int_extent_km", "infinite_theta", "fractional_theta", "colliding_thresholds",
              *(f"disease_name_{kind}" for kind in _UNSAFE_DISEASE_NAMES)],
     )
     def test_sweep_bad_config_fails_before_any_run(self, tmp_path, monkeypatch, capsys, bad):

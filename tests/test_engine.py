@@ -8,7 +8,6 @@ from epitransit import engine
 from epitransit.engine import (
     COURSE_CHUNK,
     HAZARD_VARIANTS,
-    CompartmentState,
     EpidemicParams,
     advance_day,
     check_scale,
@@ -48,8 +47,9 @@ def test_overflowing_beta_rejected_before_the_run():
 
 
 def fresh_state(matrix):
+    """(S, I, R) block with S = N and no cases, and the populations N."""
     N = matrix.populations.astype(float)
-    return CompartmentState(N, np.zeros(matrix.n), np.zeros(matrix.n), N)
+    return np.array((N, np.zeros(matrix.n), np.zeros(matrix.n))), N
 
 
 def hazard(matrix, params, infected, virgin):
@@ -118,40 +118,41 @@ class TestHazard:
 class TestSirStep:
     def test_spec_arithmetic(self):
         m = two_location_matrix(n_a=100.0, n_b=100.0)
-        state = fresh_state(m)
-        state.S[0], state.I[0] = 99.0, 1.0
-        out = sir_step(state, EpidemicParams(beta=0.5, gamma=1 / 3))
+        state, N = fresh_state(m)
+        state[:2, 0] = 99.0, 1.0
+        out = sir_step(state, N, EpidemicParams(beta=0.5, gamma=1 / 3))
         assert out is state
-        assert out.S[0] == pytest.approx(98.505, abs=1e-5)
-        assert out.I[0] == pytest.approx(1.16167, abs=1e-5)
-        assert out.R[0] == pytest.approx(0.33333, abs=1e-5)
+        S, I, R = out
+        assert S[0] == pytest.approx(98.505, abs=1e-5)
+        assert I[0] == pytest.approx(1.16167, abs=1e-5)
+        assert R[0] == pytest.approx(0.33333, abs=1e-5)
 
     def test_burned_out_location_inert(self):
         m = two_location_matrix()
-        state = fresh_state(m)
-        state.I[0], state.R[0], state.S[0] = 0.0, 30.0, 70.0
-        out = sir_step(state, EpidemicParams(beta=2.0, gamma=0.5))
-        assert out.S[0] == 70.0 and out.I[0] == 0.0 and out.R[0] == 30.0
+        state, N = fresh_state(m)
+        state[:, 0] = 70.0, 0.0, 30.0
+        S, I, R = sir_step(state, N, EpidemicParams(beta=2.0, gamma=0.5))
+        assert S[0] == 70.0 and I[0] == 0.0 and R[0] == 30.0
 
     def test_pure_recovery(self):
         m = two_location_matrix()
-        state = fresh_state(m)
-        state.S[0], state.I[0] = 95.0, 5.0
-        out = sir_step(state, EpidemicParams(beta=0.0, gamma=1.0))
-        assert out.S[0] == 95.0
-        assert out.I[0] == 0.0
-        assert out.R[0] == 5.0
+        state, N = fresh_state(m)
+        state[:2, 0] = 95.0, 5.0
+        S, I, R = sir_step(state, N, EpidemicParams(beta=0.0, gamma=1.0))
+        assert S[0] == 95.0
+        assert I[0] == 0.0
+        assert R[0] == 5.0
 
     def test_overshoot_capped_conserving_mass(self):
         # beta*I/N > 1 would push S negative without the cap
         m = two_location_matrix(n_a=100.0)
-        state = fresh_state(m)
-        state.S[0], state.I[0] = 40.0, 60.0
+        state, N = fresh_state(m)
+        state[:2, 0] = 40.0, 60.0
         params = EpidemicParams(beta=15.0, gamma=1.0)
-        out = sir_step(state, params)
-        assert out.S[0] == 0.0
-        assert out.I[0] >= 0.0
-        assert out.S[0] + out.I[0] + out.R[0] == pytest.approx(100.0, rel=1e-12)
+        S, I, R = sir_step(state, N, params)
+        assert S[0] == 0.0
+        assert I[0] >= 0.0
+        assert S[0] + I[0] + R[0] == pytest.approx(100.0, rel=1e-12)
 
 
 class TestIntroduce:

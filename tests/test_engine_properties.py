@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from epitransit import engine
 from epitransit.engine import (
     HAZARD_VARIANTS,
-    CompartmentState,
     EpidemicParams,
     hazard_vector,
     run_simulation,
@@ -57,13 +56,13 @@ def test_invariants_hold_every_day(matrix, beta, gamma, variant, seed_loc, rng_s
     assert onset[seed_loc % matrix.n] == 0
     for day in range(1, len(series)):
         before, after = states[day - 1], states[day]
-        stepped = sir_step(CompartmentState(*before, N=N), params)
-        assert np.all(stepped.S >= 0.0) and np.all(stepped.I >= 0.0)
+        stepped = sir_step(before.copy(), N, params)
+        assert np.all(stepped[0] >= 0.0) and np.all(stepped[1] >= 0.0)
         idle = before[1] == 0.0
-        assert stepped.SIR[:, idle].tobytes() == before[:, idle].tobytes()
+        assert stepped[:, idle].tobytes() == before[:, idle].tobytes()
         # a location with a case moves on as stepping moves it, and a hit starts at one case
         seen = (onset >= 0) & (onset < day)
-        assert stepped.SIR[:, seen].tobytes() == after[:, seen].tobytes()
+        assert stepped[:, seen].tobytes() == after[:, seen].tobytes()
         hits = onset == day
         assert np.all(before[1:, hits] == 0.0)
         assert np.all(after[1, hits] == 1.0) and np.all(after[0, hits] == N[hits] - 1.0) and np.all(after[2, hits] == 0.0)

@@ -116,6 +116,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="duplicate disease name"):
             tiny_config(diseases=[Disease("flu", 0.5, 0.2), Disease("flu", 1.5, 0.2)])
 
+    @pytest.mark.parametrize("pair", [(2, 6.5), (2.0, 6), (2, True)])
+    def test_non_integer_pairs_rejected(self, pair):
+        # truncated, (2, 6.5) would seed its thinning as (2, 6) does
+        with pytest.raises(ValueError, match="pairs must hold integers"):
+            tiny_config(pairs=[(3, 5), pair])
+
     @pytest.mark.parametrize("section", [None, "diseases", "compare", "city"])
     def test_unknown_key_names_it(self, section):
         d = tiny_config().to_json_dict()
@@ -224,6 +230,12 @@ class TestRunSweep:
         assert len(result.ledger) == 2 * len(TWO_BAND_PAIRS) * 6
         for entry in result.ledger:
             assert replay_run(config, entry, matrix=matrix).to_json_dict() == entry["report"]
+
+    def test_replay_of_a_disease_not_in_the_config_names_it(self, two_disease_sweep):
+        config, matrix, result, _ = two_disease_sweep
+        entry = dict(result.ledger[0], disease="measles")
+        with pytest.raises(ValueError, match="'measles' is not in the config"):
+            replay_run(config, entry, matrix=matrix)
 
     def test_replay_reproduces_reports_bit_exactly(self):
         config = tiny_config()
