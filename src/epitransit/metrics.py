@@ -21,9 +21,16 @@ def threshold_day(prevalence, level: float):
     """First day the prevalence reaches level, or None if it never does."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    x = np.asarray(prevalence, dtype=float)
-    hits = np.nonzero(x >= level)[0]
-    return int(hits[0]) if hits.size else None
+    return _first_day(np.asarray(prevalence, dtype=float), level)
+
+
+def _first_day(a: np.ndarray, level: float):
+    """First index where a >= level, or None."""
+    hits = a >= level
+    if not hits.size:
+        return None
+    day = int(hits.argmax())
+    return day if hits[day] else None
 
 
 def peak(prevalence):
@@ -35,8 +42,11 @@ def peak(prevalence):
     return day, float(x[day])
 
 
-# Far wider than the round-off between the one-pass and the per-lag sums.
-_SA_CANDIDATE_RTOL = 1e-9
+# Days per block of the lower bound on each lag's ratio.
+_SA_BLOCK = 8
+# Unit round-off of a float64 operation, and the least normal float64.
+_U = np.finfo(float).eps / 2
+_TINY = np.finfo(float).tiny
 
 
 def situational_awareness(x, y, max_lag: int, min_overlap: int = 10) -> float:
@@ -45,32 +55,92 @@ def situational_awareness(x, y, max_lag: int, min_overlap: int = 10) -> float:
     For each integer lag in [-max_lag, max_lag] the series are compared
     over the overlap of their day ranges; overlaps shorter than
     min_overlap are disqualified to prevent degenerate alignments.
-    x is the transit prevalence, y the full-mobility prevalence.
+    x is the transit prevalence, y the full-mobility prevalence. A value
+    that is negative, infinite or NaN raises ValueError naming its series
+    and day, and so do series whose sum overflows.
 
-    Every admissible lag's ratio is first computed in one array pass.
-    Only the lags within a relative 1e-9 of that pass's minimum are then
-    summed again one by one, in ``_lag_ratio``'s order. Both sums run
-    over non-negative terms, so they differ by round-off of about L eps
-    relative for L terms. The true minimizing lag is therefore always
-    summed again, and the result equals a loop over every lag bit for
-    bit.
+    The result equals ``_lag_ratio`` minimized over every admissible lag,
+    bit for bit, but only a few lags are summed (``_kept_lags``):
+
+    - Bound. Cut each lag's overlap at every multiple of ``_SA_BLOCK``
+      days of x. By the triangle inequality, sum |x - y| is at least the
+      sum over blocks of |sum x - sum y|, and for values >= 0,
+      sum |x + y| = sum x + sum y. Prefix sums of x and y give both for
+      every lag at once: a lower bound on each lag's ratio.
+    - Slack. A prefix sum is within n eps of the total T of both series,
+      for n = len(x) + len(y) and eps the unit round-off, so the bound's
+      numerator and denominator are within 8 (B + 1)(n + 1) eps T and
+      8 (n + 1) eps T of their exact values, for B blocks. The bound
+      subtracts twice the sum E of these from its numerator, and a lag
+      whose denominator is not above 2 E gets no bound (it is kept).
+      ``_lag_ratio``'s float is within 4 (L + 2) eps of the exact ratio,
+      which is at most 1, for an overlap of L <= min(len(x), len(y))
+      days. The slack is twice that, plus 8 eps for the rounding of the
+      bound itself and the least normal float for underflow. So at every
+      lag, the bound minus the slack is at most the float that
+      ``_lag_ratio`` returns.
+    - Search. ``_lag_ratio`` at the lag with the least bound is an upper
+      bound U on the minimum. A lag whose bound minus slack exceeds U has
+      a float ratio above U, so it is pruned. The lags left, usually just
+      that one, are summed by ``_lag_ratio``, so the least of their
+      ratios is the least over all lags, bit for bit.
     """
-    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     if min_overlap < 1:
         raise ValueError("min_overlap must be >= 1")
+    xa = _checked_series(x, "transit series x")
+    ya = _checked_series(y, "full-mobility series y")
+    lags, lag0, upper = _kept_lags(xa, ya, max_lag, min_overlap)
+    return 1.0 - min(upper if lag == lag0 else _lag_ratio(xa, ya, int(lag)) for lag in lags)
+
+
+def _checked_series(values, name: str) -> np.ndarray:
+    """The series as a float array; a negative, infinite or NaN value
+    raises ValueError naming the series, the value and its day."""
+    a = np.asarray(values, dtype=float)
+    if a.size and not (a.min() >= 0.0 and a.max() < np.inf):
+        day = int(np.argmin((a >= 0.0) & (a < np.inf)))
+        raise ValueError(f"{name} has {float(a[day])!r} on day {day}; values must be finite and >= 0")
+    return a
+
+
+def _kept_lags(xa: np.ndarray, ya: np.ndarray, max_lag: int, min_overlap: int):
+    """(kept, lag0, U): the admissible lags that the block bound cannot
+    prune, the lag with the least bound, and ``_lag_ratio`` there. Why no
+    pruned lag can hold the minimum is set out in
+    ``situational_awareness``'s docstring.
+
+    Raises NoAdmissibleLag when no lag leaves min_overlap shared days.
+    """
     nx, ny = xa.size, ya.size
-    # only lags in [1 - nx, ny - 1] leave any overlap
-    lags = np.arange(max(-max_lag, 1 - nx), min(max_lag, ny - 1) + 1)
-    lags = lags[np.minimum(nx, ny - lags) - np.maximum(0, -lags) >= min_overlap]
-    if lags.size == 0:
+    lo, hi = max(-max_lag, min_overlap - nx), min(max_lag, ny - min_overlap)
+    if min(nx, ny) < min_overlap or lo > hi:
         raise NoAdmissibleLag(
             f"no lag in [-{max_lag}, {max_lag}] leaves an overlap of {min_overlap}+ days"
         )
-    ratios = _lag_ratios(xa, ya, lags)
-    candidates = lags[ratios <= ratios.min() * (1.0 + _SA_CANDIDATE_RTOL)]
-    return 1.0 - min(_lag_ratio(xa, ya, int(lag)) for lag in candidates)
+    lags = np.arange(lo, hi + 1)
+    px, py = np.zeros(nx + 1), np.zeros(ny + 1)
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected just below
+        xa.cumsum(out=px[1:])
+        ya.cumsum(out=py[1:])
+    total = float(px[-1] + py[-1])
+    if not total < np.inf:
+        raise ValueError(f"the two series sum to {total!r}, past the float64 range")
+    # row k: the k-th cut of every lag's overlap x[max(0, -lag):min(nx, ny - lag)]
+    grid = np.arange(0, nx + _SA_BLOCK, _SA_BLOCK)[:, None]
+    cuts = np.minimum(np.maximum(grid, -lags), np.minimum(nx, ny - lags))
+    px_cut, py_cut = px[cuts], py[cuts + lags]
+    den = (px_cut[-1] - px_cut[0]) + (py_cut[-1] - py_cut[0])
+    gap = px_cut - py_cut
+    blocks = gap[1:] - gap[:-1]
+    num = np.add.reduce(np.abs(blocks, out=blocks), axis=0)
+    two_e = 16.0 * (grid.size + 1) * (nx + ny + 1) * _U * total  # B = grid.size - 1 blocks
+    bound = np.divide(num - two_e, den, out=np.full(lags.size, -np.inf), where=den > two_e)
+    lag0 = int(lags[bound.argmin()])
+    upper = _lag_ratio(xa, ya, lag0)
+    slack = 8.0 * (min(nx, ny) + 3) * _U + _TINY
+    return lags[bound - slack <= upper], lag0, upper
 
 
 def _lag_ratio(xa: np.ndarray, ya: np.ndarray, lag: int) -> float:
@@ -84,26 +154,6 @@ def _lag_ratio(xa: np.ndarray, ya: np.ndarray, lag: int) -> float:
     return float(np.abs(xs - ys).sum()) / denom if denom > 0 else 0.0
 
 
-def _lag_ratios(xa: np.ndarray, ya: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """``_lag_ratio`` for all of ``lags`` at once, each in [1 - nx, ny - 1],
-    up to round-off.
-
-    Row i holds y shifted by lags[i] against x, padded with zeros that a
-    mask leaves out of the sums.
-    """
-    nx, ny = xa.size, ya.size
-    padded = np.zeros(2 * nx + ny)
-    padded[nx : nx + ny] = ya
-    inside = np.zeros(padded.size, dtype=bool)
-    inside[nx : nx + ny] = True
-    rows = nx + lags
-    shifted = np.lib.stride_tricks.sliding_window_view(padded, nx)[rows]
-    mask = np.lib.stride_tricks.sliding_window_view(inside, nx)[rows]
-    num = np.add.reduce(np.abs(xa - shifted), axis=1, where=mask)
-    den = np.add.reduce(np.abs(xa + shifted), axis=1, where=mask)
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-
 def locations_timing(x_frac, y_frac, thresholds):
     """Per threshold, the day lag between two series of the fraction of
     ever-infected locations reaching it (full-mobility day minus transit
@@ -115,9 +165,8 @@ def locations_timing(x_frac, y_frac, thresholds):
     fx, fy = np.asarray(x_frac, dtype=float), np.asarray(y_frac, dtype=float)
     out = {}
     for thr in thresholds:
-        dx = np.nonzero(fx >= thr)[0]
-        dy = np.nonzero(fy >= thr)[0]
-        out[float(thr)] = int(dy[0]) - int(dx[0]) if dx.size and dy.size else None
+        dx, dy = _first_day(fx, thr), _first_day(fy, thr)
+        out[float(thr)] = dy - dx if dx is not None and dy is not None else None
     return out
 
 

@@ -347,11 +347,11 @@ def _params(config: ScenarioConfig, disease: Disease) -> engine.EpidemicParams:
     )
 
 
-def _run(config: ScenarioConfig, matrix: ContactMatrix, params, seed_location: int, s: int, r: int):
-    """Replicate r of seed draw s; both arms of a pair share its stream."""
-    return engine.run_simulation(
-        matrix, params, seed_location, _seed_seq(config.master_seed, _TAG_INTRO, s, r)
-    )
+def _intro_seed(config: ScenarioConfig, s: int, r: int) -> np.random.SeedSequence:
+    """The introduction stream of replicate r of seed draw s. Both arms of
+    a pair run on it, and ``run_simulation`` only reads it, so one
+    SeedSequence serves every run of the pair."""
+    return _seed_seq(config.master_seed, _TAG_INTRO, s, r)
 
 
 def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> SweepResult:
@@ -360,12 +360,14 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
     ``plan_cells`` calibrates each (band, k, theta) once. Per disease,
     the full-mobility baseline is run once per (seed draw, replicate)
     and reused across every cell, mirroring the 1 + n_pairs run
-    structure. Each cell is then thinned once, and every disease runs
-    its transit arm on that one matrix and compares each pair. Disease
-    d, cell c, seed draw s and replicate r take ``run_index``
-    ((d C + c) D + s) R + r, for C feasible cells, D draws and R
-    replicates, and cells, ledger and example curves are listed disease
-    by disease, so the result does not depend on the execution order. A
+    structure; each pair's introduction seed is built once, for the
+    baseline and every transit arm. Each cell is then thinned once, and
+    every disease runs its transit arm on that one matrix and compares
+    each pair. Disease d, cell c, seed draw s and replicate r take
+    ``run_index`` ((d C + c) D + s) R + r, for C feasible cells, D draws
+    and R replicates, and cells, ledger and example curves are listed
+    disease by disease, so the result does not depend on the execution
+    order. A
     pair whose comparison raises ``NoAdmissibleLag`` stays out of the
     ledger and the aggregates, is counted in its cell's
     ``failed_comparisons`` and still takes its ``run_index``. The sweep
@@ -390,7 +392,11 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
         for s in range(config.seed_draws)
     ]
     pairs = [(s, r) for s in range(config.seed_draws) for r in range(config.replicates)]
-    baselines = [[_run(config, matrix, p, seed_locs[s], s, r) for s, r in pairs] for p in params]
+    intro_seeds = [_intro_seed(config, s, r) for s, r in pairs]
+    baselines = [
+        [engine.run_simulation(matrix, p, seed_locs[s], seed) for (s, _), seed in zip(pairs, intro_seeds)]
+        for p in params
+    ]
 
     # per disease, in cell order
     cells = [[] for _ in config.diseases]
@@ -410,9 +416,9 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
             }
             reports = []
             failed = 0
-            for (s, r), mpt in zip(pairs, baselines[d]):
+            for (s, r), seed, mpt in zip(pairs, intro_seeds, baselines[d]):
                 run_index = ((d * len(planned) + c) * config.seed_draws + s) * config.replicates + r
-                ptt = _run(config, sub, params[d], seed_locs[s], s, r)
+                ptt = engine.run_simulation(sub, params[d], seed_locs[s], seed)
                 try:
                     report = metrics.compare(ptt, mpt, config.compare)
                 except metrics.NoAdmissibleLag:
@@ -479,9 +485,9 @@ def replay_run(config: ScenarioConfig, entry: dict, matrix: ContactMatrix | None
     s, r, loc = entry["seed_draw"], entry["replicate"], entry["seed_location_index"]
     model = _calibrated_model(config, matrix, entry["k"], entry["theta"])
     sub = _thin(config, matrix, entry["band_index"], model)
-    return metrics.compare(
-        _run(config, sub, params, loc, s, r), _run(config, matrix, params, loc, s, r), config.compare
-    )
+    seed = _intro_seed(config, s, r)
+    ptt = engine.run_simulation(sub, params, loc, seed)
+    return metrics.compare(ptt, engine.run_simulation(matrix, params, loc, seed), config.compare)
 
 
 def _fmt(value) -> str:

@@ -1,9 +1,14 @@
+import json
+import math
+
+import golden_reports
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from epitransit import metrics
 from epitransit.metrics import (
     CompareConfig,
     ComparisonReport,
@@ -116,15 +121,89 @@ prevalences = hnp.arrays(
 )
 
 
+@st.composite
+def hard_series(draw):
+    """Series of up to 400 days that stress the bounded lag search: values
+    spread over 1e-300 to 1, exact ties, constant series (whose ratios tie
+    at every lag up to round-off, so nothing can be pruned), epidemic
+    bumps, and optionally an all-zero stretch."""
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(("wide", "ties", "constant", "bump")))
+    if shape == "wide":
+        a = 10.0 ** rng.uniform(-300.0, 0.0, n)
+    elif shape == "ties":
+        a = rng.choice([0.0, 1e-300, 0.1, 0.25, 1.0], n)
+    elif shape == "constant":
+        a = np.full(n, draw(st.sampled_from([0.0, 1e-300, 0.1, 0.3, 1.0])))
+    else:
+        t = np.arange(n)
+        a = draw(st.floats(1e-6, 1.0)) * np.exp(-(((t - rng.uniform(0, n + 1)) / rng.uniform(1.0, 80.0)) ** 2))
+    if draw(st.booleans()):
+        i, j = sorted(rng.integers(0, n + 1, 2))
+        a[i:j] = 0.0
+    return a
+
+
+def assert_equals_the_per_lag_loop(x, y, max_lag, min_overlap):
+    expected = sa_per_lag(x, y, max_lag, min_overlap)
+    if expected is None:
+        with pytest.raises(NoAdmissibleLag):
+            situational_awareness(x, y, max_lag, min_overlap)
+    else:
+        assert situational_awareness(x, y, max_lag, min_overlap) == expected
+
+
+def bump(days, center, width, height):
+    t = np.arange(days)
+    return height * np.exp(-(((t - center) / width) ** 2))
+
+
 class TestSituationalAwareness:
     @given(x=prevalences, y=prevalences, max_lag=st.integers(0, 70), min_overlap=st.integers(1, 15))
     def test_equals_the_per_lag_loop_bit_for_bit(self, x, y, max_lag, min_overlap):
-        expected = sa_per_lag(x, y, max_lag, min_overlap)
-        if expected is None:
-            with pytest.raises(NoAdmissibleLag):
-                situational_awareness(x, y, max_lag, min_overlap)
-        else:
-            assert situational_awareness(x, y, max_lag, min_overlap) == expected
+        assert_equals_the_per_lag_loop(x, y, max_lag, min_overlap)
+
+    @given(
+        x=hard_series(),
+        y=hard_series(),
+        shift=st.none() | st.tuples(st.integers(0, 60), st.sampled_from([1.0, 0.5, 2.0, 1e-200])),
+        max_lag=st.integers(0, 400),
+        min_overlap=st.integers(1, 15),
+    )
+    def test_equals_the_per_lag_loop_bit_for_bit_on_hard_inputs(self, x, y, shift, max_lag, min_overlap):
+        if shift is not None:  # y is x delayed and scaled: one lag fits exactly or up to scale
+            days, scale = shift
+            y = np.concatenate([np.zeros(days), scale * x])
+        assert_equals_the_per_lag_loop(x, y, max_lag, min_overlap)
+
+    def test_two_shifted_epidemics_sum_a_handful_of_lags(self):
+        x = bump(300, 160.0, 30.0, 0.12)
+        y = bump(300, 140.0, 25.0, 0.15)
+        kept, lag0, upper = metrics._kept_lags(x, y, 150, 10)
+        assert len(kept) <= 3  # of the 301 admissible lags
+        assert 1.0 - upper == situational_awareness(x, y, 150) == sa_per_lag(x, y, 150)
+        assert lag0 in kept
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [(np.nan, "nan"), (np.inf, "inf"), (-0.01, "-0.01")],
+        ids=["nan", "inf", "negative"],
+    )
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_a_bad_value_is_named_with_its_series_and_day(self, bad, shown, side):
+        good = bump(30, 15.0, 5.0, 0.1)
+        broken = good.copy()
+        broken[5] = bad
+        x, y = (broken, good) if side == "x" else (good, broken)
+        name = "transit series x" if side == "x" else "full-mobility series y"
+        with pytest.raises(ValueError, match=f"^{name} has {shown} on day 5;"):
+            situational_awareness(x, y, 10)
+
+    def test_series_whose_sum_overflows_are_rejected(self):
+        # every value is finite, but no ratio is: the sums reach inf
+        with pytest.raises(ValueError, match="^the two series sum to inf"):
+            situational_awareness(np.full(20, 1e308), np.full(20, 1e308), 3)
 
     def test_identical_series(self):
         x = np.linspace(0, 0.2, 40)
@@ -270,3 +349,39 @@ class TestCompare:
         y = Run(np.full(20, 0.05))
         report = compare(x, y)
         assert report.early_warning is None
+
+    def test_a_flat_baseline_raises_before_the_lag_search(self):
+        # no lag is admissible either, but the baseline error comes first
+        with pytest.raises(ValueError, match="never rises above 0") as info:
+            compare(Run(np.full(3, 0.1)), Run(np.zeros(3)))
+        assert not isinstance(info.value, NoAdmissibleLag)
+
+    def test_a_bad_value_in_the_transit_series_is_named(self):
+        x = np.full(30, 0.1)
+        x[5] = np.nan
+        with pytest.raises(ValueError, match="transit series x has nan on day 5"):
+            compare(Run(x), Run(np.full(30, 0.1)))
+
+    def test_bare_arrays_stand_for_both_series_of_a_run(self):
+        rng = np.random.default_rng(8)
+        cfg = CompareConfig(level=0.3, thresholds=(0.2, 0.5, 0.8))
+        for _ in range(20):
+            x, y = rng.uniform(0, 1, rng.integers(12, 60)), rng.uniform(0, 1, rng.integers(12, 60))
+            assert compare(x, y, cfg) == compare(Run(x, x), Run(y, y), cfg)
+
+    def test_reports_on_engine_runs_match_the_golden_file(self):
+        with open(golden_reports.REPORTS_PATH, encoding="utf-8") as fh:
+            want = json.load(fh)
+        got = golden_reports.compute()
+        assert got["reports"].keys() == want["reports"].keys()
+        if got["environment"] == want["environment"]:
+            assert got["reports"] == want["reports"]
+            return
+        # another NumPy, BLAS or CPU may round the runs differently
+        for key, w in want["reports"].items():
+            g = got["reports"][key]
+            if isinstance(w, str) or isinstance(g, str):
+                assert g == w, key
+                continue
+            for name in ("peak_magnitude", "situational_awareness"):
+                assert math.isclose(g[name], w[name], rel_tol=1e-9), (key, name)
