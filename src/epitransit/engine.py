@@ -46,10 +46,10 @@ printed formula needs neither its self term nor a guard:
 A location is virgin iff its onset day is -1. Once no location is
 virgin, nothing more is drawn, and the run reads the rest of its
 infecteds from the table in fixed chunks of days (``_read_course``). A run
-records only total I day by day: its fraction of locations with a case
-comes from its onsets, its final size from one gather of the S plane on
-its last day, and its S and R totals are gathered from the table when
-first read. The table grows only as far as runs read it and is kept on
+keeps only its onsets and its total I day by day. Its fraction of
+locations with a case comes from its onsets; its S and R totals are
+gathered from the table, and its final size is derived from total S,
+when first read. The table grows only as far as runs read it and is kept on
 the ``EpidemicParams`` for one populations array
 (``EpidemicParams.course``), so every run of a sweep with those params
 shares it: thinned matrices share their parent's populations.
@@ -113,14 +113,6 @@ class EpidemicParams:
     def r0(self) -> float:
         return self.beta / self.gamma
 
-    @cached_property
-    def rates(self) -> np.ndarray:
-        """(beta, gamma) as a read-only (2, 1) float column, built once:
-        ``sir_step`` multiplies the S and I rows by it in one call."""
-        rates = np.array(((self.beta,), (self.gamma,)), dtype=float)
-        rates.flags.writeable = False
-        return rates
-
     def course(self, populations: np.ndarray) -> "CourseTable":
         """The course table of these params on ``populations``. The last
         one built is kept on this instance while it is asked for the same
@@ -155,30 +147,21 @@ def hazard_vector(
 
 def sir_step(SIR: np.ndarray, N: np.ndarray, params: EpidemicParams) -> np.ndarray:
     """Advance the deterministic dynamics of the (3, n) S/I/R block ``SIR``
-    of populations ``N`` one day, in place, as one whole-array update in
-    six NumPy calls; returns ``SIR``.
+    of populations ``N`` one day, in place; returns ``SIR``.
 
-    One multiply of the S and I rows by the (beta, gamma) column
-    ``params.rates`` gives the (2, n) flows: beta*S, which becomes the new
-    infections once multiplied by I, divided by N and capped at S, and the
-    recoveries gamma*I. Then the I and R rows gain the flows, and the S
-    and I rows lose them, so each compartment sees the same operations in
-    the same order as S - inf, I + inf - rec and R + rec. The cap at S
-    keeps S at zero or above: the uncapped update overshoots S for
-    beta*I/N > 1, which is a discretization artifact, not an epidemic one.
-    I stays at zero or above too, since gamma <= 1 makes gamma*I at most I
-    and adding new infections leaves I + inf at least I, so no clamp is
-    needed. Where I = 0 the new infections min(0, S) and recoveries are
-    exactly zero, so virgin and burned-out locations pass through
-    bit-identical.
+    New infections are capped at S: the uncapped update overshoots S for
+    beta*I/N > 1, a discretization artifact, not an epidemic one. The
+    recoveries gamma*I are taken from I before it changes. Neither S nor
+    I goes below zero and a location with I = 0 keeps its numbers (see
+    the module docstring).
     """
-    flows = np.multiply(SIR[:2], params.rates)
-    new_inf = flows[0]
-    new_inf *= SIR[1]
-    new_inf /= N
-    np.minimum(new_inf, SIR[0], out=new_inf)
-    SIR[1:] += flows
-    SIR[:2] -= flows
+    S, I, R = SIR
+    inf = np.minimum(params.beta * S * I / N, S)
+    rec = params.gamma * I
+    S -= inf
+    I += inf
+    I -= rec
+    R += rec
     return SIR
 
 
@@ -319,47 +302,38 @@ def _unpaged(shape: tuple) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8, **flags)).reshape(shape)
 
 
-def _room(totals: np.ndarray, rows: int, horizon: int) -> np.ndarray:
-    """``totals`` with room for ``rows`` days, doubled (up to the horizon)
-    when it has less: memory follows the days simulated, not the horizon."""
-    if rows <= totals.shape[0]:
-        return totals
-    grown = min(max(rows, 2 * totals.shape[0]), horizon + 1)
-    return np.concatenate((totals, np.empty(grown - totals.shape[0])))
-
-
-def _read_course(course: CourseTable, params: EpidemicParams, at: np.ndarray, total_I: np.ndarray, days: int):
-    """Record a run's total I after ``days``, the day every location has a
-    case, from the course table, and end it where stepping would: at the
-    horizon, or on the first day total I falls below the extinction
-    threshold. ``at`` is each location's flat index into the table's I
-    plane on day ``days``. Returns (total_I, last day).
+def _read_course(course: CourseTable, params: EpidemicParams, run: _Run, total_I: list) -> np.ndarray:
+    """A run's total I on every day: ``total_I`` holds it up to day
+    ``run.day``, on which every location has a case, and the rest is read
+    from the course table up to where stepping would end the run: the
+    horizon, or the first day total I falls below the extinction
+    threshold.
 
     A chunk of days starting on day t is one ``np.take`` from the flat
-    table shifted by t - ``days`` rows into a contiguous (days, n) buffer,
-    and one row sum over its last axis records those days. Every index is
-    in range, since the seed location's onset is day 0 and the table is
-    filled up to the chunk's last day first. A chunk is k =
-    ``COURSE_CHUNK // n`` days (at least one), cut at the horizon; the
-    (k, n) offsets into the table are built once per run.
+    table shifted by t - ``run.day`` rows, and one row sum over its last
+    axis records those days. Every index is in range, since the seed
+    location's onset is day 0 and the table is filled up to the chunk's
+    last day first. A chunk is k = ``COURSE_CHUNK // n`` days (at least
+    one), cut at the horizon; the (k, n) offsets from ``run.at`` into the
+    table are built once per run.
     """
-    n = at.shape[0]
+    n = run.at.shape[0]
     row = 3 * n  # elements per row of the flat table
     k = max(1, COURSE_CHUNK // n)
-    full = days
-    offsets = at + np.arange(0, k * row, row)[:, None]  # offsets[a] = at + a * row
-    chunk = np.empty((k, n))
-    while days < params.horizon and not total_I[days] < params.extinction_threshold:
-        t = days + 1
-        last = min(k, params.horizon + 1 - t)
-        flat = course.rows(t + last + 1, params)
-        total_I = _room(total_I, t + last, params.horizon)
-        # offsets are in range, so "clip" reads the same as "raise" without its copy of out
-        flat[(t - full) * row :].take(offsets[:last], out=chunk[:last], mode="clip")
-        chunk[:last].sum(axis=-1, out=total_I[t : t + last])
-        ended = (total_I[t : t + last] < params.extinction_threshold).nonzero()[0]
-        days = t + int(ended[0]) if ended.size else t + last - 1
-    return total_I, days
+    offsets = run.at + np.arange(0, k * row, row)[:, None]  # offsets[a] = at + a * row
+    parts = [total_I]
+    day, last = run.day, total_I[-1]
+    while day < params.horizon and not last < params.extinction_threshold:
+        t = day + 1
+        count = min(k, params.horizon + 1 - t)
+        flat = course.rows(t + count + 1, params)
+        sums = flat[(t - run.day) * row :].take(offsets[:count]).sum(axis=-1)
+        ended = (sums < params.extinction_threshold).nonzero()[0]
+        if ended.size:
+            sums = sums[: ended[0] + 1]
+        parts.append(sums)
+        day, last = day + sums.shape[0], sums[-1]
+    return np.concatenate(parts)
 
 
 def _plane_totals(block: np.ndarray, onset_day: np.ndarray, length: int, plane: int) -> np.ndarray:
@@ -405,17 +379,16 @@ class PrevalenceSeries:
     """Day-indexed aggregates of one simulation run.
 
     ``total_S`` and ``total_R`` are gathered from ``course``, the course
-    table the run read, when first read, and kept; a series keeps its
-    table alive while it lives. A run's days in the table do not move
-    when the table grows, so they are what stepping would have given
-    whenever they are read.
+    table the run read, and ``final_size`` is derived from ``total_S``,
+    when first read, and kept; a series keeps its table alive while it
+    lives. A run's days in the table do not move when the table grows, so
+    they are what stepping would have given whenever they are read.
     """
 
     prevalence: np.ndarray
     frac_locations: np.ndarray
     total_I: np.ndarray
     onset_days: np.ndarray
-    final_size: float
     seed_location: int
     course: CourseTable = field(repr=False, compare=False)
 
@@ -429,6 +402,12 @@ class PrevalenceSeries:
     @cached_property
     def total_R(self) -> np.ndarray:
         return _plane_totals(self.course.block, self.onset_days, len(self), 2)
+
+    @cached_property
+    def final_size(self) -> float:
+        """The share of the population ever infected, 1 - S/N on the last day."""
+        total = float(self.course.populations.sum())
+        return float((total - self.total_S[-1]) / total)
 
 
 def run_simulation(
@@ -446,13 +425,13 @@ def run_simulation(
     (``check_scale``).
 
     The run reads ``params.course`` for the matrix's populations and
-    steps no state (see the module docstring). A day's total I is one
-    gather from the table and one sum, into a buffer that doubles when
-    full, so memory follows the days simulated, not the horizon. While
-    some location is virgin a day is ``advance_day``. Once none is,
-    nothing more is drawn, and the rest of the series is read in chunks
-    (``_read_course``). The fraction of locations with a case is the
-    running count of onsets over n.
+    steps no state (see the module docstring). While some location is
+    virgin a day is ``advance_day``, and its total I is one gather from
+    the table and one sum, appended to a list. Once none is, nothing more
+    is drawn, and the rest of the series is read in chunks
+    (``_read_course``). Memory follows the days simulated, not the
+    horizon. The fraction of locations with a case is the running count
+    of onsets over n.
     """
     check_scale(params, matrix)
     rng = np.random.default_rng(rng_seed)
@@ -461,33 +440,21 @@ def run_simulation(
     run = _Run(matrix.n)
     run.seed(seed_loc)
 
-    total_pop = float(matrix.populations.sum())
     I = course.rows(2, params).take(run.at)
-    total_I = np.empty(min(params.horizon + 1, 256))
-    total_I[0] = I.sum()
-    days = 0
-    while run.virgin.size and days < params.horizon and not total_I[days] < params.extinction_threshold:
+    total_I = [I.sum()]
+    while run.virgin.size and run.day < params.horizon and not total_I[-1] < params.extinction_threshold:
         advance_day(run, I, matrix, params, course, rng)
-        days += 1
-        total_I = _room(total_I, days + 1, params.horizon)
-        # at is in range, so "clip" reads the same as "raise" without its copy of out
-        course.rows(days + 2, params).take(run.at, out=I, mode="clip")
-        total_I[days] = I.sum()
-    if not run.virgin.size:
-        total_I, days = _read_course(course, params, run.at, total_I, days)
+        I = course.rows(run.day + 2, params).take(run.at)
+        total_I.append(I.sum())
+    total_I = np.array(total_I) if run.virgin.size else _read_course(course, params, run, total_I)
 
     onset_day = run.onset_day
-    frac = np.cumsum(np.bincount(onset_day[onset_day >= 0], minlength=days + 1)) / matrix.n
-    total_I = total_I[: days + 1]
-    # the S plane lies n elements before the I plane, and the last day
-    # days - run.day rows on from the day at points to
-    last_S = course.rows(days + 2, params).take(run.at + (3 * (days - run.day) - 1) * matrix.n).sum()
+    frac = np.cumsum(np.bincount(onset_day[onset_day >= 0], minlength=total_I.shape[0])) / matrix.n
     return PrevalenceSeries(
-        prevalence=total_I / total_pop,
+        prevalence=total_I / float(matrix.populations.sum()),
         frac_locations=frac,
         total_I=total_I,
         onset_days=onset_day,
-        final_size=float((total_pop - last_S) / total_pop),
         seed_location=seed_loc,
         course=course,
     )

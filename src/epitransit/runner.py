@@ -377,20 +377,23 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
     every calibration, thinning and histogram, and freed with it; the
     caller's matrix is left as it was. Each thinned matrix is born with
     the entries it inherits from the matrix, and is released once its
-    cell has run. Every disease's params are checked against the matrix
-    (``engine.check_scale``) before anything is calibrated or run.
+    cell has run. Before anything is calibrated or run, every disease's
+    params are checked against the matrix (``engine.check_scale``), its
+    counts are checked to be whole trips (``transit.trip_counts``), and
+    the seed locations are drawn, which checks a fixed ``seed_rule``.
     """
     matrix = base_matrix(config) if matrix is None else replace(matrix)
     params = [_params(config, disease) for disease in config.diseases]
     for p in params:
         engine.check_scale(p, matrix)
-    planned, infeasible = plan_cells(config, matrix)
+    transit.trip_counts(matrix)
     seed_locs = [
         engine.seed_outbreak(
             matrix, config.seed_rule, np.random.default_rng(_seed_seq(config.master_seed, _TAG_SEED_LOC, s))
         )
         for s in range(config.seed_draws)
     ]
+    planned, infeasible = plan_cells(config, matrix)
     pairs = [(s, r) for s in range(config.seed_draws) for r in range(config.replicates)]
     intro_seeds = [_intro_seed(config, s, r) for s, r in pairs]
     baselines = [
@@ -476,12 +479,15 @@ def replay_run(config: ScenarioConfig, entry: dict, matrix: ContactMatrix | None
     sweep's own calibration, thinning and run helpers. Like a sweep, it
     works on ``dataclasses.replace(matrix)``, so the ``entries`` and
     ``inter_location_trips`` caches it computes are freed with that copy
-    and the caller's matrix is left as it was."""
+    and the caller's matrix is left as it was. Like a sweep, it checks the
+    params and the counts before it calibrates."""
     disease = next((d for d in config.diseases if d.name == entry["disease"]), None)
     if disease is None:
         raise ValueError(f"ledger entry's disease {entry['disease']!r} is not in the config")
     matrix = base_matrix(config) if matrix is None else replace(matrix)
     params = _params(config, disease)
+    engine.check_scale(params, matrix)
+    transit.trip_counts(matrix)
     s, r, loc = entry["seed_draw"], entry["replicate"], entry["seed_location_index"]
     model = _calibrated_model(config, matrix, entry["k"], entry["theta"])
     sub = _thin(config, matrix, entry["band_index"], model)

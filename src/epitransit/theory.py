@@ -9,6 +9,7 @@ stays selectable so both are testable.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -102,10 +103,11 @@ def write_ranking_csv(
     ranked = invasion_ranking(matrix, source, params, variant)
     sub = dict(invasion_ranking(transit_matrix, source, params, variant))
     src_id = matrix.table.ids[source]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("source_id,dest_id,theta,theta_transit,ratio\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(("source_id", "dest_id", "theta", "theta_transit", "ratio"))
         for dest_id, theta in ranked:
             theta_t = sub[dest_id]
             ratio = repr(theta_t / theta) if theta > 0 else ""
-            fh.write(f"{src_id},{dest_id},{theta!r},{theta_t!r},{ratio}\n")
+            out.writerow((src_id, dest_id, repr(theta), repr(theta_t), ratio))
 

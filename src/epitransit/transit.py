@@ -265,14 +265,22 @@ def sample_transit_matrix(matrix: ContactMatrix, model: GammaTripModel, rng_seed
     comparison is about reduced flows, not reduced populations. Output
     is bit-reproducible for a fixed seed.
     """
-    index, distances = matrix.entries
-    probs = label_probabilities(model, distances)
-    values = matrix.m.take(index)
+    probs = label_probabilities(model, matrix.entries[1])
+    counts = trip_counts(matrix)
+    rng = np.random.default_rng(rng_seed)
+    return matrix.with_entry_counts(rng.binomial(counts, probs))
+
+
+def trip_counts(matrix: ContactMatrix) -> np.ndarray:
+    """The counts at the matrix's ``entries``, as int64. Raises
+    ValueError unless every one is a whole number of trips, which
+    thinning draws binomially; a sweep calls it before anything is
+    calibrated or run."""
+    values = matrix.m.take(matrix.entries[0])
     counts = np.asarray(np.rint(values), dtype=np.int64)
     if not np.array_equal(counts, values):
         raise ValueError("matrix entries must be integer trip counts for thinning")
-    rng = np.random.default_rng(rng_seed)
-    return matrix.with_entry_counts(rng.binomial(counts, probs))
+    return counts
 
 
 def distance_histogram(matrix: ContactMatrix) -> dict:

@@ -1,29 +1,35 @@
 """Golden digests: the outputs that a refactor must leave bit for bit alone.
 
-``tests/golden.json`` pins two things.
+``tests/golden.json`` pins three things.
 
 - Series: a sha256 over what a ``PrevalenceSeries`` reports
-  (``SERIES_FIELDS``: its data fields and the S and R totals it derives)
-  for the runs, with fixed seeds, of each default disease x hazard
-  variant x matrix (the base matrix and two thinned copies) x city (a
-  60-location 5-km city, n = 200 and n = 1000), plus summary values of
-  each series: length, final size, peak day and peak magnitude.
+  (``SERIES_FIELDS``: its data fields, and the S and R totals and final
+  size it derives) for the runs, with fixed seeds, of each default
+  disease x hazard variant x matrix (the base matrix and two thinned
+  copies) x city (a 60-location 5-km city, n = 200 and n = 1000), plus
+  summary values of each series: length, final size, peak day and peak
+  magnitude.
 - Exports: a sha256 of every file that ``sweep`` and ``export`` write for
   two small configs, run through ``cli.main`` under the relative output
   directory ``out``. One config has failed comparisons; the other uses the
   ``no_inner_s`` hazard, three thresholds and ``max_lag`` 30.
+- Reports: ``ComparisonReport.to_json_dict()`` (or the name of the
+  exception ``compare`` raised) for pairs of engine runs: each default
+  disease, two run seeds and two compare configs, on each city, with the
+  transit arm on the first thinned copy and both arms seeded at location
+  0 with one seed, as a sweep pairs them.
 
 The file also records the environment the digests were made in: the
 NumPy version, the BLAS name and version, the machine and the CPU model.
 ``tests/test_golden.py`` compares bit for bit where that environment
-matches, and otherwise compares the series summaries within a relative
-1e-9.
+matches, and otherwise compares the series summaries and the reports'
+peak magnitudes and situational awareness within a relative 1e-9.
 
 Regenerate, from the repository root, with
 
     PYTHONPATH=src python tests/golden.py --write
 
-and say in the change why the digests moved.
+and say in the change why the digests or reports moved.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import tempfile
 
 import numpy as np
 
-from epitransit import cli, engine, runner, transit
+from epitransit import cli, engine, metrics, runner, transit
 from epitransit.synthcity import CityConfig, generate_synthetic_city
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
@@ -53,6 +59,13 @@ CITIES = {
 }
 # the two thinned copies of each city: (k, theta, thinning seed)
 THINNED = ((3, 5, 31), (5, 10, 32))
+
+# the run seeds and compare configs of the reports
+REPORT_RUN_SEEDS = (1, 2)
+COMPARE_CONFIGS = {
+    "default": metrics.CompareConfig(),
+    "lag20": metrics.CompareConfig(level=0.05, max_lag=20, min_overlap=5, thresholds=(0.2, 0.5, 0.8)),
+}
 
 EXPORT_CONFIGS = {
     "failed_comparisons": {
@@ -160,6 +173,28 @@ def series_records() -> dict:
     return out
 
 
+def reports() -> dict:
+    """The comparison report of every pair of runs, keyed
+    ``city/disease/run seed/compare config``."""
+    out = {}
+    k, theta, thin_seed = THINNED[0]
+    for city_name, (city, city_seed, _) in CITIES.items():
+        _, full = generate_synthetic_city(city, city_seed)
+        sub = transit.sample_transit_matrix(full, transit.calibrate(transit.GammaTripModel(k, theta), full), thin_seed)
+        for name, beta, gamma in runner.DISEASE_DEFAULTS:
+            params = engine.EpidemicParams(beta=beta, gamma=gamma)
+            for seed in REPORT_RUN_SEEDS:
+                ptt = engine.run_simulation(sub, params, 0, seed)
+                mpt = engine.run_simulation(full, params, 0, seed)
+                for cfg_name, cfg in COMPARE_CONFIGS.items():
+                    try:
+                        report = metrics.compare(ptt, mpt, cfg).to_json_dict()
+                    except ValueError as exc:
+                        report = type(exc).__name__
+                    out[f"{city_name}/{name}/{seed}/{cfg_name}"] = report
+    return out
+
+
 def export_digests(workdir) -> dict:
     """sha256 of every file that ``sweep`` and then ``export`` write for
     each export config, run in ``workdir``; keyed ``config/dir/file``."""
@@ -193,6 +228,7 @@ def compute(workdir) -> dict:
         "environment": environment(),
         "series": series_records(),
         "exports": export_digests(workdir),
+        "reports": reports(),
     }
 
 
@@ -206,7 +242,10 @@ def main(argv=None) -> int:
     if args.write:
         with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {len(golden['series'])} series and {len(golden['exports'])} export digests to {GOLDEN_PATH}")
+        print(
+            f"wrote {len(golden['series'])} series and {len(golden['exports'])} export digests"
+            f" and {len(golden['reports'])} reports to {GOLDEN_PATH}"
+        )
     else:
         sys.stdout.write(text)
     return 0

@@ -364,6 +364,26 @@ class TestRunSimulation:
         assert np.all(S >= 0) and np.all(I >= 0)
         np.testing.assert_allclose(I.sum(axis=1), series.total_I, rtol=1e-12)
 
+    def test_final_size_is_derived_from_total_S_when_read(self, small_city):
+        k = max(1, COURSE_CHUNK // small_city.n)  # days per chunk read from the course table
+        # location 1 is out of reach, so the run ends with it virgin
+        virgin_left = run_simulation(two_location_matrix(flow_ab=0.0, flow_ba=0.0),
+                                     EpidemicParams(beta=0.5, gamma=1 / 3), 0, 1)
+        assert virgin_left.onset_days[1] == -1
+        # every location has a case by day 3, and the run dies out inside
+        # its second chunk of days read
+        dies = run_simulation(small_city, EpidemicParams(beta=0.5, gamma=1 / 3), "most_populous", 0)
+        assert dies.onset_days.min() >= 0 and dies.total_I[-1] < 1e-3
+        assert k < len(dies) - 1 - dies.onset_days.max() < 2 * k
+        # every location has a case, and the horizon cuts the run inside its first chunk
+        cut = run_simulation(small_city, EpidemicParams(beta=1.55, gamma=0.2, horizon=60), "most_populous", 0)
+        assert cut.onset_days.min() >= 0 and len(cut) == 61 and cut.total_I[-1] >= 1e-3
+        assert len(cut) - 1 - cut.onset_days.max() < k
+        for series in (virgin_left, dies, cut):
+            assert "final_size" not in vars(series)
+            N = float(series.course.populations.sum())
+            assert series.final_size == float((N - series.total_S[-1]) / N)
+
     def test_onset_fraction_nondecreasing(self, small_city):
         params = EpidemicParams(beta=1.55, gamma=0.2, horizon=150)
         series = run_simulation(small_city, params, "most_populous", 17)

@@ -75,6 +75,56 @@ def test_invariants_hold_every_day(matrix, beta, gamma, variant, seed_loc, rng_s
         assert np.array_equal(virgin, (after[1] == 0.0) & (after[2] == 0.0))
 
 
+def fused_sir_step(SIR, N, beta, gamma):
+    """The reference for ``sir_step``: one multiply of the S and I rows by
+    the (beta, gamma) column gives the (2, n) flows, beta*S*I/N capped at
+    S and gamma*I; then the I and R rows gain them and the S and I rows
+    lose them, in six NumPy calls."""
+    flows = np.multiply(SIR[:2], np.array(((beta,), (gamma,))))
+    new_inf = flows[0]
+    new_inf *= SIR[1]
+    new_inf /= N
+    np.minimum(new_inf, SIR[0], out=new_inf)
+    SIR[1:] += flows
+    SIR[:2] -= flows
+    return SIR
+
+
+@st.composite
+def sir_blocks(draw):
+    """(S/I/R block, N): each compartment a share of N that is zero
+    (no case, or none left), tiny or any, and N from the population
+    floor to 1e300."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    N = draw(hnp.arrays(float, n, elements=st.floats(POPULATION_FLOOR, 1e300)))
+    shares = draw(hnp.arrays(float, (3, n), elements=st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 1.0))))
+    return shares * N, N
+
+
+# beta*I/N > 1 caps the new infections at S; the last location has I = 0
+CAPPED = (np.array([[40.0, 10.0, 70.0], [60.0, 90.0, 0.0], [0.0, 0.0, 30.0]]), np.full(3, 100.0))
+
+
+@given(
+    block=sir_blocks(),
+    # with N up to 1e300, beta*N reaches 1e308, near the limit check_scale sets
+    beta=st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.floats(0.0, 1e8)),
+    gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+)
+@example(block=CAPPED, beta=15.0, gamma=1.0)
+@example(block=CAPPED, beta=0.0, gamma=0.25)
+def test_sir_step_equals_the_fused_form_bit_for_bit(block, beta, gamma):
+    SIR, N = block
+    params = EpidemicParams(beta=beta, gamma=gamma)
+    assert np.isfinite(beta * N.max())
+    # past N of about 1e154, beta*S*I can overflow to inf in both forms,
+    # and the cap at S takes the new infections back to S
+    with np.errstate(over="ignore"):
+        want = fused_sir_step(SIR.copy(), N, beta, gamma)
+        got = sir_step(SIR.copy(), N, params)
+    assert got.tobytes() == want.tobytes()
+
+
 @st.composite
 def sparse_cities(draw):
     """Cities whose flows are zeroed at random, so some locations can stay

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epitransit import transit
+from epitransit import engine, transit
 from epitransit.metrics import CompareConfig, ComparisonReport
 from epitransit.mobility import matrix_from_flows
 from epitransit.runner import (
@@ -45,24 +45,27 @@ TWO_DISEASES = [Disease("h1n1", 0.5, 1 / 3), Disease("varicella", 1.55, 0.2)]
 TWO_BAND_PAIRS = [(3, 5), (2, 7), (2, 16), (3, 12)]
 
 
+def _record_calls(monkeypatch, *targets) -> list:
+    """Wrap each (module, name) so that a call appends its name to the
+    list returned, then runs the function."""
+    calls = []
+    for module, name in targets:
+        def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def two_disease_sweep():
     """A two-disease, two-band sweep, with the calibrate and thinning calls
-    it made counted."""
+    it made listed."""
     config = tiny_config(diseases=TWO_DISEASES, delta_bands=["low", "mediate"], pairs=TWO_BAND_PAIRS)
     matrix = base_matrix(config)
-    calls = {"calibrate": 0, "sample_transit_matrix": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            mp.setattr(transit, name, counted(name, getattr(transit, name)))
+        calls = _record_calls(mp, (transit, "calibrate"), (transit, "sample_transit_matrix"))
         result = run_sweep(config, matrix=matrix)
     return config, matrix, result, calls
 
@@ -189,8 +192,8 @@ class TestRunSweep:
     def test_plan_calibrates_each_cell_once(self, two_disease_sweep):
         config, _, result, calls = two_disease_sweep
         assert len(result.cells) == len(config.diseases) * len(TWO_BAND_PAIRS)
-        assert calls["calibrate"] == len(TWO_BAND_PAIRS)
-        assert calls["sample_transit_matrix"] == len(TWO_BAND_PAIRS)
+        assert calls.count("calibrate") == len(TWO_BAND_PAIRS)
+        assert calls.count("sample_transit_matrix") == len(TWO_BAND_PAIRS)
 
     def test_run_index_is_closed_form(self, caplog):
         # at horizon 5 and a 6-day minimum overlap, a comparison fails when
@@ -244,6 +247,31 @@ class TestRunSweep:
         for entry in result.ledger[:3]:
             replayed = replay_run(config, entry, matrix=matrix)
             assert replayed.to_json_dict() == entry["report"]
+
+    def test_fractional_counts_fail_before_anything_is_calibrated_or_run(self, monkeypatch):
+        # thinning alone needs whole trips, and would meet the count only
+        # after every baseline had run
+        config = tiny_config()
+        city = base_matrix(config)
+        m = city.m.copy()
+        m[0, 1] += 0.5
+        matrix = matrix_from_flows(m, populations=city.populations, table=city.table)
+        calls = _record_calls(monkeypatch, (engine, "run_simulation"), (transit, "calibrate"))
+        with pytest.raises(ValueError, match="integer trip counts"):
+            run_sweep(config, matrix=matrix)
+        assert calls == []
+        entry = {"disease": "h1n1", "seed_draw": 0, "replicate": 0, "seed_location_index": 0,
+                 "k": 3, "theta": 5, "band_index": 0}
+        with pytest.raises(ValueError, match="integer trip counts"):
+            replay_run(config, entry, matrix=matrix)
+        assert calls == []
+
+    def test_out_of_range_seed_location_fails_before_any_calibration(self, monkeypatch):
+        calls = _record_calls(monkeypatch, (transit, "calibrate"))
+        config = tiny_config(seed_rule=40)  # the city has locations 0 to 39
+        with pytest.raises(ValueError, match="fixed seed location 40 out of range"):
+            run_sweep(config)
+        assert calls == []
 
     def test_infeasible_cells_skipped(self):
         # all locations at identical coordinates: every trip distance is

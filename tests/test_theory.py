@@ -1,10 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from epitransit.engine import EpidemicParams
-from epitransit.mobility import matrix_from_flows
+from epitransit.mobility import load_locations, matrix_from_flows
 from epitransit.theory import (
     PairInvasion,
     invasion_probability,
@@ -138,3 +139,18 @@ class TestInvasionRanking:
         lines = path.read_text().splitlines()
         assert lines[0] == "source_id,dest_id,theta,theta_transit,ratio"
         assert len(lines) == small_city.n  # header + n-1 destinations
+
+    def test_csv_export_quotes_ids_that_hold_a_comma_or_a_quote(self, tmp_path):
+        # the locations CSV may quote an id, so an id may hold either
+        locations = tmp_path / "locations.csv"
+        locations.write_text('id,lat,lon\n"A,1",0,0\n"say ""hi""",0,1\nC,1,0\n')
+        table = load_locations(locations)
+        assert table.ids == ["A,1", 'say "hi"', "C"]
+        matrix = matrix_from_flows(np.full((3, 3), 5.0), populations=np.full(3, 50.0), table=table)
+        path = tmp_path / "ranking.csv"
+        write_ranking_csv(matrix, matrix, 0, EpidemicParams(beta=0.5, gamma=0.5), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["source_id", "dest_id", "theta", "theta_transit", "ratio"]
+        assert [row[:2] for row in rows[1:]] == [["A,1", 'say "hi"'], ["A,1", "C"]]
+        assert all(len(row) == 5 for row in rows)
