@@ -238,6 +238,8 @@ def advance_day(
 # Once every location has a case, a run reads its course table in chunks
 # of max(1, COURSE_CHUNK // n) days, about COURSE_CHUNK infecteds.
 COURSE_CHUNK = 8192
+# A course table's store grows by this factor (see CourseTable).
+STORE_GROWTH = 8
 
 
 class CourseTable:
@@ -250,13 +252,16 @@ class CourseTable:
     row a copy of the one before stepped in place by ``sir_step``, so it
     holds what stepping a run gives, bit for bit, and only as many rows
     as runs have read: its memory follows the longest run, not the
-    horizon. The rows live in a store whose capacity doubles (up to the
-    horizon) when a read needs more, so filling copies the table once at
-    most. The store is an anonymous memory map of its own (``_unpaged``):
-    the rows past the filled ones take no memory, and a freed store goes
-    back to the system at once. ``N``, ``beta_N`` = beta * N and
-    ``one_plus_beta_N`` = 1 + beta * N are the factors of the hazard on a
-    virgin location.
+    horizon. The rows live in a store that grows when a read needs more
+    rows: to ``STORE_GROWTH`` times its capacity, or to the rows read if
+    that is more, and never past horizon + 2 rows. Each growth maps a new
+    store and copies the filled rows into it, so a table that reaches r
+    rows grows about log_8(r / 2) times: three times for 190 ages at a
+    horizon of 300, where doubling took seven. The store is an anonymous
+    memory map of its own (``_unpaged``): the rows past the filled ones
+    take no memory, and a freed store goes back to the system at once.
+    ``N``, ``beta_N`` = beta * N and ``one_plus_beta_N`` = 1 + beta * N
+    are the factors of the hazard on a virgin location.
     """
 
     def __init__(self, populations: np.ndarray, beta: float):
@@ -281,7 +286,8 @@ class CourseTable:
         if self._filled < count:
             capacity = self._store.shape[0]
             if capacity < count:
-                store = _unpaged((min(max(count, 2 * capacity), params.horizon + 2), *self._store.shape[1:]))
+                rows = min(max(count, STORE_GROWTH * capacity), params.horizon + 2)
+                store = _unpaged((rows, *self._store.shape[1:]))
                 store[: self._filled] = self.block
                 self._store, self._flat = store, store.reshape(-1)
             for f in range(self._filled, count):
@@ -348,11 +354,20 @@ def _plane_totals(block: np.ndarray, onset_day: np.ndarray, length: int, plane: 
 
 
 def check_scale(params: EpidemicParams, matrix: ContactMatrix) -> None:
-    """Raise ValueError unless beta * max(N) is finite: ``sir_step`` forms
-    beta*S first, and an overflow to inf times I = 0 turns a run into NaN."""
+    """Raise ValueError unless beta * max(N) * max(N) is finite.
+
+    ``sir_step`` forms beta*S*I, left to right, with S and I at most N,
+    so rounding, being monotone, keeps every such product at most this
+    one: no run overflows. Past it, beta*S*I can overflow to inf, which
+    NumPy reports with a warning. The bound also keeps beta * N, a factor
+    of the hazard, finite, since N >= 1.
+    """
     top = float(matrix.populations.max())
-    if not math.isfinite(params.beta * top):
-        raise ValueError(f"beta {params.beta!r} overflows against a population of {top!r}")
+    if not math.isfinite(params.beta * top * top):
+        raise ValueError(
+            f"beta {params.beta!r} overflows against a population of {top!r}: "
+            f"beta * N * N, the largest beta*S*I of the SIR step, is past the float64 range"
+        )
 
 
 def seed_outbreak(matrix: ContactMatrix, rule, rng: np.random.Generator) -> int:

@@ -162,13 +162,13 @@ class ContactMatrix:
         """(flat indices, distances in km) of the nonzero entries, row-major.
 
         Indices are int32 when the matrix has fewer than 2**31 entries;
-        ``m.take(index)`` reads their counts, which are not cached.
-        Distances are computed for these entries only and equal
-        ``distance_matrix`` there, so calibration, histograms and thinning
-        never build the dense n x n distance matrix. A matrix made by
-        ``with_entry_counts`` is born with this cache set: its entries are
-        a subset of its parent's, so it inherits their indices and
-        distances and never scans its n^2 counts or calls the haversine.
+        ``trip_counts`` holds their counts. Distances are computed for
+        these entries only and equal ``distance_matrix`` there, so
+        calibration, histograms and thinning never build the dense n x n
+        distance matrix. A matrix made by ``with_entry_counts`` is born
+        with this cache set: its entries are a subset of its parent's, so
+        it inherits their indices and distances and never scans its n^2
+        counts or calls the haversine.
         The cache lives as long as the matrix: a sweep or replay computes
         it on a ``dataclasses.replace`` copy that it owns, so the caller's
         matrix is left as it was.
@@ -182,25 +182,46 @@ class ContactMatrix:
         return _read_only(index, distances)
 
     @cached_property
+    def trip_counts(self) -> np.ndarray:
+        """The counts at ``entries``, in their order, as int64 whole trips:
+        the one place that checks that every count is a whole number, once
+        per matrix. Raises ValueError otherwise, since calibration, the
+        distance histogram and thinning all weigh whole trips; a sweep and
+        a replay ask for it before anything is calibrated or run. A matrix
+        made by ``with_entry_counts`` is born with it, so it never gathers
+        its counts from its n^2 array."""
+        values = self.m.take(self.entries[0])
+        counts = values.astype(np.int64)  # a fractional count is cut, so it differs
+        if not np.array_equal(counts, values):
+            raise ValueError("matrix entries must be integer trip counts for thinning")
+        return _read_only(counts)[0]
+
+    @cached_property
     def inter_location_trips(self) -> tuple[np.ndarray, np.ndarray]:
-        """(distances in km, counts) of the nonzero off-diagonal entries,
-        row-major: the trips that calibration and the distance histogram
-        weigh. Taken from ``entries`` once per matrix; self-flows are left
-        out, since they carry no distance."""
+        """(distances in km, counts as floats) of the nonzero off-diagonal
+        entries, row-major: the trips that calibration and the distance
+        histogram weigh. Taken from ``entries`` and ``trip_counts`` once
+        per matrix; self-flows are left out, since they carry no
+        distance."""
         index, distances = self.entries
         off = index % (self.n + 1) != 0  # diagonal flat indices are multiples of n + 1
-        return _read_only(distances[off], self.m.take(index[off]))
+        return _read_only(distances[off], self.trip_counts[off].astype(float))
 
     def with_entry_counts(self, counts: np.ndarray) -> "ContactMatrix":
         """A matrix whose count at each of this matrix's ``entries`` is
-        ``counts`` (in the same order) and zero elsewhere, with this
-        matrix's table, populations (the same read-only array) and clamp
-        count.
+        ``counts``, an integer array in the same order, and zero
+        elsewhere, with this matrix's table, populations (the same
+        read-only array) and clamp count.
 
-        Its ``entries`` are set on creation to this matrix's indices and
-        distances where ``counts > 0``: those are its row-major nonzeros,
-        and each distance is the value its own haversine would give.
+        It is born with its ``entries`` and ``trip_counts``: this matrix's
+        indices and distances, and ``counts`` as int64, where
+        ``counts > 0``. Those are its row-major nonzeros, each distance is
+        the value its own haversine would give and each count the value
+        its own gather would give, so it never scans or gathers from its
+        n^2 counts.
         """
+        if counts.dtype.kind not in "iu":
+            raise TypeError(f"entry counts must be an integer array, got dtype {counts.dtype}")
         index, distances = self.entries
         m = np.zeros(self.m.size)
         m[index] = counts
@@ -212,6 +233,7 @@ class ContactMatrix:
         )
         kept = counts > 0
         vars(out)["entries"] = _read_only(index[kept], distances[kept])
+        vars(out)["trip_counts"] = _read_only(counts[kept].astype(np.int64, copy=False))[0]
         return out
 
     def cross_trips(self) -> float:

@@ -347,6 +347,12 @@ def _params(config: ScenarioConfig, disease: Disease) -> engine.EpidemicParams:
     )
 
 
+def _cut_at_horizon(series: engine.PrevalenceSeries, params: engine.EpidemicParams) -> bool:
+    """Whether a run reached the horizon with total I still at or above
+    the extinction threshold, so that the horizon, not extinction, ended it."""
+    return len(series) > params.horizon and series.total_I[-1] >= params.extinction_threshold
+
+
 def _intro_seed(config: ScenarioConfig, s: int, r: int) -> np.random.SeedSequence:
     """The introduction stream of replicate r of seed draw s. Both arms of
     a pair run on it, and ``run_simulation`` only reads it, so one
@@ -367,26 +373,30 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
     ``run_index`` ((d C + c) D + s) R + r, for C feasible cells, D draws
     and R replicates, and cells, ledger and example curves are listed
     disease by disease, so the result does not depend on the execution
-    order. A
-    pair whose comparison raises ``NoAdmissibleLag`` stays out of the
-    ledger and the aggregates, is counted in its cell's
-    ``failed_comparisons`` and still takes its ``run_index``. The sweep
-    works on ``dataclasses.replace(matrix)``, a matrix of its own that
-    shares the caller's arrays, so its two caches, ``entries`` and
-    ``inter_location_trips``, are computed once per sweep, shared by
-    every calibration, thinning and histogram, and freed with it; the
-    caller's matrix is left as it was. Each thinned matrix is born with
-    the entries it inherits from the matrix, and is released once its
-    cell has run. Before anything is calibrated or run, every disease's
-    params are checked against the matrix (``engine.check_scale``), its
-    counts are checked to be whole trips (``transit.trip_counts``), and
-    the seed locations are drawn, which checks a fixed ``seed_rule``.
+    order. A pair whose comparison raises ``NoAdmissibleLag`` stays out
+    of the ledger and the aggregates, is counted in its cell's
+    ``failed_comparisons`` and still takes its ``run_index``.
+
+    The sweep works on ``dataclasses.replace(matrix)``, a matrix of its
+    own that shares the caller's arrays, so its caches (``entries``,
+    ``trip_counts`` and ``inter_location_trips``) are computed once per
+    sweep, shared by every calibration, thinning and histogram, and freed
+    with it; the caller's matrix is left as it was. Each thinned matrix is
+    born with its ``entries`` and ``trip_counts``, and is released once
+    its cell has run.
+
+    Before anything is calibrated or run, every disease's params are
+    checked against the matrix (``engine.check_scale``), its counts are
+    checked to be whole trips (``ContactMatrix.trip_counts``), and the
+    seed locations are drawn, which checks a fixed ``seed_rule``. At the
+    end, one INFO line counts the runs that reached the horizon with
+    total I still at or above the extinction threshold.
     """
     matrix = base_matrix(config) if matrix is None else replace(matrix)
     params = [_params(config, disease) for disease in config.diseases]
     for p in params:
         engine.check_scale(p, matrix)
-    transit.trip_counts(matrix)
+    matrix.trip_counts  # raises unless every count is a whole trip; kept for thinning
     seed_locs = [
         engine.seed_outbreak(
             matrix, config.seed_rule, np.random.default_rng(_seed_seq(config.master_seed, _TAG_SEED_LOC, s))
@@ -400,6 +410,7 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
         [engine.run_simulation(matrix, p, seed_locs[s], seed) for (s, _), seed in zip(pairs, intro_seeds)]
         for p in params
     ]
+    cut = sum(_cut_at_horizon(run, p) for runs, p in zip(baselines, params) for run in runs)
 
     # per disease, in cell order
     cells = [[] for _ in config.diseases]
@@ -422,6 +433,7 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
             for (s, r), seed, mpt in zip(pairs, intro_seeds, baselines[d]):
                 run_index = ((d * len(planned) + c) * config.seed_draws + s) * config.replicates + r
                 ptt = engine.run_simulation(sub, params[d], seed_locs[s], seed)
+                cut += _cut_at_horizon(ptt, params[d])
                 try:
                     report = metrics.compare(ptt, mpt, config.compare)
                 except metrics.NoAdmissibleLag:
@@ -461,12 +473,17 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
             )
         del sub  # release this cell's matrix before the next is thinned
 
+    total_runs = len(params) * len(pairs) * (1 + len(planned))
+    log.info(
+        "%d of %d runs reached the horizon of %d days with total I still at or above %g",
+        cut, total_runs, config.horizon, config.extinction_threshold,
+    )
     return SweepResult(
         config=config.to_json_dict(),
         cells=[row for rows in cells for row in rows],
         ledger=[entry for entries in ledgers for entry in entries],
         infeasible_cells=infeasible,
-        total_runs=len(params) * len(pairs) * (1 + len(planned)),
+        total_runs=total_runs,
         histograms=histograms,
         example_curves={
             disease.name: curve for disease, curve in zip(config.diseases, curves) if curve is not None
@@ -477,17 +494,17 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
 def replay_run(config: ScenarioConfig, entry: dict, matrix: ContactMatrix | None = None) -> metrics.ComparisonReport:
     """Reproduce one ledger entry's comparison bit-exactly, through the
     sweep's own calibration, thinning and run helpers. Like a sweep, it
-    works on ``dataclasses.replace(matrix)``, so the ``entries`` and
-    ``inter_location_trips`` caches it computes are freed with that copy
-    and the caller's matrix is left as it was. Like a sweep, it checks the
-    params and the counts before it calibrates."""
+    works on ``dataclasses.replace(matrix)``, so the caches it computes
+    are freed with that copy and the caller's matrix is left as it was.
+    Like a sweep, it checks the params and the counts before it
+    calibrates."""
     disease = next((d for d in config.diseases if d.name == entry["disease"]), None)
     if disease is None:
         raise ValueError(f"ledger entry's disease {entry['disease']!r} is not in the config")
     matrix = base_matrix(config) if matrix is None else replace(matrix)
     params = _params(config, disease)
     engine.check_scale(params, matrix)
-    transit.trip_counts(matrix)
+    matrix.trip_counts  # raises unless every count is a whole trip; kept for thinning
     s, r, loc = entry["seed_draw"], entry["replicate"], entry["seed_location_index"]
     model = _calibrated_model(config, matrix, entry["k"], entry["theta"])
     sub = _thin(config, matrix, entry["band_index"], model)

@@ -6,12 +6,15 @@ lambda is solved so the expected labeled fraction of inter-location
 trips equals the target mode share.
 
 The layer works on a matrix's nonzero entries, never on its n^2 cells:
-``ContactMatrix.entries`` (flat indices and distances) feeds thinning,
-and ``ContactMatrix.inter_location_trips`` (the off-diagonal distances
-and counts, derived from it once per matrix) feeds calibration and the
-distance histogram, which bins those trips once for both its masses
-and its 95th percentile. A thinned matrix inherits its entries from the
-matrix it was drawn from, since its nonzeros are a subset of them.
+``ContactMatrix.entries`` (flat indices and distances) and
+``ContactMatrix.trip_counts`` (their counts, checked once per matrix to
+be whole trips) feed thinning, and ``ContactMatrix.inter_location_trips``
+(the off-diagonal distances and counts, derived from them once per
+matrix) feeds calibration and the distance histogram. The histogram
+bins those trips once, by division, for both its masses and its 95th
+percentile. A thinned matrix is born with its entries and its counts:
+its nonzeros are a subset of the entries of the matrix it was drawn
+from, and its counts are the binomial draws kept there.
 """
 
 from __future__ import annotations
@@ -99,6 +102,11 @@ def gamma_pdf(d, k: float, theta: float):
     d^(k-1) exp(-d/theta) / (Gamma(k) theta^k); negative distances are a
     domain error. At d = 0 the density is 1/theta for k = 1 and 0 for
     k > 1.
+
+    The formula is evaluated on the whole array in one pass. At d = 0,
+    log d = -inf, so for k > 1 the exponent is -inf and the density the
+    exact 0; for k = 1 it is 0 * -inf = NaN, and those entries are then
+    set to 1/theta.
     """
     if k < 1 or theta <= 0:
         raise ValueError(f"require k >= 1 and theta > 0, got k={k}, theta={theta}")
@@ -107,13 +115,10 @@ def gamma_pdf(d, k: float, theta: float):
         raise ValueError("negative distance")
     scalar = d.ndim == 0
     d = np.atleast_1d(d)
-    out = np.zeros_like(d)
-    pos = d > 0
-    out[pos] = np.exp(
-        (k - 1.0) * np.log(d[pos]) - d[pos] / theta - gammaln(k) - k * np.log(theta)
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.exp((k - 1.0) * np.log(d) - d / theta - gammaln(k) - k * np.log(theta))
     if k == 1.0:
-        out[~pos] = 1.0 / theta
+        out[d == 0] = 1.0 / theta
     return float(out[0]) if scalar else out
 
 
@@ -202,6 +207,11 @@ def compute_lambda(model: GammaTripModel, distances, counts) -> float:
     sum c_i min(1, lambda F(d_i)) / sum c_i is within LAMBDA_TOL of mu.
 
     Raises InfeasibleModeShare when even caps cannot reach mu.
+
+    The products c_i F(d_i) are formed once, and lambda F(d_i) once per
+    iteration, for both the cap test and the fraction. Each sum adds the
+    same products in the same order as summing c[~capped] * F[~capped]
+    and c * min(1, lambda F) afresh would, so lambda is the same float.
     """
     d = np.asarray(distances, dtype=float)
     c = np.asarray(counts, dtype=float)
@@ -213,18 +223,23 @@ def compute_lambda(model: GammaTripModel, distances, counts) -> float:
     if model.mu > achievable + LAMBDA_TOL:
         raise InfeasibleModeShare(model.mu, achievable)
 
+    cf = c * f
     capped = np.zeros(d.shape, dtype=bool)
     lam = 0.0
     fraction = 0.0
     for _ in range(LAMBDA_MAX_ITER):
-        uncapped_mass = float((c[~capped] * f[~capped]).sum())
+        uncapped = ~capped
+        uncapped_mass = float(cf[uncapped].sum())
         if uncapped_mass <= 0.0:
             raise InfeasibleModeShare(model.mu, float(c[capped].sum() / total))
         lam = float((model.mu * total - c[capped].sum()) / uncapped_mass)
-        fraction = float((c * np.minimum(1.0, lam * f)).sum() / total)
+        p = lam * f
+        grew = (p > 1.0) & uncapped
+        np.minimum(p, 1.0, out=p)
+        p *= c
+        fraction = float(p.sum() / total)
         if abs(fraction - model.mu) <= LAMBDA_TOL:
             return lam
-        grew = (lam * f > 1.0) & ~capped
         if not grew.any():
             # the linear solve is exact over a stable cap set, so the
             # residual is float noise at worst
@@ -258,29 +273,19 @@ def sample_transit_matrix(matrix: ContactMatrix, model: GammaTripModel, rng_seed
     count is Binomial(c, min(1, lambda F(d))). Self-flow trips sit at
     d = 0. Draws are made over the nonzero entries only, in row-major
     order: a Binomial(0, p) draw consumes no random numbers, so this
-    gives the same matrix as drawing over all n^2 entries. The thinned
-    matrix inherits its ``entries`` from the input's (see
-    ``ContactMatrix.with_entry_counts``), so its histogram never scans its
-    n^2 counts. It shares the input matrix's read-only populations: the
-    comparison is about reduced flows, not reduced populations. Output
-    is bit-reproducible for a fixed seed.
+    gives the same matrix as drawing over all n^2 entries. The counts are
+    the input's ``trip_counts``, checked once per matrix. The thinned
+    matrix is born with its ``entries`` and ``trip_counts``, the draws at
+    its kept entries (see ``ContactMatrix.with_entry_counts``), so its
+    histogram and calibration never scan or gather its n^2 counts. It
+    shares the input matrix's read-only populations: the comparison is
+    about reduced flows, not reduced populations. Output is
+    bit-reproducible for a fixed seed.
     """
     probs = label_probabilities(model, matrix.entries[1])
-    counts = trip_counts(matrix)
+    counts = matrix.trip_counts
     rng = np.random.default_rng(rng_seed)
     return matrix.with_entry_counts(rng.binomial(counts, probs))
-
-
-def trip_counts(matrix: ContactMatrix) -> np.ndarray:
-    """The counts at the matrix's ``entries``, as int64. Raises
-    ValueError unless every one is a whole number of trips, which
-    thinning draws binomially; a sweep calls it before anything is
-    calibrated or run."""
-    values = matrix.m.take(matrix.entries[0])
-    counts = np.asarray(np.rint(values), dtype=np.int64)
-    if not np.array_equal(counts, values):
-        raise ValueError("matrix entries must be integer trip counts for thinning")
-    return counts
 
 
 def distance_histogram(matrix: ContactMatrix) -> dict:
@@ -289,8 +294,8 @@ def distance_histogram(matrix: ContactMatrix) -> dict:
     Weighted by trip counts over inter-location entries; self-flows are
     excluded since they carry no distance. Reads the matrix's cached
     ``inter_location_trips``, which a thinned matrix derives from the
-    entries it inherited: its histogram scans none of its n^2 counts and
-    evaluates no haversine.
+    entries and counts it was born with: its histogram scans and gathers
+    none of its n^2 counts and evaluates no haversine.
 
     Returns the dict a sweep stores and exports:
     ``{"bin_edges": [...], "masses": [...], "p95_km": float}``. A matrix
@@ -310,10 +315,11 @@ def _histogram(distances: np.ndarray, counts: np.ndarray):
     The edges are multiples of HISTOGRAM_BIN_KM from 0 past the largest
     distance. A distance d goes to bin ``searchsorted(edges[1:-1], d,
     side="right")``, NumPy's own histogram rule: bins closed on the left,
-    the largest value in the last bin. The domain is
-    non-negative finite distances, and non-negative integer counts of
-    positive sum below 2**53, so every bin total is exact in any order
-    and the masses equal NumPy's histogram's bit for bit.
+    the largest value in the last bin, found by division
+    (``_bin_index``). The domain is non-negative finite distances, and
+    non-negative integer counts of positive sum below 2**53, so every
+    bin total is exact in any order and the masses equal NumPy's
+    histogram's bit for bit.
 
     The percentile is the distance at the first position where the
     cumulative count of the stably sorted distances reaches 0.95 of the
@@ -327,7 +333,7 @@ def _histogram(distances: np.ndarray, counts: np.ndarray):
         raise ValueError("distance histogram requires non-negative finite distances")
     n_bins = max(1, int(np.ceil(hi / HISTOGRAM_BIN_KM + 1e-12)))
     edges = np.arange(n_bins + 1, dtype=float) * HISTOGRAM_BIN_KM
-    bins = np.searchsorted(edges[1:-1], distances, side="right")
+    bins = _bin_index(distances, edges)
     totals = np.bincount(bins, weights=counts, minlength=n_bins)
     cum = np.cumsum(totals)
     target = 0.95 * cum[-1]
@@ -341,3 +347,20 @@ def _histogram(distances: np.ndarray, counts: np.ndarray):
         in_bin += cum[b - 1]
     idx = int(np.searchsorted(in_bin, target, side="left"))
     return edges, totals / cum[-1], float(members[order][idx])
+
+
+def _bin_index(distances: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``searchsorted(edges[1:-1], distances, side="right")`` for edges
+    that are the multiples of HISTOGRAM_BIN_KM from 0 and distances
+    d >= 0, found by division: floor(d / HISTOGRAM_BIN_KM), cut at the
+    last bin, which holds the largest distance.
+
+    The floor is exact. Every edge k w (w = HISTOGRAM_BIN_KM = 5) is a
+    float, so a distance could only land one bin high by a quotient that
+    rounds up onto k from a d just below k w. That needs d within
+    2.5 ulp(k) of k w, but the floats below k w are ulp(5k) >= 4 ulp(k)
+    apart, so no such d exists. A check of the 64 floats below each edge
+    up to 2**20 bins found none.
+    """
+    bins = (distances / HISTOGRAM_BIN_KM).astype(np.intp)
+    return np.minimum(bins, edges.size - 2, out=bins)

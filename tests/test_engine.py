@@ -18,6 +18,7 @@ from epitransit.engine import (
     sir_step,
 )
 from epitransit.mobility import matrix_from_flows
+from epitransit.runner import Disease, ScenarioConfig, run_sweep
 from epitransit.transit import GammaTripModel, calibrate, sample_transit_matrix
 
 from conftest import day_states, two_location_matrix
@@ -42,8 +43,28 @@ def test_overflowing_beta_rejected_before_the_run():
     m = two_location_matrix(n_a=1e10)
     with pytest.raises(ValueError, match="overflows"):
         run_simulation(m, EpidemicParams(beta=1e300, gamma=0.5), 1, 0)
-    # beta * N = 1e308 is still finite
-    check_scale(EpidemicParams(beta=1e298, gamma=0.5), m)
+    # beta * N * N = 1e308 is still finite; 1e309 is not
+    check_scale(EpidemicParams(beta=1e288, gamma=0.5), m)
+    with pytest.raises(ValueError, match="overflows"):
+        check_scale(EpidemicParams(beta=1e289, gamma=0.5), m)
+
+
+def test_population_whose_square_overflows_is_rejected_before_any_run(monkeypatch):
+    # beta * N = 2.3e160 is finite, but beta * S * I of the SIR step would
+    # reach 5.3e320, past the float64 range
+    m = two_location_matrix(n_a=2.3e160)
+    steps = []
+    monkeypatch.setattr(engine, "sir_step", lambda *a: steps.append(a))
+    with pytest.raises(ValueError, match=r"beta \* N \* N.*past the float64 range"):
+        run_simulation(m, EpidemicParams(beta=1.0, gamma=0.5), 0, 0)
+    assert steps == []
+    runs = []
+    monkeypatch.setattr(engine, "run_simulation", lambda *a: runs.append(a))
+    config = ScenarioConfig(diseases=[Disease("big", 1.0, 0.5)], delta_bands=["low"], pairs=[(3, 5)],
+                            seed_draws=1, replicates=1)
+    with pytest.raises(ValueError, match="overflows against a population of 2.3e[+]160"):
+        run_sweep(config, matrix=m)
+    assert runs == []
 
 
 def fresh_state(matrix):
@@ -402,6 +423,31 @@ class TestRunSimulation:
             tracemalloc.stop()
         assert 300 < len(series) < 400
         assert peak < 64 * 1024
+
+    def test_course_table_grows_a_few_times_and_holds_the_stepped_rows(self, monkeypatch):
+        # an h1n1 table at n = 1000 and a horizon of 300, read one more day
+        # at a time up to 190 ages, as a long run reads it
+        populations = np.random.default_rng(4).uniform(1.0, 5000.0, 1000)
+        params = EpidemicParams(beta=0.5, gamma=1 / 3, horizon=300)
+        table = params.course(populations)
+        maps = []
+
+        def counting(shape, _unpaged=engine._unpaged):
+            maps.append(shape[0])
+            return _unpaged(shape)
+
+        monkeypatch.setattr(engine, "_unpaged", counting)
+        for count in range(3, 192):
+            table.rows(count, params)
+        # from the first 2 rows, 8 times larger each time, up to horizon + 2
+        assert maps == [16, 128, 302]
+        # the pre-onset row, then age 0 stepped one day at a time
+        N = populations.astype(float)
+        want = [np.array((N, np.zeros(1000), np.zeros(1000))), np.array((N - 1.0, np.ones(1000), np.zeros(1000)))]
+        for _ in range(189):
+            want.append(sir_step(want[-1].copy(), N, params))
+        assert table.block.shape == (191, 3, 1000)
+        assert table.block.tobytes() == np.array(want).tobytes()
 
     def test_one_course_table_per_populations_holding_the_ages_read(self, small_city):
         # a thinned matrix shares its parent's populations, so one table

@@ -173,7 +173,7 @@ class TestRunSweep:
     def test_sweep_leaves_the_matrix_as_it_found_it(self, two_disease_sweep):
         # the caches it computed last as long as the sweep
         matrix = two_disease_sweep[1]
-        assert not {"entries", "inter_location_trips"} & set(vars(matrix))
+        assert not {"entries", "trip_counts", "inter_location_trips"} & set(vars(matrix))
         config = tiny_config()
         matrix = base_matrix(config)
         entries, trips = matrix.entries, matrix.inter_location_trips
@@ -184,7 +184,7 @@ class TestRunSweep:
         config, _, result, _ = two_disease_sweep
         matrix = base_matrix(config)
         replay_run(config, result.ledger[0], matrix=matrix)
-        assert not {"entries", "inter_location_trips"} & set(vars(matrix))
+        assert not {"entries", "trip_counts", "inter_location_trips"} & set(vars(matrix))
         entries, trips = matrix.entries, matrix.inter_location_trips
         replay_run(config, result.ledger[0], matrix=matrix)
         assert matrix.entries is entries and matrix.inter_location_trips is trips
@@ -272,6 +272,23 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="fixed seed location 40 out of range"):
             run_sweep(config)
         assert calls == []
+
+    def test_runs_cut_at_the_horizon_while_infected_are_counted_in_one_log_line(self, monkeypatch, caplog):
+        # h1n1 outlasts a 40-day horizon in this city; a fast disease dies out well before it
+        config = tiny_config(diseases=[Disease("h1n1", 0.5, 1 / 3), Disease("fast", 15.0, 1.0)], horizon=40)
+        runs = []
+
+        def recording(matrix, params, seed_rule, rng_seed, _run=engine.run_simulation):
+            runs.append((_run(matrix, params, seed_rule, rng_seed), params))
+            return runs[-1][0]
+
+        monkeypatch.setattr(engine, "run_simulation", recording)
+        with caplog.at_level(logging.INFO, logger="epitransit.runner"):
+            result = run_sweep(config)
+        cut = sum(len(s) - 1 >= p.horizon and s.total_I[-1] >= p.extinction_threshold for s, p in runs)
+        assert len(runs) == result.total_runs == 24 and 0 < cut < len(runs)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert lines == [f"{cut} of 24 runs reached the horizon of 40 days with total I still at or above 0.001"]
 
     def test_infeasible_cells_skipped(self):
         # all locations at identical coordinates: every trip distance is

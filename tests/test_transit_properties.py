@@ -12,10 +12,16 @@ from scipy import stats
 from epitransit.mobility import LocationTable, matrix_from_flows
 from epitransit.transit import (
     HISTOGRAM_BIN_KM,
+    LAMBDA_MAX_ITER,
+    LAMBDA_TOL,
     GammaTripModel,
     InfeasibleModeShare,
+    _bin_index,
     _histogram,
     calibrate,
+    compute_lambda,
+    gamma_pdf,
+    gammaln,
     sample_transit_matrix,
 )
 
@@ -151,3 +157,137 @@ def test_one_pass_histogram_equals_np_histogram_and_a_stable_sort(sample):
     assert np.array_equal(edges, np.arange(edges.size) * HISTOGRAM_BIN_KM)
     assert np.array_equal(masses, np.histogram(distances, edges, weights=counts)[0] / counts.sum())
     assert p95 == stable_sort_percentile(distances, counts, 0.95)
+
+
+def bin_edges(distances):
+    """The edges ``_histogram`` builds for these distances."""
+    n_bins = max(1, int(np.ceil(distances.max() / HISTOGRAM_BIN_KM + 1e-12)))
+    return np.arange(n_bins + 1, dtype=float) * HISTOGRAM_BIN_KM
+
+
+@st.composite
+def distances_near_edges(draw):
+    """Distances on bin edges, one ulp below or above them, and anywhere,
+    up to the far side of the Earth."""
+    edge = st.integers(0, 4020).map(lambda i: i * HISTOGRAM_BIN_KM)
+    near = st.one_of(edge, edge.map(lambda e: np.nextafter(e, 0.0)), edge.map(lambda e: np.nextafter(e, np.inf)))
+    return np.array(draw(st.lists(st.one_of(near, st.floats(0.0, 20_100.0)), min_size=1, max_size=80)))
+
+
+@given(distances=distances_near_edges())
+# the largest distance an exact multiple of the bin width, in the last bin
+@example(distances=np.array([0.0, 5.0, 19.999999999999996, 20.0]))
+# one ulp either side of an edge
+@example(distances=np.array([np.nextafter(15.0, 0.0), 15.0, np.nextafter(15.0, np.inf)]))
+# so far out that 16384 + 1e-12 rounds to 16384: the last edge is the
+# largest distance, and it is cut back into the last bin
+@example(distances=np.array([1.0, 81920.0]))
+def test_division_binning_equals_searchsorted(distances):
+    edges = bin_edges(distances)
+    want = np.searchsorted(edges[1:-1], distances, side="right")
+    assert np.array_equal(_bin_index(distances, edges), want)
+
+
+def masked_gamma_pdf(d, k, theta):
+    """The density as computed before it was evaluated in one pass: the
+    formula gathered and scattered through a d > 0 mask."""
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    out = np.zeros_like(d)
+    pos = d > 0
+    out[pos] = np.exp((k - 1.0) * np.log(d[pos]) - d[pos] / theta - gammaln(k) - k * np.log(theta))
+    if k == 1.0:
+        out[~pos] = 1.0 / theta
+    return out
+
+
+@given(
+    d=hnp.arrays(float, st.integers(1, 40), elements=st.one_of(st.just(0.0), st.floats(0.0, 20_100.0),
+                                                               st.floats(0.0, 1e-300))),
+    k=st.one_of(st.just(1.0), st.integers(1, 50).map(float), st.floats(1.0, 60.0)),
+    theta=st.one_of(st.integers(1, 50).map(float), st.floats(1e-3, 100.0)),
+)
+@example(d=np.array([0.0, 0.0, 3.5]), k=1.0, theta=4.0)
+@example(d=np.array([0.0, 1e-320, 7.0]), k=2.0, theta=3.0)
+def test_one_pass_gamma_pdf_equals_the_masked_form_bit_for_bit(d, k, theta):
+    got = gamma_pdf(d, k, theta)
+    assert got.tobytes() == masked_gamma_pdf(d, k, theta).tobytes()
+    assert gamma_pdf(float(d[0]), k, theta) == masked_gamma_pdf(d[0], k, theta)[0]
+
+
+def looped_compute_lambda(model, distances, counts):
+    """compute_lambda as it was before it formed c F and lambda F once,
+    kept verbatim as the reference."""
+    d = np.asarray(distances, dtype=float)
+    c = np.asarray(counts, dtype=float)
+    if d.size == 0 or c.sum() <= 0:
+        raise ValueError("empty trip list")
+    f = model.pdf(d)
+    total = c.sum()
+    achievable = float(c[f > 0].sum() / total)
+    if model.mu > achievable + LAMBDA_TOL:
+        raise InfeasibleModeShare(model.mu, achievable)
+
+    capped = np.zeros(d.shape, dtype=bool)
+    lam = 0.0
+    fraction = 0.0
+    for _ in range(LAMBDA_MAX_ITER):
+        uncapped_mass = float((c[~capped] * f[~capped]).sum())
+        if uncapped_mass <= 0.0:
+            raise InfeasibleModeShare(model.mu, float(c[capped].sum() / total))
+        lam = float((model.mu * total - c[capped].sum()) / uncapped_mass)
+        fraction = float((c * np.minimum(1.0, lam * f)).sum() / total)
+        if abs(fraction - model.mu) <= LAMBDA_TOL:
+            return lam
+        grew = (lam * f > 1.0) & ~capped
+        if not grew.any():
+            # the linear solve is exact over a stable cap set, so the
+            # residual is float noise at worst
+            return lam
+        capped |= grew
+    raise InfeasibleModeShare(model.mu, fraction)
+
+
+def lambda_or_failure(solve, model, distances, counts):
+    try:
+        return solve(model, distances, counts)
+    except InfeasibleModeShare as exc:
+        return ("infeasible", exc.achievable)
+
+
+@given(
+    model=models,
+    trips=st.integers(1, 200).flatmap(lambda n: st.tuples(
+        hnp.arrays(float, n, elements=st.one_of(st.just(0.0), st.floats(0.0, 400.0))),
+        hnp.arrays(float, n, elements=st.integers(0, 10**6).map(float)),
+    )),
+)
+# a short-range model on spread trips: lambda F passes 1 on the near ones,
+# so the cap set grows over several iterations
+@example(model=GammaTripModel(k=1, theta=2, mu=0.9),
+         trips=(np.arange(0.0, 200.0, 2.0), np.arange(1.0, 101.0)))
+def test_compute_lambda_equals_the_looped_form_bit_for_bit(model, trips):
+    distances, counts = trips
+    assume(counts.sum() > 0)
+    want = lambda_or_failure(looped_compute_lambda, model, distances, counts)
+    assert lambda_or_failure(compute_lambda, model, distances, counts) == want
+
+
+@given(
+    matrix=cities(max_n=12, zero_rows=True),
+    model=models,
+    lam=st.floats(0.0, 1e4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(matrix=_SELF_FLOW_CITY, model=GammaTripModel(k=1, theta=4), lam=50.0, seed=3)
+def test_thinned_matrix_carries_the_counts_its_own_gather_gives(matrix, model, lam, seed):
+    sub = sample_transit_matrix(matrix, dataclasses.replace(model, lam=lam), seed)
+    assert "trip_counts" in vars(sub) and "inter_location_trips" not in vars(sub)
+    carried = sub.trip_counts
+    assert carried.dtype == np.int64 and not carried.flags.writeable
+    assert np.array_equal(carried, np.rint(sub.m.take(sub.entries[0])))
+    # the trips calibration and the histogram weigh, against a gather from the n^2 counts
+    index, distances = sub.entries
+    off = index % (sub.n + 1) != 0
+    got_distances, got_counts = sub.inter_location_trips
+    assert got_counts.dtype == float
+    assert np.array_equal(got_distances, distances[off]) and np.array_equal(got_counts, sub.m.take(index[off]))
