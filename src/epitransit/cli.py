@@ -26,6 +26,7 @@ from . import engine, metrics, runner, theory
 from .mobility import (
     ValidationError,
     build_contact_matrix,
+    field_count_error,
     load_matrix_npz,
     load_trips,
     network_stats,
@@ -211,11 +212,15 @@ def _read_prevalence_csv(path):
         missing = [c for c in _PREVALENCE_COLUMNS[:3] if c not in (reader.fieldnames or ())]
         if missing:
             raise ValidationError(f"{path}: header lacks column(s) {', '.join(missing)}")
-        for rownum, row in enumerate(reader, start=2):
+        for row in reader:
+            rownum = reader.line_num
+            wrong_width = field_count_error(row, reader.fieldnames)
+            if wrong_width:
+                raise ValidationError(f"{path}: row {rownum}: {wrong_width}")
             try:
                 int(row["day"])
                 values = {name: float(row[name]) for name in _PREVALENCE_COLUMNS[1:3]}
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValidationError(f"{path}: row {rownum}: {exc}") from None
             for name, value in values.items():
                 if not 0.0 <= value <= 1.0:

@@ -261,17 +261,37 @@ def _dict_reader(fh, path, expected: tuple) -> csv.DictReader:
     return reader
 
 
+def field_count_error(row: dict, fieldnames) -> str | None:
+    """The error of a ``csv.DictReader`` row that does not hold one field
+    per name in ``fieldnames``, its header, or None. DictReader keeps such
+    a row: it lists the extra fields under the key None and gives each
+    missing field the value None. The missing fields are the last ones,
+    so two lookups tell a well-formed row."""
+    if None not in row and row[fieldnames[-1]] is not None:
+        return None
+    width = len(fieldnames)
+    got = width + len(row[None]) if None in row else sum(v is not None for v in row.values())
+    return f"expected {width} fields, got {got}"
+
+
 def load_locations(path) -> LocationTable:
     """Read a ``id,lat,lon`` CSV into LocationTable columns; ids are
     stripped of padding. Every row that does not parse or is out of range
-    is reported in one ValidationError, by row number and in row order."""
+    is reported in one ValidationError, by row number and in row order.
+    A row's number is the file line it ends on, so blank lines, which
+    are skipped, are counted."""
     ids, lat, lon, rownums, errors = [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _dict_reader(fh, path, LOCATION_COLUMNS)
-        for rownum, row in enumerate(reader, start=2):
+        for row in reader:
+            rownum = reader.line_num
+            wrong_width = field_count_error(row, LOCATION_COLUMNS)
+            if wrong_width:
+                errors.append((rownum, wrong_width))
+                continue
             try:
                 loc_id, la, lo = row["id"].strip(), float(row["lat"]), float(row["lon"])
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 errors.append((rownum, str(exc)))
                 continue
             ids.append(loc_id)
@@ -291,9 +311,10 @@ def load_trips(trip_file, locations_file):
     carry the table's own id strings. Duplicate (origin, destination,
     hour) rows are merged by summing counts so sharded inputs ingest
     idempotently. A count must lie in [1, 2**53]: 2**53 is the largest
-    integer that a float count holds exactly. Any malformed row is
-    collected and reported; one or more malformed rows abort the load
-    with a message identifying them. So does any (origin, destination)
+    integer that a float count holds exactly. Any malformed row, one
+    with too few or too many fields among them, is collected and
+    reported by the file line it ends on; one or more malformed rows
+    abort the load with a message identifying them. So does any (origin, destination)
     whose daily total, over every hour and duplicate row, exceeds 2**53,
     since its matrix entry could not hold it; the message names both ids.
 
@@ -306,13 +327,18 @@ def load_trips(trip_file, locations_file):
     n_rows = 0
     with open(trip_file, newline="", encoding="utf-8") as fh:
         reader = _dict_reader(fh, trip_file, TRIP_COLUMNS)
-        for rownum, row in enumerate(reader, start=2):
+        for row in reader:
+            rownum = reader.line_num
             n_rows += 1
+            wrong_width = field_count_error(row, TRIP_COLUMNS)
+            if wrong_width:
+                errors.append(f"row {rownum}: {wrong_width}")
+                continue
             try:
                 hour = int(row["hour"])
                 count = int(row["count"])
                 origin, destination = row["origin"].strip(), row["destination"].strip()
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 errors.append(f"row {rownum}: unparseable ({exc})")
                 continue
             k = index.get(origin)

@@ -2,15 +2,19 @@
 
 A sweep pairs every full-mobility run with a run on a transit-thinned
 copy of the matrix, for each disease and each (band, k, theta) cell.
-It runs in two steps. ``plan_cells`` enumerates the cells and
-calibrates each once; calibration does not depend on the
-disease. Execution then runs every disease's baselines, and goes cell
-by cell: each cell is thinned once, and every disease runs its transit
-arm and comparisons on that one matrix, since thinning does not depend
-on the disease either. Pairs share the seed location and the
-introduction RNG stream so metric differences isolate the matrix effect.
-``replay_run`` rebuilds any ledger entry with the same helpers, so
-every run is reconstructible from its entry plus the scenario config.
+``plan_cells`` enumerates the cells and calibrates each once;
+calibration does not depend on the disease. One executor then runs
+every run there is: first the full-mobility arm, every disease on every
+(seed draw, replicate, seed location) pair, then cell by cell, where a
+cell is thinned once and every disease runs every pair on that one
+matrix, since thinning does not depend on the disease either. Both arms
+of a pair share the seed location and the introduction RNG stream, so
+metric differences isolate the matrix effect. The executor yields each
+run with its (cell, disease, pair) position, and no run depends on what
+else it runs. ``run_sweep`` folds the ledger, the cells, the example
+curves and the run counts from the whole stream; ``replay_run`` runs
+the executor on one ledger entry's cell, disease and pair, so every run
+is reconstructible from its entry plus the scenario config.
 """
 
 from __future__ import annotations
@@ -290,7 +294,9 @@ class PlannedCell:
     """One calibrated (band, k, theta) cell of a sweep.
 
     ``pair_index`` is the pair's position in ``band_pairs`` for its band;
-    a band's histogram is taken from its first pair only.
+    a band's histogram is taken from its first pair only. A replayed
+    cell knows neither its pair's position nor, in an entry without one,
+    its band label, and holds None for them.
     """
 
     band_index: int
@@ -331,12 +337,6 @@ def _calibrated_model(config: ScenarioConfig, matrix: ContactMatrix, k, theta) -
     return transit.calibrate(transit.GammaTripModel(k=k, theta=theta, mu=config.mu), matrix)
 
 
-def _thin(config: ScenarioConfig, matrix: ContactMatrix, band_index: int, model) -> ContactMatrix:
-    """The transit matrix of a cell; its seed does not depend on the disease."""
-    seed = _seed_seq(config.master_seed, _TAG_TRANSIT, band_index, model.k, model.theta)
-    return transit.sample_transit_matrix(matrix, model, seed)
-
-
 def _params(config: ScenarioConfig, disease: Disease) -> engine.EpidemicParams:
     return engine.EpidemicParams(
         beta=disease.beta,
@@ -353,50 +353,99 @@ def _cut_at_horizon(series: engine.PrevalenceSeries, params: engine.EpidemicPara
     return len(series) > params.horizon and series.total_I[-1] >= params.extinction_threshold
 
 
-def _intro_seed(config: ScenarioConfig, s: int, r: int) -> np.random.SeedSequence:
-    """The introduction stream of replicate r of seed draw s. Both arms of
-    a pair run on it, and ``run_simulation`` only reads it, so one
-    SeedSequence serves every run of the pair."""
-    return _seed_seq(config.master_seed, _TAG_INTRO, s, r)
+def _checked_start(config: ScenarioConfig, diseases: list, matrix: ContactMatrix | None) -> tuple[ContactMatrix, list]:
+    """The matrix that a sweep or a replay works on, and each disease's
+    params, once both are checked; nothing is calibrated or run yet.
 
-
-def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> SweepResult:
-    """Plan the cells, run the baselines, then run every cell once.
-
-    ``plan_cells`` calibrates each (band, k, theta) once. Per disease,
-    the full-mobility baseline is run once per (seed draw, replicate)
-    and reused across every cell, mirroring the 1 + n_pairs run
-    structure; each pair's introduction seed is built once, for the
-    baseline and every transit arm. Each cell is then thinned once, and
-    every disease runs its transit arm on that one matrix and compares
-    each pair. Disease d, cell c, seed draw s and replicate r take
-    ``run_index`` ((d C + c) D + s) R + r, for C feasible cells, D draws
-    and R replicates, and cells, ledger and example curves are listed
-    disease by disease, so the result does not depend on the execution
-    order. A pair whose comparison raises ``NoAdmissibleLag`` stays out
-    of the ledger and the aggregates, is counted in its cell's
-    ``failed_comparisons`` and still takes its ``run_index``.
-
-    The sweep works on ``dataclasses.replace(matrix)``, a matrix of its
-    own that shares the caller's arrays, so its caches (``entries``,
-    ``trip_counts`` and ``inter_location_trips``) are computed once per
-    sweep, shared by every calibration, thinning and histogram, and freed
-    with it; the caller's matrix is left as it was. Each thinned matrix is
-    born with its ``entries`` and ``trip_counts``, and is released once
-    its cell has run.
-
-    Before anything is calibrated or run, every disease's params are
-    checked against the matrix (``engine.check_scale``), its counts are
-    checked to be whole trips (``ContactMatrix.trip_counts``), and the
-    seed locations are drawn, which checks a fixed ``seed_rule``. At the
-    end, one INFO line counts the runs that reached the horizon with
-    total I still at or above the extinction threshold.
+    The matrix is ``dataclasses.replace(matrix)``, a matrix of its own
+    that shares the caller's arrays, so its caches (``entries``,
+    ``trip_counts`` and ``inter_location_trips``) are computed once,
+    shared by every calibration, thinning and histogram, and freed with
+    it; the caller's matrix is left as it was. Every disease's params are
+    checked against the matrix (``engine.check_scale``), and its counts
+    are checked to be whole trips (``ContactMatrix.trip_counts``), which
+    thinning needs.
     """
     matrix = base_matrix(config) if matrix is None else replace(matrix)
-    params = [_params(config, disease) for disease in config.diseases]
+    params = [_params(config, disease) for disease in diseases]
     for p in params:
         engine.check_scale(p, matrix)
     matrix.trip_counts  # raises unless every count is a whole trip; kept for thinning
+    return matrix, params
+
+
+def _execute(config: ScenarioConfig, matrix: ContactMatrix, params: list, cells: list, pairs: list, histograms=None):
+    """Run every disease on every pair, on the full matrix and then on each
+    cell's thinned matrix, and yield each run as (c, d, pair, series,
+    baseline).
+
+    ``params`` holds one disease's params per ``d``; ``pairs`` holds
+    (seed draw, replicate, seed location) triples; ``c`` indexes
+    ``cells``, or is None for the full-mobility arm. A transit run's
+    ``baseline`` is the full-mobility run of its disease and pair; a
+    full-mobility run has none. Every disease's baselines run first.
+    Then each cell is thinned once, every disease runs every pair on it,
+    and its matrix is released before the next cell is thinned, so at
+    most one thinned matrix is alive at a time; nothing yielded holds
+    one. A run depends on its position alone, not on what else runs.
+    With ``histograms`` given, the distance histogram of each band's
+    first pair is stored in it, keyed ``band:kK:tTHETA``.
+    """
+    # a pair's introduction stream: both arms run on it, and run_simulation
+    # only reads it, so one SeedSequence serves every run of the pair
+    seeds = [_seed_seq(config.master_seed, _TAG_INTRO, s, r) for s, r, _ in pairs]
+    baselines = [[] for _ in params]
+    for d, p in enumerate(params):
+        for pair, seed in zip(pairs, seeds):
+            baselines[d].append(engine.run_simulation(matrix, p, pair[2], seed))
+            yield None, d, pair, baselines[d][-1], None
+    for c, cell in enumerate(cells):
+        # the cell's thinning seed does not depend on the disease
+        sub = transit.sample_transit_matrix(
+            matrix, cell.model, _seed_seq(config.master_seed, _TAG_TRANSIT, cell.band_index, cell.k, cell.theta)
+        )
+        if histograms is not None and cell.pair_index == 0:
+            histograms[f"{cell.band}:k{cell.k}:t{cell.theta}"] = transit.distance_histogram(sub)
+        for d, p in enumerate(params):
+            for pair, seed, mpt in zip(pairs, seeds, baselines[d]):
+                yield c, d, pair, engine.run_simulation(sub, p, pair[2], seed), mpt
+        del sub  # release this cell's matrix before the next is thinned
+
+
+def _cell_keys(disease: Disease, cell: PlannedCell) -> dict:
+    return {
+        "disease": disease.name, "beta": disease.beta, "gamma": disease.gamma,
+        "band": cell.band, "k": cell.k, "theta": cell.theta, "lambda": cell.model.lam,
+    }
+
+
+def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> SweepResult:
+    """Plan the cells, then fold one pass of the executor into the result.
+
+    Before anything is calibrated or run, the start is checked
+    (``_checked_start``: the matrix copy, every disease's params and the
+    whole-trip counts), and the seed locations are drawn, which checks a
+    fixed ``seed_rule``. ``plan_cells`` then calibrates each (band, k,
+    theta) once, and ``_execute`` runs every disease's full-mobility
+    baseline once per (seed draw, replicate), reused across every cell,
+    mirroring the 1 + n_pairs run structure, before it thins and runs the
+    cells one by one. Each transit run is compared with its baseline.
+
+    Disease d, cell c, seed draw s and replicate r take ``run_index``
+    ((d C + c) D + s) R + r, for C feasible cells, D draws and R
+    replicates. The ledger is kept in ``run_index`` order, the cells
+    disease by disease, and a disease's example curve is the pair of its
+    first ledger entry, so the result does not depend on the execution
+    order. A pair whose comparison raises ``NoAdmissibleLag`` stays out
+    of the ledger and the aggregates, is counted in its cell's
+    ``failed_comparisons`` and still takes its ``run_index``. A cell's
+    row is made once its last pair is compared, so the sweep holds the
+    reports of unfinished cells only.
+    ``total_runs`` counts the runs the executor yields, and one INFO line
+    at the end counts those that reached the horizon with total I still
+    at or above the extinction threshold.
+    """
+    matrix, params = _checked_start(config, config.diseases, matrix)
     seed_locs = [
         engine.seed_outbreak(
             matrix, config.seed_rule, np.random.default_rng(_seed_seq(config.master_seed, _TAG_SEED_LOC, s))
@@ -404,113 +453,80 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
         for s in range(config.seed_draws)
     ]
     planned, infeasible = plan_cells(config, matrix)
-    pairs = [(s, r) for s in range(config.seed_draws) for r in range(config.replicates)]
-    intro_seeds = [_intro_seed(config, s, r) for s, r in pairs]
-    baselines = [
-        [engine.run_simulation(matrix, p, seed_locs[s], seed) for (s, _), seed in zip(pairs, intro_seeds)]
-        for p in params
-    ]
-    cut = sum(_cut_at_horizon(run, p) for runs, p in zip(baselines, params) for run in runs)
-
-    # per disease, in cell order
-    cells = [[] for _ in config.diseases]
-    ledgers = [[] for _ in config.diseases]
-    curves = [None] * len(config.diseases)
+    pairs = [(s, r, seed_locs[s]) for s in range(config.seed_draws) for r in range(config.replicates)]
     histograms = {"full": transit.distance_histogram(matrix)}
-
-    for c, cell in enumerate(planned):
-        sub = _thin(config, matrix, cell.band_index, cell.model)
-        if cell.pair_index == 0:
-            histograms[f"{cell.band}:k{cell.k}:t{cell.theta}"] = transit.distance_histogram(sub)
-
-        for d, disease in enumerate(config.diseases):
-            keys = {
-                "disease": disease.name, "beta": disease.beta, "gamma": disease.gamma,
-                "band": cell.band, "k": cell.k, "theta": cell.theta, "lambda": cell.model.lam,
-            }
-            reports = []
-            failed = 0
-            for (s, r), seed, mpt in zip(pairs, intro_seeds, baselines[d]):
-                run_index = ((d * len(planned) + c) * config.seed_draws + s) * config.replicates + r
-                ptt = engine.run_simulation(sub, params[d], seed_locs[s], seed)
-                cut += _cut_at_horizon(ptt, params[d])
-                try:
-                    report = metrics.compare(ptt, mpt, config.compare)
-                except metrics.NoAdmissibleLag:
-                    log.warning("run %d: series too short to compare; censored", run_index)
-                    failed += 1
-                    continue
-                reports.append(report)
-                ledgers[d].append(
-                    {
-                        **keys,
-                        "run_index": run_index,
-                        "band_index": cell.band_index,
-                        "seed_draw": s,
-                        "replicate": r,
-                        "seed_location_index": seed_locs[s],
-                        "seed_location": matrix.table.ids[seed_locs[s]],
-                        "report": report.to_json_dict(),
-                    }
-                )
-                if curves[d] is None:
-                    curves[d] = {
-                        "band": cell.band,
-                        "k": cell.k,
-                        "theta": cell.theta,
-                        "seed_draw": s,
-                        "replicate": r,
-                        "ptt_prevalence": [float(v) for v in ptt.prevalence],
-                        "mpt_prevalence": [float(v) for v in mpt.prevalence],
-                    }
-            cells[d].append(
+    # by (disease, cell): its reports, None for a failed comparison, until
+    # its last pair is compared; then its cells row, and the reports go
+    rows, ledger, curves = {}, [], {}
+    total_runs = cut = 0
+    for c, d, (s, r, loc), ptt, mpt in _execute(config, matrix, params, planned, pairs, histograms):
+        total_runs += 1
+        cut += _cut_at_horizon(ptt, params[d])
+        if c is None:
+            continue
+        run_index = ((d * len(planned) + c) * config.seed_draws + s) * config.replicates + r
+        cell, disease = planned[c], config.diseases[d]
+        try:
+            report = metrics.compare(ptt, mpt, config.compare)
+        except metrics.NoAdmissibleLag:
+            log.warning("run %d: series too short to compare; censored", run_index)
+            report = None
+        else:
+            ledger.append(
                 {
-                    **keys,
-                    "r0": disease.r0,
-                    "aggregates": _cell_aggregates(reports, config.compare.thresholds),
-                    "failed_comparisons": failed,
+                    **_cell_keys(disease, cell),
+                    "run_index": run_index,
+                    "band_index": cell.band_index,
+                    "seed_draw": s,
+                    "replicate": r,
+                    "seed_location_index": loc,
+                    "seed_location": matrix.table.ids[loc],
+                    "report": report.to_json_dict(),
                 }
             )
-        del sub  # release this cell's matrix before the next is thinned
+            if d not in curves:  # the pair of the disease's first ledger entry
+                curves[d] = {key: ledger[-1][key] for key in ("band", "k", "theta", "seed_draw", "replicate")}
+                curves[d].update(ptt_prevalence=ptt.prevalence.tolist(), mpt_prevalence=mpt.prevalence.tolist())
+        block = rows.setdefault((d, c), [])
+        block.append(report)
+        if len(block) == len(pairs):
+            rows[d, c] = {
+                **_cell_keys(disease, cell),
+                "r0": disease.r0,
+                "aggregates": _cell_aggregates([x for x in block if x is not None], config.compare.thresholds),
+                "failed_comparisons": sum(x is None for x in block),
+            }
 
-    total_runs = len(params) * len(pairs) * (1 + len(planned))
     log.info(
         "%d of %d runs reached the horizon of %d days with total I still at or above %g",
         cut, total_runs, config.horizon, config.extinction_threshold,
     )
     return SweepResult(
         config=config.to_json_dict(),
-        cells=[row for rows in cells for row in rows],
-        ledger=[entry for entries in ledgers for entry in entries],
+        cells=[row for _, row in sorted(rows.items())],
+        ledger=sorted(ledger, key=lambda entry: entry["run_index"]),
         infeasible_cells=infeasible,
         total_runs=total_runs,
         histograms=histograms,
-        example_curves={
-            disease.name: curve for disease, curve in zip(config.diseases, curves) if curve is not None
-        },
+        example_curves={config.diseases[d].name: curve for d, curve in sorted(curves.items())},
     )
 
 
 def replay_run(config: ScenarioConfig, entry: dict, matrix: ContactMatrix | None = None) -> metrics.ComparisonReport:
-    """Reproduce one ledger entry's comparison bit-exactly, through the
-    sweep's own calibration, thinning and run helpers. Like a sweep, it
-    works on ``dataclasses.replace(matrix)``, so the caches it computes
-    are freed with that copy and the caller's matrix is left as it was.
-    Like a sweep, it checks the params and the counts before it
-    calibrates."""
+    """Reproduce one ledger entry's comparison bit-exactly: the executor
+    run on the entry's one cell, one disease and one pair, after the
+    sweep's own checked start, so the params and the counts are checked
+    before the cell is calibrated, and the caller's matrix is left as it
+    was."""
     disease = next((d for d in config.diseases if d.name == entry["disease"]), None)
     if disease is None:
         raise ValueError(f"ledger entry's disease {entry['disease']!r} is not in the config")
-    matrix = base_matrix(config) if matrix is None else replace(matrix)
-    params = _params(config, disease)
-    engine.check_scale(params, matrix)
-    matrix.trip_counts  # raises unless every count is a whole trip; kept for thinning
-    s, r, loc = entry["seed_draw"], entry["replicate"], entry["seed_location_index"]
+    matrix, params = _checked_start(config, [disease], matrix)
     model = _calibrated_model(config, matrix, entry["k"], entry["theta"])
-    sub = _thin(config, matrix, entry["band_index"], model)
-    seed = _intro_seed(config, s, r)
-    ptt = engine.run_simulation(sub, params, loc, seed)
-    return metrics.compare(ptt, engine.run_simulation(matrix, params, loc, seed), config.compare)
+    cell = PlannedCell(entry["band_index"], entry.get("band"), None, model.k, model.theta, model)
+    pair = (entry["seed_draw"], entry["replicate"], entry["seed_location_index"])
+    *_, (_, _, _, ptt, mpt) = _execute(config, matrix, params, [cell], [pair])
+    return metrics.compare(ptt, mpt, config.compare)
 
 
 def _fmt(value) -> str:

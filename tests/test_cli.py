@@ -269,9 +269,12 @@ class TestSimulateCompareTheory:
             (["0,0.1,0.5", "1,1.5,0.6"], ["0,0.1,0.5", "1,0.2,0.6"], "row 3: prevalence 1.5 outside [0, 1]"),
             (["0,abc,0.5"], ["0,0.1,0.5", "1,0.2,0.6"], "row 2: could not convert string to float"),
             ([], ["0,0.1,0.5", "1,0.2,0.6"], "empty prevalence series"),
+            (["0,0.1,0.5,9"], ["0,0.1,0.5", "1,0.2,0.6"], "row 2: expected 3 fields, got 4"),
+            (["0,0.1,0.5"], ["0,0.1,0.5", "1,0.2"], "row 3: expected 3 fields, got 2"),
+            (["0,0.1,0.5", "", "1,nan,0.6"], ["0,0.1,0.5", "1,0.2,0.6"], "row 4: prevalence nan outside [0, 1]"),
         ],
         ids=["all_zero_mpt", "nan_prevalence", "infinite_frac", "prevalence_above_one", "unparseable_row",
-             "header_only"],
+             "header_only", "extra_field", "missing_field", "row_after_a_blank_line"],
     )
     def test_compare_rejects_series_it_cannot_compare(self, tmp_path, capsys, ptt_rows, mpt_rows, message):
         header = "day,prevalence,frac_locations_infected\n"

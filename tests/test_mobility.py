@@ -57,6 +57,23 @@ class TestLoadLocations:
             "row 6: could not convert string to float: 'north'"
         )
 
+    def test_rows_with_too_many_or_too_few_fields_rejected(self, tmp_path):
+        # DictReader keeps both: the extra field under the key None, the
+        # missing one as None
+        path = tmp_path / "locations.csv"
+        path.write_text("id,lat,lon\nA,0,0,junk\nB,1\nC,1,1\n")
+        with pytest.raises(ValidationError) as exc:
+            load_locations(path)
+        assert str(exc.value) == (
+            f"{path}: 2 malformed row(s): row 2: expected 3 fields, got 4; row 3: expected 3 fields, got 2"
+        )
+
+    def test_rows_numbered_by_file_line_past_a_blank_line(self, tmp_path):
+        path = tmp_path / "locations.csv"
+        path.write_text("id,lat,lon\na,0,0\n\nb,91,0\n")
+        with pytest.raises(ValidationError, match=r"row 4: location 'b': lat 91.0 outside"):
+            load_locations(path)
+
     def test_repeated_id_in_valid_rows_rejected(self, tmp_path):
         path = tmp_path / "locations.csv"
         path.write_text("id,lat,lon\na,0,0\nb,1,1\na,2,2\n")
@@ -75,6 +92,20 @@ class TestLoadTrips:
         trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,24,3"])
         with pytest.raises(ValidationError, match="row 2.*hour 24"):
             load_trips(trips_path, locs_path)
+
+    def test_rows_with_too_many_or_too_few_fields_rejected(self, write_csvs):
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,9,3,77", "A,B,9", "A,B,9,3"])
+        with pytest.raises(ValidationError) as exc:
+            load_trips(trips_path, locs_path)
+        assert str(exc.value) == (
+            f"{trips_path}: 2 malformed row(s): row 2: expected 4 fields, got 5; row 3: expected 4 fields, got 3"
+        )
+
+    def test_rows_numbered_by_file_line_past_a_blank_line(self, write_csvs):
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,9,3", "", "A,B,24,3"])
+        with pytest.raises(ValidationError) as exc:
+            load_trips(trips_path, locs_path)
+        assert str(exc.value) == f"{trips_path}: 1 malformed row(s): row 4: hour 24 outside 0-23"
 
     def test_duplicates_merged(self, write_csvs):
         # 10 rows, one duplicated (A,B,9) pair: 9 records expected, counts summed

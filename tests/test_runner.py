@@ -1,13 +1,16 @@
 import json
 import logging
 import re
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from epitransit import engine, transit
+from epitransit import engine, metrics, runner, transit
 from epitransit.metrics import CompareConfig, ComparisonReport
 from epitransit.mobility import matrix_from_flows
 from epitransit.runner import (
@@ -68,6 +71,57 @@ def two_disease_sweep():
         calls = _record_calls(mp, (transit, "calibrate"), (transit, "sample_transit_matrix"))
         result = run_sweep(config, matrix=matrix)
     return config, matrix, result, calls
+
+
+@pytest.fixture(scope="module")
+def recorded_sweep():
+    """The two-disease, two-band sweep, with the arguments that run_sweep
+    gave its executor and every run the executor yielded, keyed by
+    (cell, disease, pair)."""
+    config = tiny_config(diseases=TWO_DISEASES, delta_bands=["low", "mediate"], pairs=TWO_BAND_PAIRS)
+    args, runs = [], {}
+
+    def recording(*call, _execute=runner._execute):
+        args.extend(call)
+        for c, d, pair, series, baseline in _execute(*call):
+            runs[c, d, pair] = series
+            yield c, d, pair, series, baseline
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_execute", recording)
+        result = run_sweep(config)
+    return args, runs, result
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(
+    cells=st.lists(st.integers(0, len(TWO_BAND_PAIRS) - 1), unique=True),
+    diseases=st.lists(st.integers(0, len(TWO_DISEASES) - 1), min_size=1, unique=True),
+    pairs=st.lists(st.integers(0, 2 * 3 - 1), min_size=1, unique=True),  # 2 seed draws x 3 replicates
+)
+def test_executor_runs_do_not_depend_on_what_else_it_runs(recorded_sweep, cells, diseases, pairs):
+    # what makes a replay, and a sweep split into parts, exact
+    (config, matrix, params, planned, all_pairs, _), runs, result = recorded_sweep
+    reports = {e["run_index"]: e["report"] for e in result.ledger}
+    executed = runner._execute(
+        config, matrix, [params[d] for d in diseases], [planned[c] for c in cells], [all_pairs[p] for p in pairs]
+    )
+    seen = []
+    for c, d, pair, series, baseline in executed:
+        c, d = (None if c is None else cells[c]), diseases[d]
+        want = runs[c, d, pair]
+        for name in ("prevalence", "frac_locations", "onset_days"):
+            assert _same_bits(getattr(series, name), getattr(want, name))
+        if c is not None:
+            assert _same_bits(baseline.prevalence, runs[None, d, pair].prevalence)
+            s, r, _ = pair
+            run_index = ((d * len(planned) + c) * config.seed_draws + s) * config.replicates + r
+            assert metrics.compare(series, baseline, config.compare).to_json_dict() == reports[run_index]
+        seen.append((c, d, pair))
+    assert seen == [(c, d, all_pairs[p]) for c in [None, *cells] for d in diseases for p in pairs]
 
 
 class TestConfig:
@@ -194,6 +248,21 @@ class TestRunSweep:
         assert len(result.cells) == len(config.diseases) * len(TWO_BAND_PAIRS)
         assert calls.count("calibrate") == len(TWO_BAND_PAIRS)
         assert calls.count("sample_transit_matrix") == len(TWO_BAND_PAIRS)
+
+    def test_one_thinned_matrix_is_alive_at_a_time(self, monkeypatch):
+        # each cell's matrix is released before the next cell is thinned
+        config = tiny_config(diseases=TWO_DISEASES, delta_bands=["low", "mediate"], pairs=TWO_BAND_PAIRS)
+        thinned, alive = [], []
+
+        def tracked(*args, _thin=transit.sample_transit_matrix):
+            alive.append(sum(ref() is not None for ref in thinned))
+            sub = _thin(*args)
+            thinned.append(weakref.ref(sub))
+            return sub
+
+        monkeypatch.setattr(transit, "sample_transit_matrix", tracked)
+        run_sweep(config)
+        assert alive == [0] * len(TWO_BAND_PAIRS)
 
     def test_run_index_is_closed_form(self, caplog):
         # at horizon 5 and a 6-day minimum overlap, a comparison fails when
