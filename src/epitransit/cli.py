@@ -30,6 +30,7 @@ from .mobility import (
     load_matrix_npz,
     load_trips,
     network_stats,
+    raise_if_errors,
     save_matrix_npz,
     write_city_csvs,
     write_network_stats,
@@ -206,27 +207,32 @@ def _write_prevalence_csv(series: engine.PrevalenceSeries, path) -> None:
 
 
 def _read_prevalence_csv(path):
-    prev, frac = [], []
+    """The prevalence and infected-location fraction columns of a
+    prevalence CSV, whose i-th row must read day i. Every bad row is
+    reported in one ValidationError."""
+    prev, frac, errors = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in _PREVALENCE_COLUMNS[:3] if c not in (reader.fieldnames or ())]
         if missing:
             raise ValidationError(f"{path}: header lacks column(s) {', '.join(missing)}")
-        for row in reader:
-            rownum = reader.line_num
-            wrong_width = field_count_error(row, reader.fieldnames)
-            if wrong_width:
-                raise ValidationError(f"{path}: row {rownum}: {wrong_width}")
+        for day, row in enumerate(reader):
             try:
-                int(row["day"])
-                values = {name: float(row[name]) for name in _PREVALENCE_COLUMNS[1:3]}
+                wrong_width = field_count_error(row, reader.fieldnames)
+                if wrong_width:
+                    raise ValueError(wrong_width)
+                if int(row["day"]) != day:
+                    raise ValueError(f"day {row['day']} where day {day} belongs")
+                values = [float(row[name]) for name in _PREVALENCE_COLUMNS[1:3]]
+                for name, value in zip(_PREVALENCE_COLUMNS[1:3], values):
+                    if not 0.0 <= value <= 1.0:
+                        raise ValueError(f"{name} {value} outside [0, 1]")
             except ValueError as exc:
-                raise ValidationError(f"{path}: row {rownum}: {exc}") from None
-            for name, value in values.items():
-                if not 0.0 <= value <= 1.0:
-                    raise ValidationError(f"{path}: row {rownum}: {name} {value} outside [0, 1]")
-            prev.append(values["prevalence"])
-            frac.append(values["frac_locations_infected"])
+                errors.append(f"row {reader.line_num}: {exc}")
+                continue
+            prev.append(values[0])
+            frac.append(values[1])
+    raise_if_errors(path, errors)
     if not prev:
         raise ValidationError(f"{path}: empty prevalence series")
     return SimpleNamespace(prevalence=np.array(prev), frac_locations=np.array(frac))
@@ -260,8 +266,14 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    result = runner.SweepResult.load_json(args.result)
-    written = runner.export_results(result, args.out_dir)
+    # A saved result is input, so a key it lacks or a value of the wrong
+    # type is a validation error; export_results raises it before writing.
+    try:
+        result = runner.SweepResult.load_json(args.result)
+        written = runner.export_results(result, args.out_dir)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValidationError(f"{args.result}: {detail}") from None
     print(f"wrote {len(written)} files to {args.out_dir}")
     return EXIT_OK
 

@@ -300,7 +300,7 @@ def load_locations(path) -> LocationTable:
             rownums.append(rownum)
     lat, lon = np.array(lat), np.array(lon)
     errors += [(rownums[i], msg) for i, msg in _coordinate_errors(ids, lat, lon)]
-    _raise_if_errors(path, [f"row {rownum}: {msg}" for rownum, msg in sorted(errors)])
+    raise_if_errors(path, [f"row {rownum}: {msg}" for rownum, msg in sorted(errors)])
     return LocationTable(ids, lat, lon)
 
 
@@ -360,7 +360,7 @@ def load_trips(trip_file, locations_file):
                 continue
             key = (ids[k], ids[j], hour)
             merged[key] = merged.get(key, 0) + count
-    _raise_if_errors(trip_file, errors)
+    raise_if_errors(trip_file, errors)
     if sum(merged.values()) > 2**53:  # else no daily total can be above it
         daily: dict[tuple, int] = {}
         for (o, d, _), count in merged.items():
@@ -379,7 +379,9 @@ def load_trips(trip_file, locations_file):
     return table, trips
 
 
-def _raise_if_errors(path, errors):
+def raise_if_errors(path, errors):
+    """Log up to 20 of a file's row errors and raise one ValidationError
+    that counts them all and quotes the first three; no-op when empty."""
     if errors:
         for msg in errors[:20]:
             log.error("%s: %s", path, msg)

@@ -218,7 +218,6 @@ def band_pairs(config: ScenarioConfig, band: transit.DeltaBand) -> list:
 
 # Per-cell scalars, in cells.csv column order.
 _CELL_COLUMNS = ("disease", "beta", "gamma", "r0", "band", "k", "theta", "lambda")
-_CELL_KEYS = _CELL_COLUMNS + ("aggregates", "failed_comparisons")
 
 
 @dataclass
@@ -239,12 +238,7 @@ class SweepResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SweepResult":
-        kwargs = _known_keys(cls, d, "sweep result")
-        for cell in kwargs["cells"]:
-            missing = [key for key in _CELL_KEYS if key not in cell]
-            if missing:
-                raise ValueError(f"sweep result cell lacks key(s): {', '.join(missing)}")
-        return cls(**kwargs)
+        return cls(**_known_keys(cls, d, "sweep result"))
 
     def save_json(self, path) -> None:
         # dumps, not dump: dump streams through the pure-Python encoder,
@@ -537,27 +531,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_text(header, rows) -> str:
+    return "".join(",".join(row) + "\n" for row in (header, *rows))
+
+
 def export_results(result: SweepResult, out_dir) -> list:
     """Write the sweep's exports; returns the written paths.
 
-    Everything is plain sorted text, so identical results export to
-    byte-identical files.
+    All or nothing: every file's text is rendered from the result before
+    out_dir is made, so a result that lacks a key or holds a value of the
+    wrong type raises before any file exists. Everything is plain sorted
+    text, so identical results export to byte-identical files.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def write_csv(name: str, header, rows) -> None:
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-        written.append(path)
-
     stat_names = _stat_names(result.config["compare"]["thresholds"])
     parts = ("mean", "sd", "n", "censored")
-    write_csv(
-        "cells.csv",
+    cells = _csv_text(
         [*_CELL_COLUMNS, *(f"{name}_{part}" for name in stat_names for part in parts), "failed_comparisons"],
         (
             [
@@ -568,12 +556,10 @@ def export_results(result: SweepResult, out_dir) -> list:
             for cell in result.cells
         ),
     )
-
-    path = os.path.join(out_dir, "ledger.jsonl")
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in result.ledger:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    written.append(path)
+    files = [
+        ("cells.csv", cells),
+        ("ledger.jsonl", "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in result.ledger)),
+    ]
 
     # Panel data: one row per (disease, band), pooled over (k, theta)
     # cells, in the order each group first appears.
@@ -587,47 +573,39 @@ def export_results(result: SweepResult, out_dir) -> list:
             pooled = _aggregate([c["aggregates"][name]["mean"] for c in group])
             row += [_fmt(pooled["mean"]), _fmt(pooled["sd"])]
         rows.append(row)
-    write_csv(
-        "metrics_vs_r0.csv",
-        ["disease", "r0", "band", *(f"{name}_{part}" for name in stat_names for part in ("mean", "sd"))],
-        rows,
-    )
+    header = ["disease", "r0", "band", *(f"{name}_{part}" for name in stat_names for part in ("mean", "sd"))]
+    files.append(("metrics_vs_r0.csv", _csv_text(header, rows)))
 
     for disease, curves in sorted(result.example_curves.items()):
         ptt, mpt = curves["ptt_prevalence"], curves["mpt_prevalence"]
-        write_csv(
-            f"prevalence_pair_{disease}.csv",
-            ["day", "ptt_prevalence", "mpt_prevalence"],
-            (
-                [str(t), repr(ptt[t]) if t < len(ptt) else "", repr(mpt[t]) if t < len(mpt) else ""]
-                for t in range(max(len(ptt), len(mpt)))
-            ),
+        rows = (
+            [str(t), repr(ptt[t]) if t < len(ptt) else "", repr(mpt[t]) if t < len(mpt) else ""]
+            for t in range(max(len(ptt), len(mpt)))
         )
+        files.append((f"prevalence_pair_{disease}.csv", _csv_text(["day", "ptt_prevalence", "mpt_prevalence"], rows)))
 
     for key, hist in sorted(result.histograms.items()):
         edges = hist["bin_edges"]
-        write_csv(
-            "distance_hist_" + key.replace(":", "_") + ".csv",
-            ["bin_left_km", "bin_right_km", "mass"],
-            (map(repr, row) for row in zip(edges[:-1], edges[1:], hist["masses"])),
-        )
+        rows = (map(repr, row) for row in zip(edges[:-1], edges[1:], hist["masses"]))
+        name = "distance_hist_" + key.replace(":", "_") + ".csv"
+        files.append((name, _csv_text(["bin_left_km", "bin_right_km", "mass"], rows)))
 
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "total_runs": result.total_runs,
-                "n_cells": len(result.cells),
-                "n_ledger": len(result.ledger),
-                "failed_comparisons": sum(c["failed_comparisons"] for c in result.cells),
-                "infeasible_cells": result.infeasible_cells,
-                "config": result.config,
-                "histogram_p95_km": {k: v["p95_km"] for k, v in result.histograms.items()},
-            },
-            fh,
-            sort_keys=True,
-            indent=2,
-        )
-        fh.write("\n")
-    written.append(path)
+    summary = {
+        "total_runs": result.total_runs,
+        "n_cells": len(result.cells),
+        "n_ledger": len(result.ledger),
+        "failed_comparisons": sum(c["failed_comparisons"] for c in result.cells),
+        "infeasible_cells": result.infeasible_cells,
+        "config": result.config,
+        "histogram_p95_km": {k: v["p95_km"] for k, v in result.histograms.items()},
+    }
+    files.append(("summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n"))
+
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for name, text in files:
+        path = os.path.join(out_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        written.append(path)
     return written

@@ -36,7 +36,6 @@ class PairInvasion:
 
     p_invade: float
     linear_approx: float
-    p_transmit: float | None = None
 
 
 def transmission_probability(
@@ -50,26 +49,16 @@ def transmission_probability(
 
 
 def invasion_probability(
-    beta: float,
-    gamma: float,
-    m_ji: float,
-    n_j: float,
-    variant: str = "r0_consistent",
-    n_i: float | None = None,
+    beta: float, gamma: float, m_ji: float, n_j: float, variant: str = "r0_consistent"
 ) -> PairInvasion:
     """Probability that at least one case reaches susceptible location j
     from infected location i, with the linear term R0 * m_ji * n_j.
 
     m_ji and n_j may also be arrays, for many destinations at once; the
-    two probabilities then come back as arrays. Passing n_i (scalars
-    only) also fills the per-pair transmission probability.
+    two probabilities then come back as arrays.
     """
     p = -np.expm1(-_coefficient(beta, gamma, variant) * m_ji * n_j)
-    linear = (beta / gamma) * m_ji * n_j
-    p_transmit = None
-    if n_i is not None:
-        p_transmit = transmission_probability(beta, gamma, m_ji, n_i, n_j, variant)
-    return PairInvasion(p_invade=p, linear_approx=linear, p_transmit=p_transmit)
+    return PairInvasion(p_invade=p, linear_approx=(beta / gamma) * m_ji * n_j)
 
 
 def invasion_ranking(

@@ -272,9 +272,11 @@ class TestSimulateCompareTheory:
             (["0,0.1,0.5,9"], ["0,0.1,0.5", "1,0.2,0.6"], "row 2: expected 3 fields, got 4"),
             (["0,0.1,0.5"], ["0,0.1,0.5", "1,0.2"], "row 3: expected 3 fields, got 2"),
             (["0,0.1,0.5", "", "1,nan,0.6"], ["0,0.1,0.5", "1,0.2,0.6"], "row 4: prevalence nan outside [0, 1]"),
+            (["0,0.1,0.5", "1,nan,0.6", "2,0.2,0.6,9"], ["0,0.1,0.5", "1,0.2,0.6", "2,0.2,0.6"],
+             "2 malformed row(s): row 3: prevalence nan outside [0, 1]; row 4: expected 3 fields, got 4"),
         ],
         ids=["all_zero_mpt", "nan_prevalence", "infinite_frac", "prevalence_above_one", "unparseable_row",
-             "header_only", "extra_field", "missing_field", "row_after_a_blank_line"],
+             "header_only", "extra_field", "missing_field", "row_after_a_blank_line", "two_bad_rows"],
     )
     def test_compare_rejects_series_it_cannot_compare(self, tmp_path, capsys, ptt_rows, mpt_rows, message):
         header = "day,prevalence,frac_locations_infected\n"
@@ -286,6 +288,20 @@ class TestSimulateCompareTheory:
         err = capsys.readouterr().err
         assert code == 1 and not out.exists()
         assert err.startswith("error: ") and message in err
+
+    def test_compare_rejects_days_that_are_not_consecutive(self, tmp_path, capsys):
+        header = "day,prevalence,frac_locations_infected\n"
+        values = [f"{0.02 * (t + 1)!r},0.5\n" for t in range(12)]
+        (tmp_path / "mpt.csv").write_text(header + "".join(f"{t},{v}" for t, v in enumerate(values)))
+        # the same values a week apart are not 12 consecutive days
+        (tmp_path / "ptt.csv").write_text(header + "".join(f"{7 * t},{v}" for t, v in enumerate(values)))
+        out = tmp_path / "r.json"
+        args = ["compare", "--mpt", str(tmp_path / "mpt.csv"), "--out", str(out), "--ptt"]
+        assert main(args + [str(tmp_path / "mpt.csv")]) == 0
+        out.unlink()
+        assert main(args + [str(tmp_path / "ptt.csv")]) == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "11 malformed row(s): row 3: day 7 where day 1 belongs" in err
 
     @pytest.mark.parametrize("transit_n", [20, 40], ids=["transit_subset", "transit_superset"])
     def test_theory_rejects_a_transit_matrix_from_another_city(self, city_dir, tmp_path, capsys, transit_n):
@@ -525,3 +541,72 @@ class TestSweepAndExport:
         assert main(["export", "--result", str(result_path), "--out-dir", str(out)]) == 1
         assert "failed_comparisons" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def saved_result():
+    """A one-cell sweep's result as sweep_result.json holds it."""
+    config = ScenarioConfig(
+        diseases=[Disease("h1n1", 0.5, 1 / 3)],
+        delta_bands=["low"],
+        pairs=[(3, 5)],
+        seed_draws=1,
+        replicates=1,
+        horizon=60,
+        city=CityConfig(n_locations=30, extent_km=60.0, trips_per_capita=0.8),
+    )
+    return json.dumps(runner.run_sweep(config).to_json_dict())
+
+
+_FIRST = object()  # the first key of a dict, whatever it is named
+
+
+# one key of each kind that export reads, as a path into the saved result
+_EXPORT_KEYS = {
+    "top_level_field": ("histograms",),
+    "cell_column": ("cells", 0, "lambda"),
+    "aggregate_statistic": ("cells", 0, "aggregates", _FIRST),
+    "histogram_bin_edges": ("histograms", _FIRST, "bin_edges"),
+    "histogram_masses": ("histograms", _FIRST, "masses"),
+    "histogram_p95_km": ("histograms", _FIRST, "p95_km"),
+    "curve_ptt_prevalence": ("example_curves", _FIRST, "ptt_prevalence"),
+    "compare_thresholds": ("config", "compare", "thresholds"),
+}
+
+
+def _delete(d, path):
+    """Delete the key at the end of path from d; returns its name."""
+    for k in path:
+        holder, key = d, next(iter(d)) if k is _FIRST else k
+        d = d[key]
+    del holder[key]
+    return key
+
+
+class TestExportOfMalformedResult:
+    @staticmethod
+    def export(saved, tmp_path, capsys):
+        """Export saved; returns the exit code and stderr, after checking
+        that stderr names the result and that no out dir was made."""
+        result_path = tmp_path / "sweep_result.json"
+        result_path.write_text(json.dumps(saved))
+        out = tmp_path / "re"
+        code = main(["export", "--result", str(result_path), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {result_path}: ") and "Traceback" not in err
+        assert not out.exists()
+        return code, err
+
+    @pytest.mark.parametrize("path", _EXPORT_KEYS.values(), ids=_EXPORT_KEYS.keys())
+    def test_missing_key_fails_and_writes_nothing(self, saved_result, tmp_path, capsys, path):
+        saved = json.loads(saved_result)
+        key = _delete(saved, path)
+        code, err = self.export(saved, tmp_path, capsys)
+        assert code == 1 and key in err
+
+    @pytest.mark.parametrize("value", [None, 3], ids=["null", "number"])
+    def test_masses_of_the_wrong_type_fail_and_write_nothing(self, saved_result, tmp_path, capsys, value):
+        saved = json.loads(saved_result)
+        next(iter(saved["histograms"].values()))["masses"] = value
+        code, _ = self.export(saved, tmp_path, capsys)
+        assert code == 1

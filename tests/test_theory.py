@@ -82,13 +82,6 @@ class TestInvasionProbability:
         assert invasion_probability(0.5, 0.5, 0.2, 10.0).p_invade > base
         assert invasion_probability(0.5, 0.5, 0.1, 20.0).p_invade > base
 
-    def test_optional_transmission_fill(self):
-        pair = invasion_probability(0.5, 0.5, 0.1, 10.0, n_i=5.0)
-        assert pair.p_transmit == pytest.approx(
-            transmission_probability(0.5, 0.5, 0.1, 5.0, 10.0)
-        )
-        assert invasion_probability(0.5, 0.5, 0.1, 10.0).p_transmit is None
-
 
 class TestInvasionRanking:
     def test_flow_order(self):
