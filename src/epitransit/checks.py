@@ -11,6 +11,8 @@ def is_int(value) -> bool:
 def is_real(value) -> bool:
     """A finite number that a float can hold. ``json`` parses ``NaN`` and
     ``Infinity``, which no config value accepts."""
+    if type(value) is float:  # the common case, without the ABC check
+        return math.isfinite(value)
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:

@@ -41,7 +41,14 @@ printed formula needs neither its self term nor a guard:
 - no clip and no overflow guard: the inner sum is >= 0, since m and x
   are, so 1 - exp(-inner) lies in [0, 1]; beta * N is finite
   (``check_scale``); and the rounded beta*N*(1 - exp(-inner)) is at most
-  beta*N, which is at most the rounded 1 + beta*N, so h lies in [0, 1].
+  beta*N, which is at most the rounded 1 + beta*N, so h lies in [0, 1];
+- one column while one location s has a case, as on day 0 of every run:
+  every other x_k is that of a virgin location, 0, so each term
+  m[j,k] * x_k of a virgin row's sum but m[j,s] * x_s is +0.0. Adding
+  +0.0 to a finite sum >= 0 changes no bit, so the row's sum is the
+  rounded m[j,s] * x_s in whatever order BLAS adds, and (with a fused
+  multiply-add too) the column ``m[virgin, s] * x[s]`` is the matrix
+  product's exposure, bit for bit, without an n x n product.
 
 A location is virgin iff its onset day is -1. Once no location is
 virgin, nothing more is drawn, and the run reads the rest of its
@@ -131,12 +138,19 @@ def hazard_vector(
     is the table of ``params`` on the matrix's populations.
 
     Exact without the self term, S or a clip (see the module docstring).
-    While a quarter of the locations or fewer are virgin, only their rows
-    of the matrix are read. Such a row's sum can differ from the whole
-    product's in the last bit (BLAS groups rows), which moves an
-    introduction only if its uniform falls within that bit of the hazard.
+    While one location alone is not virgin, the exposure is the one
+    column ``m[virgin, s] * x[s]``, which equals the whole product's
+    exposure bit for bit (see the module docstring). While a quarter of
+    the locations or fewer are virgin, only their rows of the matrix are
+    read. Such a row's sum can differ from the whole product's in the
+    last bit (BLAS groups rows), which moves an introduction only if its
+    uniform falls within that bit of the hazard.
     """
-    if 4 * virgin.size <= x.shape[0]:
+    n = x.shape[0]
+    if virgin.size == n - 1:
+        s = n * (n - 1) // 2 - int(virgin.sum())  # the one index not in virgin
+        inner = matrix.m[virgin, s] * x[s]
+    elif 4 * virgin.size <= n:
         inner = matrix.m[virgin] @ x
     else:
         inner = (matrix.m @ x)[virgin]

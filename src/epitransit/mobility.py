@@ -92,21 +92,32 @@ def _coordinate_errors(ids, lat: np.ndarray, lon: np.ndarray) -> list:
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
-    """Great-circle distance in kilometers, vectorized over array inputs.
+    """Great-circle distance in kilometers, vectorized over array inputs:
+    ``_haversine_rad`` on the radians of the coordinates and the cosines
+    of the latitudes."""
+    p1, p2 = np.radians(lat1), np.radians(lat2)
+    d = _haversine_rad(p1, np.radians(lon1), np.cos(p1), p2, np.radians(lon2), np.cos(p2))
+    return d if d.ndim else d[()]
+
+
+def _haversine_rad(p1, l1, cos_p1, p2, l2, cos_p2) -> np.ndarray:
+    """Great-circle distance in kilometers between points given in
+    radians, with the cosines of their latitudes, as an array.
 
     Evaluates 2 R asin(sqrt(sin^2(dp/2) + cos(p1) cos(p2) sin^2(dl/2))) in
     two broadcast-shaped buffers updated in place, so a pairwise matrix
-    costs two n x n arrays rather than one per intermediate.
+    costs two n x n arrays rather than one per intermediate. Every step is
+    elementwise, so inputs gathered from per-location radians and cosines
+    give the same bits as inputs converted point by point.
     """
-    p1, p2 = np.radians(lat1), np.radians(lat2)
-    dl = np.asarray(np.radians(lon2) - np.radians(lon1))
+    dl = np.asarray(l2 - l1)
     dl /= 2.0
     np.sin(dl, out=dl)
     np.square(dl, out=dl)
-    a = np.cos(p1) * np.cos(p2)
+    a = cos_p1 * cos_p2
     a *= dl
     del dl
-    d = np.asarray(np.radians(lat2) - np.radians(lat1))
+    d = np.asarray(p2 - p1)
     d /= 2.0
     np.sin(d, out=d)
     np.square(d, out=d)
@@ -116,7 +127,7 @@ def haversine_km(lat1, lon1, lat2, lon2):
     np.sqrt(d, out=d)
     np.arcsin(d, out=d)
     d *= 2.0 * EARTH_RADIUS_KM
-    return d if d.ndim else d[()]
+    return d
 
 
 @dataclass(frozen=True)
@@ -165,7 +176,12 @@ class ContactMatrix:
         ``trip_counts`` holds their counts. Distances are computed for
         these entries only and equal ``distance_matrix`` there, so
         calibration, histograms and thinning never build the dense n x n
-        distance matrix. A matrix made by ``with_entry_counts`` is born
+        distance matrix. The radians of every location's coordinates and
+        the cosine of its latitude are computed once per location, in this
+        call, and gathered per entry into ``haversine_km``'s kernel: the
+        same elementwise steps on the same values, so the same bits,
+        without converting or taking a cosine per entry. Nothing is kept
+        on the table. A matrix made by ``with_entry_counts`` is born
         with this cache set: its entries are a subset of its parent's, so
         it inherits their indices and distances and never scans its n^2
         counts or calls the haversine.
@@ -174,11 +190,14 @@ class ContactMatrix:
         matrix is left as it was.
         """
         index = np.flatnonzero(self.m != 0)
+        rows, cols = np.divmod(index, self.n)
+        lat, lon = np.radians(self.table.lat), np.radians(self.table.lon)
+        cos_lat = np.cos(lat)
+        distances = _haversine_rad(
+            lat.take(rows), lon.take(rows), cos_lat.take(rows), lat.take(cols), lon.take(cols), cos_lat.take(cols)
+        )
         if self.m.size < 2**31:
             index = index.astype(np.int32)
-        rows, cols = np.divmod(index, self.n)
-        t = self.table
-        distances = haversine_km(t.lat[rows], t.lon[rows], t.lat[cols], t.lon[cols])
         return _read_only(index, distances)
 
     @cached_property
@@ -214,15 +233,22 @@ class ContactMatrix:
         read-only array) and clamp count.
 
         It is born with its ``entries`` and ``trip_counts``: this matrix's
-        indices and distances, and ``counts`` as int64, where
-        ``counts > 0``. Those are its row-major nonzeros, each distance is
-        the value its own haversine would give and each count the value
-        its own gather would give, so it never scans or gathers from its
-        n^2 counts.
+        indices and distances, and ``counts`` as int64, at the positions
+        where ``counts`` is nonzero. Those positions are found once, the
+        three are taken by them, and only the kept counts are written into
+        the zeroed n^2 array. The kept entries are its row-major nonzeros,
+        each distance is the value its own haversine would give and each
+        count the value its own gather would give, so it never scans or
+        gathers from its n^2 counts. A negative count is kept too, and the
+        matrix's own check rejects it.
         """
         if counts.dtype.kind not in "iu":
             raise TypeError(f"entry counts must be an integer array, got dtype {counts.dtype}")
         index, distances = self.entries
+        if counts.shape != index.shape:
+            raise ValueError(f"{index.size} entries, but counts has shape {counts.shape}")
+        kept = np.flatnonzero(counts != 0)  # NumPy finds the nonzeros of a mask faster than of integers
+        index, counts = index.take(kept), counts.take(kept)
         m = np.zeros(self.m.size)
         m[index] = counts
         out = ContactMatrix(
@@ -231,9 +257,8 @@ class ContactMatrix:
             table=self.table,
             population_clamp_count=self.population_clamp_count,
         )
-        kept = counts > 0
-        vars(out)["entries"] = _read_only(index[kept], distances[kept])
-        vars(out)["trip_counts"] = _read_only(counts[kept].astype(np.int64, copy=False))[0]
+        vars(out)["entries"] = _read_only(index, distances.take(kept))
+        vars(out)["trip_counts"] = _read_only(counts.astype(np.int64, copy=False))[0]
         return out
 
     def cross_trips(self) -> float:
@@ -380,10 +405,11 @@ def load_trips(trip_file, locations_file):
 
 
 def raise_if_errors(path, errors):
-    """Log up to 20 of a file's row errors and raise one ValidationError
-    that counts them all and quotes the first three; no-op when empty."""
+    """Raise one ValidationError that counts a file's row errors and quotes
+    the first three, after logging the 4th to the 20th, so that each row
+    reported is printed once; no-op when empty."""
     if errors:
-        for msg in errors[:20]:
+        for msg in errors[3:20]:
             log.error("%s: %s", path, msg)
         head = "; ".join(errors[:3])
         raise ValidationError(f"{path}: {len(errors)} malformed row(s): {head}")

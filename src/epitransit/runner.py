@@ -535,13 +535,29 @@ def _csv_text(header, rows) -> str:
     return "".join(",".join(row) + "\n" for row in (header, *rows))
 
 
+def _real_series(holder: dict, key: str, where: str) -> list:
+    """``holder[key]``, which must be a list of real numbers; a ValueError
+    names ``where`` and the key otherwise. A string would render one
+    character per row."""
+    value = holder[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{where} {key!r} must be a list of real numbers, got {value!r}")
+    bad = [v for v in value if not is_real(v)]
+    if bad:
+        raise ValueError(f"{where} {key!r} must hold real numbers only, got {bad[0]!r}")
+    return value
+
+
 def export_results(result: SweepResult, out_dir) -> list:
     """Write the sweep's exports; returns the written paths.
 
     All or nothing: every file's text is rendered from the result before
     out_dir is made, so a result that lacks a key or holds a value of the
-    wrong type raises before any file exists. Everything is plain sorted
-    text, so identical results export to byte-identical files.
+    wrong type raises before any file exists. Each series written row by
+    row (a histogram's ``bin_edges`` and ``masses``, an example curve's
+    ``ptt_prevalence`` and ``mpt_prevalence``) must be a list of real
+    numbers. Everything is plain sorted text, so identical results export
+    to byte-identical files.
     """
     stat_names = _stat_names(result.config["compare"]["thresholds"])
     parts = ("mean", "sd", "n", "censored")
@@ -577,7 +593,8 @@ def export_results(result: SweepResult, out_dir) -> list:
     files.append(("metrics_vs_r0.csv", _csv_text(header, rows)))
 
     for disease, curves in sorted(result.example_curves.items()):
-        ptt, mpt = curves["ptt_prevalence"], curves["mpt_prevalence"]
+        where = f"example curve {disease!r}:"
+        ptt, mpt = (_real_series(curves, key, where) for key in ("ptt_prevalence", "mpt_prevalence"))
         rows = (
             [str(t), repr(ptt[t]) if t < len(ptt) else "", repr(mpt[t]) if t < len(mpt) else ""]
             for t in range(max(len(ptt), len(mpt)))
@@ -585,8 +602,8 @@ def export_results(result: SweepResult, out_dir) -> list:
         files.append((f"prevalence_pair_{disease}.csv", _csv_text(["day", "ptt_prevalence", "mpt_prevalence"], rows)))
 
     for key, hist in sorted(result.histograms.items()):
-        edges = hist["bin_edges"]
-        rows = (map(repr, row) for row in zip(edges[:-1], edges[1:], hist["masses"]))
+        edges, masses = (_real_series(hist, name, f"histogram {key!r}:") for name in ("bin_edges", "masses"))
+        rows = (map(repr, row) for row in zip(edges[:-1], edges[1:], masses))
         name = "distance_hist_" + key.replace(":", "_") + ".csv"
         files.append((name, _csv_text(["bin_left_km", "bin_right_km", "mass"], rows)))
 

@@ -212,29 +212,40 @@ def compute_lambda(model: GammaTripModel, distances, counts) -> float:
     iteration, for both the cap test and the fraction. Each sum adds the
     same products in the same order as summing c[~capped] * F[~capped]
     and c * min(1, lambda F) afresh would, so lambda is the same float.
+    A selection that would keep every element is skipped: ``c[F > 0]``
+    when every density is positive, and the uncapped and capped trips
+    before any is capped (the capped sum of no trips is 0). The sum then
+    runs over the same contiguous values in the same order.
     """
     d = np.asarray(distances, dtype=float)
-    c = np.asarray(counts, dtype=float)
+    # contiguous, so that a sum over all of c adds as one over a selection of it does
+    c = np.ascontiguousarray(counts, dtype=float)
     if d.size == 0 or c.sum() <= 0:
         raise ValueError("empty trip list")
     f = model.pdf(d)
     total = c.sum()
-    achievable = float(c[f > 0].sum() / total)
+    positive = f > 0
+    achievable = float((c if positive.all() else c[positive]).sum() / total)
     if model.mu > achievable + LAMBDA_TOL:
         raise InfeasibleModeShare(model.mu, achievable)
 
     cf = c * f
-    capped = np.zeros(d.shape, dtype=bool)
+    capped = None  # no trip is capped before the first solve
     lam = 0.0
     fraction = 0.0
     for _ in range(LAMBDA_MAX_ITER):
-        uncapped = ~capped
-        uncapped_mass = float(cf[uncapped].sum())
+        if capped is None:
+            uncapped_mass, capped_mass = float(cf.sum()), 0.0
+        else:
+            uncapped = ~capped
+            uncapped_mass, capped_mass = float(cf[uncapped].sum()), c[capped].sum()
         if uncapped_mass <= 0.0:
-            raise InfeasibleModeShare(model.mu, float(c[capped].sum() / total))
-        lam = float((model.mu * total - c[capped].sum()) / uncapped_mass)
+            raise InfeasibleModeShare(model.mu, float(capped_mass / total))
+        lam = float((model.mu * total - capped_mass) / uncapped_mass)
         p = lam * f
-        grew = (p > 1.0) & uncapped
+        grew = p > 1.0
+        if capped is not None:
+            grew &= uncapped
         np.minimum(p, 1.0, out=p)
         p *= c
         fraction = float(p.sum() / total)
@@ -244,7 +255,7 @@ def compute_lambda(model: GammaTripModel, distances, counts) -> float:
             # the linear solve is exact over a stable cap set, so the
             # residual is float noise at worst
             return lam
-        capped |= grew
+        capped = grew if capped is None else capped | grew
     raise InfeasibleModeShare(model.mu, fraction)
 
 

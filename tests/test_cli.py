@@ -574,11 +574,17 @@ _EXPORT_KEYS = {
 }
 
 
-def _delete(d, path):
-    """Delete the key at the end of path from d; returns its name."""
+def _holder(d, path):
+    """The dict in d that holds the key at the end of path, and the key."""
     for k in path:
         holder, key = d, next(iter(d)) if k is _FIRST else k
         d = d[key]
+    return holder, key
+
+
+def _delete(d, path):
+    """Delete the key at the end of path from d; returns its name."""
+    holder, key = _holder(d, path)
     del holder[key]
     return key
 
@@ -610,3 +616,22 @@ class TestExportOfMalformedResult:
         next(iter(saved["histograms"].values()))["masses"] = value
         code, _ = self.export(saved, tmp_path, capsys)
         assert code == 1
+
+    # a string is a sequence: unchecked, each of its characters would be a row
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("histograms", _FIRST, "masses"), "x"),
+            (("histograms", _FIRST, "bin_edges"), [0.0, "5.0"]),
+            (("example_curves", _FIRST, "ptt_prevalence"), "abc"),
+            (("example_curves", _FIRST, "mpt_prevalence"), [0.5, None]),
+            (("example_curves", _FIRST, "mpt_prevalence"), [0.5, True]),
+        ],
+        ids=["masses_string", "edges_string_item", "ptt_string", "mpt_null_item", "mpt_bool_item"],
+    )
+    def test_series_of_non_numbers_fail_and_write_nothing(self, saved_result, tmp_path, capsys, path, value):
+        saved = json.loads(saved_result)
+        holder, key = _holder(saved, path)
+        holder[key] = value
+        code, err = self.export(saved, tmp_path, capsys)
+        assert code == 1 and repr(key) in err

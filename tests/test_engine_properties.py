@@ -196,6 +196,55 @@ def test_hazard_on_virgin_rows_lies_in_the_unit_interval(flows, populations, bet
     assert np.all((h >= 0.0) & (h <= 1.0))
 
 
+def whole_product_hazard(x, virgin, matrix, params, course):
+    """hazard_vector's formula on the virgin rows of the whole product
+    m @ x, as the engine computed it before it read one column."""
+    inner = (matrix.m @ x)[virgin]
+    if params.hazard_variant == "as_printed":
+        inner *= course.N[virgin]
+    return course.beta_N[virgin] * -np.expm1(-inner) / course.one_plus_beta_N[virgin]
+
+
+@st.composite
+def one_case_states(draw):
+    """A city of up to 40 locations, some of its flows zeroed, with a case
+    at one location s and none elsewhere: (matrix, s, x)."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    flows = draw(hnp.arrays(float, (n, n), elements=st.floats(0.0, 1e6)))
+    flows *= draw(hnp.arrays(bool, (n, n)))
+    populations = draw(hnp.arrays(float, n, elements=st.floats(POPULATION_FLOOR, 1e7)))
+    s = draw(st.integers(min_value=0, max_value=n - 1))
+    x = np.zeros(n)
+    x[s] = draw(st.floats(0.0, 1.0))
+    return matrix_from_flows(flows, populations=populations), s, x
+
+
+# two locations; and a seed location whose column is all zeros, so that no
+# virgin location is exposed
+TWO_CITY = matrix_from_flows(np.array([[3.0, 40.0], [25.0, 9.0]]), populations=np.array([120.0, 80.0]))
+DEAD_COLUMN_CITY = matrix_from_flows(np.array([[5.0, 0.0, 7.0], [2.0, 0.0, 1.0], [4.0, 0.0, 6.0]]),
+                                     populations=np.array([50.0, 60.0, 70.0]))
+
+
+@given(state=one_case_states(), beta=st.floats(0.0, 1e3), variant=st.sampled_from(HAZARD_VARIANTS))
+@example(state=(TWO_CITY, 0, np.array([1.0 / 120.0, 0.0])), beta=0.5, variant="as_printed")
+@example(state=(TWO_CITY, 1, np.array([0.0, 1.0 / 80.0])), beta=0.5, variant="no_inner_s")
+@example(state=(DEAD_COLUMN_CITY, 1, np.array([0.0, 1.0 / 60.0, 0.0])), beta=2.0, variant="as_printed")
+@example(state=(DEAD_COLUMN_CITY, 1, np.array([0.0, 1.0 / 60.0, 0.0])), beta=2.0, variant="no_inner_s")
+def test_hazard_with_one_case_equals_the_whole_product_bit_for_bit(state, beta, variant):
+    # every virgin row's exposure has one nonzero term, m[j, s] * x[s], so
+    # the one column is the product's exposure whatever order BLAS adds in
+    matrix, s, x = state
+    virgin = np.delete(np.arange(matrix.n), s)
+    params = EpidemicParams(beta=beta, gamma=0.5, hazard_variant=variant)
+    course = params.course(matrix.populations)
+    got = hazard_vector(x, virgin, matrix, params, course)
+    want = whole_product_hazard(x, virgin, matrix, params, course)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if not matrix.m[:, s].any():
+        assert not got.any()
+
+
 LEVELS = st.sampled_from([0.0, 0.5, 1.0, 7.0, 250.0])
 # four locations: with one virgin the hazard reads its row only, with two
 # the whole product; either way a virgin location is hit

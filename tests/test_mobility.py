@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -190,6 +191,19 @@ class TestLoadTrips:
         with pytest.raises(ValidationError, match="2 malformed"):
             load_trips(trips_path, locs_path)
 
+    @pytest.mark.parametrize("bad_rows", [4, 25])
+    def test_each_bad_row_is_printed_once(self, write_csvs, caplog, bad_rows):
+        # the error quotes the first three rows, the log the 4th to the 20th
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,24,1"] * bad_rows)
+        with caplog.at_level(logging.ERROR, logger="epitransit.mobility"), pytest.raises(ValidationError) as exc:
+            load_trips(trips_path, locs_path)
+        printed = [str(exc.value)] + [r.getMessage() for r in caplog.records]
+        for row in range(2, bad_rows + 2):
+            want = 1 if row <= 21 else 0
+            assert sum(text.count(f"row {row}: ") for text in printed) == want, row
+        assert f"{bad_rows} malformed row(s)" in str(exc.value)
+        assert len(caplog.records) == min(bad_rows, 20) - 3
+
     def test_unparseable_row_and_unknown_origin_reported_by_row(self, write_csvs):
         trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,x,3", "Z,B,9,1"])
         with pytest.raises(ValidationError) as exc:
@@ -281,6 +295,17 @@ class TestContactMatrix:
     def test_bad_counts_or_populations_rejected(self, flows, populations):
         with pytest.raises(ValidationError):
             matrix_from_flows(np.array(flows), populations=np.array(populations))
+
+    @pytest.mark.parametrize("counts", [[1, 1], [1, 1, 1, 1]], ids=["short", "long"])
+    def test_entry_counts_must_be_one_per_entry(self, counts):
+        matrix = matrix_from_flows(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        with pytest.raises(ValueError, match=r"3 entries, but counts has shape"):
+            matrix.with_entry_counts(np.array(counts))
+
+    def test_negative_entry_count_rejected(self):
+        matrix = matrix_from_flows(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        with pytest.raises(ValidationError, match="negative"):
+            matrix.with_entry_counts(np.array([2, -1, 0]))
 
     def test_shape_must_match_the_table(self, square_table):
         with pytest.raises(ValidationError, match=r"matrix shape \(3, 3\) does not match 4 locations"):

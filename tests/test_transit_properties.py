@@ -291,3 +291,29 @@ def test_thinned_matrix_carries_the_counts_its_own_gather_gives(matrix, model, l
     got_distances, got_counts = sub.inter_location_trips
     assert got_counts.dtype == float
     assert np.array_equal(got_distances, distances[off]) and np.array_equal(got_counts, sub.m.take(index[off]))
+
+
+@given(
+    matrix=cities(max_n=12, zero_rows=True),
+    kind=st.sampled_from(["zero", "positive", "mixed"]),
+    dtype=st.sampled_from([np.int32, np.uint64, np.int64]),
+    data=st.data(),
+)
+def test_entry_counts_give_what_a_dense_rebuild_gives(matrix, kind, dtype, data):
+    size = matrix.entries[0].size
+    low, high = {"zero": (0, 0), "positive": (1, 60), "mixed": (0, 60)}[kind]
+    counts = data.draw(hnp.arrays(dtype, size, elements=st.integers(low, high)))
+    sub = matrix.with_entry_counts(counts)
+    # the same counts written into all n^2 cells, and every cache derived afresh
+    flat = np.zeros(matrix.m.size)
+    flat[matrix.entries[0]] = counts
+    dense = matrix_from_flows(flat.reshape(matrix.m.shape), populations=matrix.populations, table=matrix.table)
+    assert sub.m.tobytes() == dense.m.tobytes()
+    for got, want in zip(sub.entries, dense.entries):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert sub.trip_counts.dtype == np.int64 and np.array_equal(sub.trip_counts, dense.trip_counts)
+    assert sub.entries[1].tobytes() == matrix.distance_matrix.ravel()[sub.entries[0]].tobytes()
+    if kind == "zero":
+        assert sub.entries[0].size == 0 and not sub.m.any()
+    if kind == "positive":
+        assert np.array_equal(sub.entries[0], matrix.entries[0])
