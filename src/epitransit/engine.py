@@ -59,7 +59,11 @@ gathered from the table, and its final size is derived from total S,
 when first read. The table grows only as far as runs read it and is kept on
 the ``EpidemicParams`` for one populations array
 (``EpidemicParams.course``), so every run of a sweep with those params
-shares it: thinned matrices share their parent's populations.
+shares it: thinned matrices share their parent's populations. A table
+belongs to one parameter set, the params it was built for: it steps its
+rows with them, and the per-day code of a run (``advance_day``,
+``introduce``, ``hazard_vector``, ``_read_course``) takes the table
+alone and reads those params from it.
 
 ``sir_step`` needs no clamp: S and I never go below zero. New infections
 are capped at S; recoveries gamma*I are at most I since gamma <= 1, and
@@ -79,7 +83,7 @@ from __future__ import annotations
 import logging
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -123,19 +127,20 @@ class EpidemicParams:
     def course(self, populations: np.ndarray) -> "CourseTable":
         """The course table of these params on ``populations``. The last
         one built is kept on this instance while it is asked for the same
-        array (by identity), and is freed with the instance."""
+        array (by identity), and is freed with the instance: the table
+        holds a copy of the params without this cache, so no cycle keeps
+        it alive."""
         table = self.__dict__.get("_course")
         if table is None or table.populations is not populations:
-            table = self.__dict__["_course"] = CourseTable(populations, self.beta)
+            table = self.__dict__["_course"] = CourseTable(populations, self)
         return table
 
 
-def hazard_vector(
-    x: np.ndarray, virgin: np.ndarray, matrix: ContactMatrix, params: EpidemicParams, course: "CourseTable"
-) -> np.ndarray:
+def hazard_vector(x: np.ndarray, virgin: np.ndarray, matrix: ContactMatrix, course: "CourseTable") -> np.ndarray:
     """h(t, j) for the virgin locations ``virgin``, in that order, from the
     day-t infected fractions ``x`` = I / N of every location; ``course``
-    is the table of ``params`` on the matrix's populations.
+    is the run's table on the matrix's populations, and its params give
+    beta and the hazard variant.
 
     Exact without the self term, S or a clip (see the module docstring).
     While one location alone is not virgin, the exposure is the one
@@ -154,7 +159,7 @@ def hazard_vector(
         inner = matrix.m[virgin] @ x
     else:
         inner = (matrix.m @ x)[virgin]
-    if params.hazard_variant == "as_printed":
+    if course.params.hazard_variant == "as_printed":
         inner *= course.N[virgin]
     return course.beta_N[virgin] * -np.expm1(-inner) / course.one_plus_beta_N[virgin]
 
@@ -180,16 +185,12 @@ def sir_step(SIR: np.ndarray, N: np.ndarray, params: EpidemicParams) -> np.ndarr
 
 
 def introduce(
-    x: np.ndarray,
-    virgin: np.ndarray,
-    matrix: ContactMatrix,
-    params: EpidemicParams,
-    course: "CourseTable",
-    rng: np.random.Generator,
+    x: np.ndarray, virgin: np.ndarray, matrix: ContactMatrix, course: "CourseTable", rng: np.random.Generator
 ) -> np.ndarray:
     """The locations among ``virgin`` (ascending) that gain a case on day
     t+1, each with probability h(t, j), from the day-t infected fractions
-    ``x``. Draws one uniform for every location and changes nothing else.
+    ``x``, with the hazard of the params of ``course``. Draws one uniform
+    for every location and changes nothing else.
 
     A run calls it on every day on which some location is virgin, and on
     no other. A location with a case never becomes virgin again, so the
@@ -197,7 +198,7 @@ def introduce(
     every run with the same seed: paired runs on different matrices
     consume the same stream.
     """
-    h = hazard_vector(x, virgin, matrix, params, course)
+    h = hazard_vector(x, virgin, matrix, course)
     return virgin[rng.random(x.shape[0])[virgin] < h]
 
 
@@ -231,17 +232,13 @@ class _Run:
 
 
 def advance_day(
-    run: _Run,
-    I: np.ndarray,
-    matrix: ContactMatrix,
-    params: EpidemicParams,
-    course: "CourseTable",
-    rng: np.random.Generator,
+    run: _Run, I: np.ndarray, matrix: ContactMatrix, course: "CourseTable", rng: np.random.Generator
 ) -> np.ndarray:
     """One day while some location is virgin, in place: draw the hits
-    from the day-t infecteds ``I``, move every seeded location one row on
-    to day t+1, then seed the hits with onset day t+1; returns the hits."""
-    hits = introduce(I / course.N, run.virgin, matrix, params, course, rng)
+    from the day-t infecteds ``I`` with the hazard of the params of
+    ``course``, move every seeded location one row on to day t+1, then
+    seed the hits with onset day t+1; returns the hits."""
+    hits = introduce(I / course.N, run.virgin, matrix, course, rng)
     run.at += run.step
     run.day += 1
     if hits.size:
@@ -258,7 +255,16 @@ STORE_GROWTH = 8
 
 class CourseTable:
     """S, I and R of every location before its onset and at ages 0, 1, ...
-    days after it, for one populations array and one (beta, gamma).
+    days after it, for one populations array and one parameter set.
+
+    ``params`` is a copy, without its course cache, of the params the
+    table was built for (``EpidemicParams.course``), and every value the
+    table steps or that a run reads from it comes from that copy: beta
+    and gamma of the rows, the horizon that caps the store, and the
+    hazard variant and extinction threshold of a run. The copy keeps the
+    table out of a reference cycle with the params that cache it, so a
+    dropped table, with its mapped store, is freed at once rather than
+    by the cyclic collector.
 
     ``block[0]`` is the pre-onset (3, n) state, rows S = N, I = 0 and
     R = 0, and ``block[1 + a]`` is the state of a run in which every
@@ -278,12 +284,13 @@ class CourseTable:
     are the factors of the hazard on a virgin location.
     """
 
-    def __init__(self, populations: np.ndarray, beta: float):
+    def __init__(self, populations: np.ndarray, params: EpidemicParams):
         self.populations = populations
+        self.params = params = replace(params)
         N = populations.astype(float)
         n = N.shape[0]
         self.N = N
-        self.beta_N = beta * N
+        self.beta_N = params.beta * N
         self.one_plus_beta_N = 1.0 + self.beta_N
         self._store = np.array(((N, np.zeros(n), np.zeros(n)), (N - 1.0, np.ones(n), np.zeros(n))))
         self._flat = self._store.reshape(-1)
@@ -294,19 +301,20 @@ class CourseTable:
         """The filled rows, a (rows, 3, n) view."""
         return self._store[: self._filled]
 
-    def rows(self, count: int, params: EpidemicParams) -> np.ndarray:
+    def rows(self, count: int) -> np.ndarray:
         """The store, flattened, once it holds at least ``count`` rows: the
-        pre-onset row and ages 0 to count - 2."""
+        pre-onset row and ages 0 to count - 2, stepped with the table's
+        params."""
         if self._filled < count:
             capacity = self._store.shape[0]
             if capacity < count:
-                rows = min(max(count, STORE_GROWTH * capacity), params.horizon + 2)
+                rows = min(max(count, STORE_GROWTH * capacity), self.params.horizon + 2)
                 store = _unpaged((rows, *self._store.shape[1:]))
                 store[: self._filled] = self.block
                 self._store, self._flat = store, store.reshape(-1)
             for f in range(self._filled, count):
                 self._store[f] = self._store[f - 1]
-                sir_step(self._store[f], self.N, params)
+                sir_step(self._store[f], self.N, self.params)
             self._filled = count
         return self._flat
 
@@ -322,12 +330,12 @@ def _unpaged(shape: tuple) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8, **flags)).reshape(shape)
 
 
-def _read_course(course: CourseTable, params: EpidemicParams, run: _Run, total_I: list) -> np.ndarray:
+def _read_course(course: CourseTable, run: _Run, total_I: list) -> np.ndarray:
     """A run's total I on every day: ``total_I`` holds it up to day
     ``run.day``, on which every location has a case, and the rest is read
     from the course table up to where stepping would end the run: the
     horizon, or the first day total I falls below the extinction
-    threshold.
+    threshold, both of the table's params.
 
     A chunk of days starting on day t is one ``np.take`` from the flat
     table shifted by t - ``run.day`` rows, and one row sum over its last
@@ -337,6 +345,7 @@ def _read_course(course: CourseTable, params: EpidemicParams, run: _Run, total_I
     one), cut at the horizon; the (k, n) offsets from ``run.at`` into the
     table are built once per run.
     """
+    params = course.params
     n = run.at.shape[0]
     row = 3 * n  # elements per row of the flat table
     k = max(1, COURSE_CHUNK // n)
@@ -346,7 +355,7 @@ def _read_course(course: CourseTable, params: EpidemicParams, run: _Run, total_I
     while day < params.horizon and not last < params.extinction_threshold:
         t = day + 1
         count = min(k, params.horizon + 1 - t)
-        flat = course.rows(t + count + 1, params)
+        flat = course.rows(t + count + 1)
         sums = flat[(t - run.day) * row :].take(offsets[:count]).sum(axis=-1)
         ended = (sums < params.extinction_threshold).nonzero()[0]
         if ended.size:
@@ -469,13 +478,13 @@ def run_simulation(
     run = _Run(matrix.n)
     run.seed(seed_loc)
 
-    I = course.rows(2, params).take(run.at)
+    I = course.rows(2).take(run.at)
     total_I = [I.sum()]
     while run.virgin.size and run.day < params.horizon and not total_I[-1] < params.extinction_threshold:
-        advance_day(run, I, matrix, params, course, rng)
-        I = course.rows(run.day + 2, params).take(run.at)
+        advance_day(run, I, matrix, course, rng)
+        I = course.rows(run.day + 2).take(run.at)
         total_I.append(I.sum())
-    total_I = np.array(total_I) if run.virgin.size else _read_course(course, params, run, total_I)
+    total_I = np.array(total_I) if run.virgin.size else _read_course(course, run, total_I)
 
     onset_day = run.onset_day
     frac = np.cumsum(np.bincount(onset_day[onset_day >= 0], minlength=total_I.shape[0])) / matrix.n

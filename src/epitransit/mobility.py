@@ -136,9 +136,10 @@ class ContactMatrix:
 
     ``m[j, k]`` holds trips from location ``k`` to location ``j``. The
     matrix and population vector are immutable so simulation replicates
-    can share one instance without copying. Counts must be finite and
-    >= 0; populations must be finite and at least POPULATION_FLOOR, which
-    the engine relies on to keep S and I at zero or above.
+    can share one instance without copying. Both arrays must be of a
+    real-number dtype (bool, integer or floating). Counts must be finite
+    and >= 0; populations must be finite and at least POPULATION_FLOOR,
+    which the engine relies on to keep S and I at zero or above.
     """
 
     m: np.ndarray
@@ -148,6 +149,11 @@ class ContactMatrix:
 
     def __post_init__(self):
         n = len(self.table)
+        # strings fail the comparisons below with a traceback; complex numbers pass them
+        for name in ("m", "populations"):
+            dtype = getattr(self, name).dtype
+            if dtype.kind not in "biuf":
+                raise ValidationError(f"{name} must hold real numbers (bool, integer or float), got dtype {dtype}")
         if self.m.shape != (n, n):
             raise ValidationError(f"matrix shape {self.m.shape} does not match {n} locations")
         # min() and max() are NaN if any count is

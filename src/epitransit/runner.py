@@ -437,7 +437,8 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
     reports of unfinished cells only.
     ``total_runs`` counts the runs the executor yields, and one INFO line
     at the end counts those that reached the horizon with total I still
-    at or above the extinction threshold.
+    at or above the extinction threshold. One WARNING line beside it
+    counts the failed comparisons of all cells, if there are any.
     """
     matrix, params = _checked_start(config, config.diseases, matrix)
     seed_locs = [
@@ -463,7 +464,6 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
         try:
             report = metrics.compare(ptt, mpt, config.compare)
         except metrics.NoAdmissibleLag:
-            log.warning("run %d: series too short to compare; censored", run_index)
             report = None
         else:
             ledger.append(
@@ -495,6 +495,9 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
         "%d of %d runs reached the horizon of %d days with total I still at or above %g",
         cut, total_runs, config.horizon, config.extinction_threshold,
     )
+    failed = sum(row["failed_comparisons"] for row in rows.values())
+    if failed:
+        log.warning("%d of %d comparisons censored: series too short to compare", failed, failed + len(ledger))
     return SweepResult(
         config=config.to_json_dict(),
         cells=[row for _, row in sorted(rows.items())],
@@ -556,8 +559,9 @@ def export_results(result: SweepResult, out_dir) -> list:
     wrong type raises before any file exists. Each series written row by
     row (a histogram's ``bin_edges`` and ``masses``, an example curve's
     ``ptt_prevalence`` and ``mpt_prevalence``) must be a list of real
-    numbers. Everything is plain sorted text, so identical results export
-    to byte-identical files.
+    numbers; a histogram must hold one mass per bin, and its ``p95_km``
+    must be a real number. Everything is plain sorted text, so identical
+    results export to byte-identical files.
     """
     stat_names = _stat_names(result.config["compare"]["thresholds"])
     parts = ("mean", "sd", "n", "censored")
@@ -602,7 +606,12 @@ def export_results(result: SweepResult, out_dir) -> list:
         files.append((f"prevalence_pair_{disease}.csv", _csv_text(["day", "ptt_prevalence", "mpt_prevalence"], rows)))
 
     for key, hist in sorted(result.histograms.items()):
-        edges, masses = (_real_series(hist, name, f"histogram {key!r}:") for name in ("bin_edges", "masses"))
+        where = f"histogram {key!r}:"
+        edges, masses = (_real_series(hist, name, where) for name in ("bin_edges", "masses"))
+        if len(masses) != len(edges) - 1:
+            raise ValueError(f"{where} 'masses' must hold one mass per bin, got {len(masses)} for {len(edges)} edges")
+        if not is_real(hist["p95_km"]):
+            raise ValueError(f"{where} 'p95_km' must be a real number, got {hist['p95_km']!r}")
         rows = (map(repr, row) for row in zip(edges[:-1], edges[1:], masses))
         name = "distance_hist_" + key.replace(":", "_") + ".csv"
         files.append((name, _csv_text(["bin_left_km", "bin_right_km", "mass"], rows)))

@@ -182,6 +182,27 @@ class TestSimulateCompareTheory:
         assert code == 1 and calls == []
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda a: {"populations": a["populations"].astype(str)},
+            lambda a: {"m": a["m"].astype(str)},
+            lambda a: {"m": a["m"].astype(complex)},
+        ],
+        ids=["string_populations", "string_counts", "complex_counts"],
+    )
+    def test_simulate_matrix_of_non_real_numbers_fails_without_a_traceback(self, city_dir, tmp_path, capsys, change):
+        with np.load(city_dir / "matrix.npz") as data:
+            arrays = dict(data)
+        arrays.update(change(arrays))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        out = tmp_path / "a.csv"
+        code = main(["simulate", "--matrix", str(bad), "--beta", "0.5", "--gamma", "0.3333", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.startswith("error: ") and "must hold real numbers" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "theory"])
     def test_infinite_count_fails(self, city_dir, tmp_path, capsys, command):
         # the populations stay the finite ones stored, so only the count check sees it
@@ -616,6 +637,23 @@ class TestExportOfMalformedResult:
         next(iter(saved["histograms"].values()))["masses"] = value
         code, _ = self.export(saved, tmp_path, capsys)
         assert code == 1
+
+    # unchecked, zip would stop at the shorter list and write fewer rows
+    @pytest.mark.parametrize("change", [lambda m: m[:1], lambda m: m + [0.0]], ids=["one_mass", "one_mass_too_many"])
+    def test_masses_not_one_per_bin_fail_and_write_nothing(self, saved_result, tmp_path, capsys, change):
+        saved = json.loads(saved_result)
+        hist = next(iter(saved["histograms"].values()))
+        assert len(hist["bin_edges"]) > 2
+        hist["masses"] = change(hist["masses"])
+        code, err = self.export(saved, tmp_path, capsys)
+        assert code == 1 and "'masses'" in err
+
+    @pytest.mark.parametrize("value", ["far", None, True], ids=["string", "null", "bool"])
+    def test_p95_that_is_not_a_real_number_fails_and_writes_nothing(self, saved_result, tmp_path, capsys, value):
+        saved = json.loads(saved_result)
+        next(iter(saved["histograms"].values()))["p95_km"] = value
+        code, err = self.export(saved, tmp_path, capsys)
+        assert code == 1 and "'p95_km'" in err
 
     # a string is a sequence: unchecked, each of its characters would be a row
     @pytest.mark.parametrize(

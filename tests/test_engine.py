@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -67,6 +69,17 @@ def test_population_whose_square_overflows_is_rejected_before_any_run(monkeypatc
     assert runs == []
 
 
+def stepped_rows(populations, params, count):
+    """The first ``count`` rows of a course table as stepping gives them:
+    the pre-onset row, then age 0 stepped one day at a time by ``sir_step``."""
+    N = populations.astype(float)
+    n = N.shape[0]
+    rows = [np.array((N, np.zeros(n), np.zeros(n))), np.array((N - 1.0, np.ones(n), np.zeros(n)))]
+    while len(rows) < count:
+        rows.append(sir_step(rows[-1].copy(), N, params))
+    return np.array(rows)
+
+
 def fresh_state(matrix):
     """(S, I, R) block with S = N and no cases, and the populations N."""
     N = matrix.populations.astype(float)
@@ -76,7 +89,7 @@ def fresh_state(matrix):
 def hazard(matrix, params, infected, virgin):
     """hazard_vector on the virgin locations ``virgin`` while location j has ``infected[j]`` cases."""
     course = params.course(matrix.populations)
-    return hazard_vector(np.asarray(infected, dtype=float) / course.N, np.asarray(virgin), matrix, params, course)
+    return hazard_vector(np.asarray(infected, dtype=float) / course.N, np.asarray(virgin), matrix, course)
 
 
 class TestHazard:
@@ -183,7 +196,7 @@ class TestIntroduce:
         params = EpidemicParams(beta=0.5, gamma=0.5)
         course = params.course(m.populations)
         rng, clone = np.random.default_rng(0), np.random.default_rng(0)
-        assert introduce(np.zeros(2), np.arange(2), m, params, course, rng).size == 0
+        assert introduce(np.zeros(2), np.arange(2), m, course, rng).size == 0
         clone.random(2)
         assert rng.bit_generator.state == clone.bit_generator.state
 
@@ -194,14 +207,14 @@ class TestIntroduce:
         course = params.course(m.populations)
         run = engine._Run(2)
         run.seed(1)
-        flat = course.rows(2, params)
+        flat = course.rows(2)
         I = np.take(flat, run.at)
         assert I.tolist() == [0.0, 1.0]
-        assert introduce(I / course.N, run.virgin, m, params, course, np.random.default_rng(0)).tolist() == [0]
-        assert advance_day(run, I, m, params, course, np.random.default_rng(0)).tolist() == [0]
+        assert introduce(I / course.N, run.virgin, m, course, np.random.default_rng(0)).tolist() == [0]
+        assert advance_day(run, I, m, course, np.random.default_rng(0)).tolist() == [0]
         assert run.day == 1 and run.onset_day.tolist() == [1, 0] and run.virgin.size == 0
         # location 0 reads age 0 (one case, S = N - 1), location 1 age 1
-        flat = course.rows(3, params)
+        flat = course.rows(3)
         assert flat[run.at[0]] == 1.0 and flat[run.at[0] - m.n] == m.populations[0] - 1.0
         assert flat[run.at[1]] == course.block[2, 1, 1]
 
@@ -213,10 +226,10 @@ class TestIntroduce:
         params = EpidemicParams(beta=0.5, gamma=0.5)
         course = params.course(m.populations)
         x, virgin = np.array([0.0, 0.5]), np.array([0])
-        h = hazard_vector(x, virgin, m, params, course)[0]
+        h = hazard_vector(x, virgin, m, course)[0]
         assert h == pytest.approx(0.3, rel=1e-12)
         rng = np.random.default_rng(123)
-        hits = sum(introduce(x, virgin, m, params, course, rng).tolist() == [0] for _ in range(10_000))
+        hits = sum(introduce(x, virgin, m, course, rng).tolist() == [0] for _ in range(10_000))
         assert hits / 10_000 == pytest.approx(0.3, abs=0.015)
 
     @pytest.mark.parametrize("variant", HAZARD_VARIANTS)
@@ -243,13 +256,13 @@ class TestIntroduce:
         infected[8:] = 1.0
         x = infected / course.N
         virgin = np.arange(1, 8)
-        h = hazard_vector(x, virgin, m, params, course)
+        h = hazard_vector(x, virgin, m, course)
         assert h[:2].tolist() == [0.0, 0.0] and 0.009 < h[2] and h[-1] > 0.9
 
         rng = np.random.default_rng((n, HAZARD_VARIANTS.index(variant)))
         hits = np.zeros(n)
         for _ in range(R):
-            hits[introduce(x, virgin, m, params, course, rng)] += 1
+            hits[introduce(x, virgin, m, course, rng)] += 1
         assert not np.delete(hits, virgin).any()
         assert np.all(np.abs(hits[virgin] - R * h) <= 5.0 * np.sqrt(R * h * (1.0 - h)))
 
@@ -260,8 +273,8 @@ class TestIntroduce:
         params = EpidemicParams(beta=1e12, gamma=0.5, horizon=50)
         calls = []
 
-        def counted_introduce(x, virgin, matrix, params, course, rng):
-            hits = introduce(x, virgin, matrix, params, course, rng)
+        def counted_introduce(x, virgin, matrix, course, rng):
+            hits = introduce(x, virgin, matrix, course, rng)
             calls.append((rng, rng.bit_generator.state))
             return hits
 
@@ -438,16 +451,11 @@ class TestRunSimulation:
 
         monkeypatch.setattr(engine, "_unpaged", counting)
         for count in range(3, 192):
-            table.rows(count, params)
+            table.rows(count)
         # from the first 2 rows, 8 times larger each time, up to horizon + 2
         assert maps == [16, 128, 302]
-        # the pre-onset row, then age 0 stepped one day at a time
-        N = populations.astype(float)
-        want = [np.array((N, np.zeros(1000), np.zeros(1000))), np.array((N - 1.0, np.ones(1000), np.zeros(1000)))]
-        for _ in range(189):
-            want.append(sir_step(want[-1].copy(), N, params))
         assert table.block.shape == (191, 3, 1000)
-        assert table.block.tobytes() == np.array(want).tobytes()
+        assert table.block.tobytes() == stepped_rows(populations, params, 191).tobytes()
 
     def test_one_course_table_per_populations_holding_the_ages_read(self, small_city):
         # a thinned matrix shares its parent's populations, so one table
@@ -467,6 +475,34 @@ class TestRunSimulation:
         # another populations array gets a table of its own
         other = matrix_from_flows(small_city.m, populations=small_city.populations)
         assert params.course(other.populations) is not table
+
+    def test_a_dropped_table_is_freed_without_the_cyclic_collector(self, small_city):
+        # the table keeps a copy of its params without their course cache:
+        # the caller's params would make a cycle through that cache, and the
+        # table with its mapped store would then wait for the collector
+        gc.disable()
+        try:
+            params = EpidemicParams(beta=1.55, gamma=0.2, horizon=60)
+            series = run_simulation(small_city, params, "proportional", 0)
+            table = weakref.ref(series.course)
+            assert table() is params.course(small_city.populations) and table().block.shape[0] > 2
+            del params, series
+            assert table() is None
+        finally:
+            gc.enable()
+
+    def test_params_that_differ_in_gamma_get_tables_of_their_own(self, small_city):
+        # each table holds the rows stepped with its own params, byte for byte
+        populations = small_city.populations
+        tables = []
+        for gamma in (0.2, 0.5):
+            params = EpidemicParams(beta=1.55, gamma=gamma, horizon=60)
+            run_simulation(small_city, params, "proportional", 0)
+            block = params.course(populations).block
+            assert block.shape[0] > 2 and block.tobytes() == stepped_rows(populations, params, block.shape[0]).tobytes()
+            tables.append(params.course(populations))
+        slow, fast = tables
+        assert slow is not fast and slow.block[2].tobytes() != fast.block[2].tobytes()
 
 
 class TestSubsamplingDominance:

@@ -170,7 +170,7 @@ def test_hazard_on_virgin_rows_matches_the_whole_vector(matrix, beta, variant, d
     # a row's sum may group its terms differently from the whole product's,
     # so the two agree to round-off, not bit for bit
     whole = printed_hazard(matrix, params, N - I, I)[rows]
-    got = hazard_vector(I / N, rows, matrix, params, params.course(matrix.populations))
+    got = hazard_vector(I / N, rows, matrix, params.course(matrix.populations))
     np.testing.assert_allclose(got, whole, rtol=1e-12, atol=0.0)
 
 
@@ -192,15 +192,15 @@ def test_hazard_on_virgin_rows_lies_in_the_unit_interval(flows, populations, bet
     rows = np.array(sorted(virgin))
     x = share.copy()
     x[rows] = 0.0
-    h = hazard_vector(x, rows, matrix, params, params.course(matrix.populations))
+    h = hazard_vector(x, rows, matrix, params.course(matrix.populations))
     assert np.all((h >= 0.0) & (h <= 1.0))
 
 
-def whole_product_hazard(x, virgin, matrix, params, course):
+def whole_product_hazard(x, virgin, matrix, course):
     """hazard_vector's formula on the virgin rows of the whole product
     m @ x, as the engine computed it before it read one column."""
     inner = (matrix.m @ x)[virgin]
-    if params.hazard_variant == "as_printed":
+    if course.params.hazard_variant == "as_printed":
         inner *= course.N[virgin]
     return course.beta_N[virgin] * -np.expm1(-inner) / course.one_plus_beta_N[virgin]
 
@@ -238,8 +238,8 @@ def test_hazard_with_one_case_equals_the_whole_product_bit_for_bit(state, beta, 
     virgin = np.delete(np.arange(matrix.n), s)
     params = EpidemicParams(beta=beta, gamma=0.5, hazard_variant=variant)
     course = params.course(matrix.populations)
-    got = hazard_vector(x, virgin, matrix, params, course)
-    want = whole_product_hazard(x, virgin, matrix, params, course)
+    got = hazard_vector(x, virgin, matrix, course)
+    want = whole_product_hazard(x, virgin, matrix, course)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     if not matrix.m[:, s].any():
         assert not got.any()
@@ -284,7 +284,7 @@ def test_introduce_reads_the_state_and_draws_one_uniform_per_location(
     clone = np.random.default_rng(rng_seed)
     params = EpidemicParams(beta=beta, gamma=0.5, hazard_variant=variant)
 
-    hits = engine.introduce(x, virgin, matrix, params, params.course(matrix.populations), rng)
+    hits = engine.introduce(x, virgin, matrix, params.course(matrix.populations), rng)
 
     assert (x.tobytes(), virgin.tobytes()) == before
     assert np.all(np.diff(hits) > 0) and np.isin(hits, virgin).all()
@@ -485,15 +485,15 @@ def test_no_introduction_step_once_every_location_has_a_case(monkeypatch):
     draws, hazards = [], []
     introduce, hazard_vector = engine.introduce, engine.hazard_vector
 
-    def counted_introduce(x, virgin, matrix, params, course, rng):
-        hits = introduce(x, virgin, matrix, params, course, rng)
+    def counted_introduce(x, virgin, matrix, course, rng):
+        hits = introduce(x, virgin, matrix, course, rng)
         # the virgin count, the generator, and its state once that day's uniforms are drawn
         draws.append((virgin.size, rng, rng.bit_generator.state))
         return hits
 
-    def counted_hazard_vector(x, virgin, matrix, params, course):
+    def counted_hazard_vector(x, virgin, matrix, course):
         hazards.append(virgin.size)
-        return hazard_vector(x, virgin, matrix, params, course)
+        return hazard_vector(x, virgin, matrix, course)
 
     monkeypatch.setattr(engine, "introduce", counted_introduce)
     monkeypatch.setattr(engine, "hazard_vector", counted_hazard_vector)

@@ -307,6 +307,24 @@ class TestContactMatrix:
         with pytest.raises(ValidationError, match="negative"):
             matrix.with_entry_counts(np.array([2, -1, 0]))
 
+    @pytest.mark.parametrize(
+        "m, populations",
+        [
+            (np.zeros((4, 4)), np.full(4, "5")),
+            (np.zeros((4, 4)).astype(str), np.full(4, 5.0)),
+            (np.zeros((4, 4), dtype=complex), np.full(4, 5.0)),
+            (np.zeros((4, 4)), np.full(4, 5.0, dtype=complex)),
+        ],
+        ids=["string_populations", "string_counts", "complex_counts", "complex_populations"],
+    )
+    def test_counts_and_populations_must_be_real_numbers(self, square_table, m, populations):
+        with pytest.raises(ValidationError, match="must hold real numbers"):
+            ContactMatrix(m=m, populations=populations, table=square_table)
+
+    def test_bool_and_integer_arrays_are_real_numbers(self, square_table):
+        matrix = ContactMatrix(m=np.eye(4, dtype=bool), populations=np.full(4, 5, dtype=np.int64), table=square_table)
+        assert matrix.n == 4
+
     def test_shape_must_match_the_table(self, square_table):
         with pytest.raises(ValidationError, match=r"matrix shape \(3, 3\) does not match 4 locations"):
             ContactMatrix(m=np.zeros((3, 3)), populations=np.ones(4), table=square_table)

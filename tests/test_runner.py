@@ -1,6 +1,5 @@
 import json
 import logging
-import re
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -264,7 +263,7 @@ class TestRunSweep:
         run_sweep(config)
         assert alive == [0] * len(TWO_BAND_PAIRS)
 
-    def test_run_index_is_closed_form(self, caplog):
+    def test_run_index_is_closed_form(self):
         # at horizon 5 and a 6-day minimum overlap, a comparison fails when
         # either arm of "brief" dies out early, which depends on its
         # introductions; h1n1's comparisons all succeed
@@ -273,8 +272,7 @@ class TestRunSweep:
             diseases=diseases, delta_bands=["low", "mediate"], pairs=TWO_BAND_PAIRS,
             horizon=5, compare=CompareConfig(min_overlap=6),
         )
-        with caplog.at_level(logging.WARNING, logger="epitransit.runner"):
-            result = run_sweep(config)
+        result = run_sweep(config)
         n_cells, draws, reps = len(TWO_BAND_PAIRS), config.seed_draws, config.replicates
         names = [d.name for d in diseases]
         indices = [e["run_index"] for e in result.ledger]
@@ -284,7 +282,8 @@ class TestRunSweep:
             for e in result.ledger
         ]
         assert indices == sorted(indices)
-        failed = [int(m.group(1)) for m in (re.match(r"run (\d+):", r.getMessage()) for r in caplog.records) if m]
+        # the indices that no ledger entry takes are those of failed comparisons
+        failed = sorted(set(range(len(result.cells) * draws * reps)) - set(indices))
         per_pair = draws * reps
         assert len(failed) == sum(c["failed_comparisons"] for c in result.cells) > 0
         assert {e["disease"] for e in result.ledger} == set(names)
@@ -294,6 +293,20 @@ class TestRunSweep:
         assert [c["failed_comparisons"] for c in result.cells] == [
             sum(i // per_pair == block for i in failed) for block in range(len(result.cells))
         ]
+
+    @pytest.mark.parametrize("failing", [True, False], ids=["some_censored", "none_censored"])
+    def test_censored_comparisons_are_counted_in_one_log_line(self, caplog, failing):
+        # "brief" fails some comparisons at horizon 5 and a 6-day minimum
+        # overlap, as in test_run_index_is_closed_form; h1n1 alone fails none
+        diseases = [TWO_DISEASES[0], Disease("brief", 3e-4, 1.0)] if failing else [TWO_DISEASES[0]]
+        config = tiny_config(diseases=diseases, horizon=5, compare=CompareConfig(min_overlap=6))
+        with caplog.at_level(logging.WARNING, logger="epitransit.runner"):
+            result = run_sweep(config)
+        failed = sum(c["failed_comparisons"] for c in result.cells)
+        compared = failed + len(result.ledger)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert (failed > 0) == failing and compared == len(diseases) * config.seed_draws * config.replicates
+        assert lines == ([f"{failed} of {compared} comparisons censored: series too short to compare"] if failing else [])
 
     def test_replay_reproduces_every_entry(self, two_disease_sweep):
         config, matrix, result, _ = two_disease_sweep
