@@ -13,7 +13,7 @@ from .mobility import (
 )
 from .runner import Disease, ScenarioConfig, SweepResult, run_sweep
 from .synthcity import CityConfig, generate_synthetic_city
-from .theory import PairInvasion, invasion_probability, transmission_probability
+from .theory import invasion_probability
 from .transit import DeltaBand, GammaTripModel, calibrate, gamma_pdf, sample_transit_matrix
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "EpidemicParams",
     "GammaTripModel",
     "LocationTable",
-    "PairInvasion",
     "PrevalenceSeries",
     "ScenarioConfig",
     "SweepResult",
@@ -44,5 +43,4 @@ __all__ = [
     "run_simulation",
     "run_sweep",
     "sample_transit_matrix",
-    "transmission_probability",
 ]

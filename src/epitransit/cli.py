@@ -211,7 +211,7 @@ def _read_prevalence_csv(path):
     prevalence CSV, whose i-th row must read day i. Every bad row is
     reported in one ValidationError."""
     prev, frac, errors = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in _PREVALENCE_COLUMNS[:3] if c not in (reader.fieldnames or ())]
         if missing:

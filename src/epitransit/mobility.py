@@ -312,7 +312,7 @@ def load_locations(path) -> LocationTable:
     A row's number is the file line it ends on, so blank lines, which
     are skipped, are counted."""
     ids, lat, lon, rownums, errors = [], [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _dict_reader(fh, path, LOCATION_COLUMNS)
         for row in reader:
             rownum = reader.line_num
@@ -339,9 +339,9 @@ def load_trips(trip_file, locations_file):
     """Load and validate trips against a location table.
 
     Ids are stripped of padding and matched against the table; records
-    carry the table's own id strings. Duplicate (origin, destination,
-    hour) rows are merged by summing counts so sharded inputs ingest
-    idempotently. A count must lie in [1, 2**53]: 2**53 is the largest
+    carry the table's own id strings. Rows for one (origin, destination,
+    hour), as in concatenated shards, add up: their counts are summed
+    into one record. A count must lie in [1, 2**53]: 2**53 is the largest
     integer that a float count holds exactly. Any malformed row, one
     with too few or too many fields among them, is collected and
     reported by the file line it ends on; one or more malformed rows
@@ -356,7 +356,7 @@ def load_trips(trip_file, locations_file):
     merged: dict[tuple, int] = {}
     errors = []
     n_rows = 0
-    with open(trip_file, newline="", encoding="utf-8") as fh:
+    with open(trip_file, newline="", encoding="utf-8-sig") as fh:
         reader = _dict_reader(fh, trip_file, TRIP_COLUMNS)
         for row in reader:
             rownum = reader.line_num
@@ -546,7 +546,8 @@ def load_matrix_npz(path) -> ContactMatrix:
     naming the file, if it is not a readable ``.npz`` archive (a single
     ``.npy`` array, a pickle, text, or an empty or truncated file), an
     array is missing or ``clamps`` is not one integer >= 0;
-    ``ContactMatrix`` checks the rest."""
+    ``LocationTable`` and ``ContactMatrix`` check the rest, and their
+    errors are raised again with the file's name in front."""
     with open(path, "rb") as fh:
         try:
             data = np.load(fh, allow_pickle=False)
@@ -560,10 +561,13 @@ def load_matrix_npz(path) -> ContactMatrix:
         clamps = data["clamps"]
         if clamps.size != 1 or clamps.dtype.kind not in "iu" or clamps.item() < 0:
             raise ValidationError(f"{path}: clamps must hold one integer >= 0, got {clamps.tolist()!r}")
-        table = LocationTable(data["ids"].tolist(), data["lat"], data["lon"])
-        return ContactMatrix(
-            m=data["m"].copy(),
-            populations=data["populations"].copy(),
-            table=table,
-            population_clamp_count=clamps.item(),
-        )
+        try:
+            table = LocationTable(data["ids"].tolist(), data["lat"], data["lon"])
+            return ContactMatrix(
+                m=data["m"].copy(),
+                populations=data["populations"].copy(),
+                table=table,
+                population_clamp_count=clamps.item(),
+            )
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from None

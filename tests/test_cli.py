@@ -77,6 +77,21 @@ class TestSynthCityAndIngest:
         assert np.array_equal(a.populations, b.populations)
         assert b.table.ids == a.table.ids
 
+    @pytest.mark.parametrize("marked", [("locations.csv",), ("trips.csv",), ("locations.csv", "trips.csv")])
+    def test_ingest_of_csvs_with_a_byte_order_mark_matches_without(self, city_dir, tmp_path, marked):
+        # spreadsheet programs save "CSV UTF-8" with a leading U+FEFF
+        for name in ("locations.csv", "trips.csv"):
+            text = (city_dir / name).read_text(encoding="utf-8")
+            (tmp_path / name).write_text("\ufeff" * (name in marked) + text, encoding="utf-8", newline="")
+        out = tmp_path / "ingested"
+        code = main(
+            ["ingest", "--trips", str(tmp_path / "trips.csv"),
+             "--locations", str(tmp_path / "locations.csv"), "--out-dir", str(out)]
+        )
+        assert code == 0
+        for name in ("matrix.npz", "network_stats.json"):
+            assert (out / name).read_bytes() == (city_dir / name).read_bytes()
+
     def test_ingest_missing_file_is_io_error(self, tmp_path):
         code = main(
             ["ingest", "--trips", "/nonexistent/t.csv", "--locations", "/nonexistent/l.csv",
@@ -160,16 +175,21 @@ class TestSimulateCompareTheory:
         assert len(lines) == len(series) + 1
 
     @pytest.mark.parametrize(
-        "change",
+        "change, message",
         [
-            lambda a: {"populations": np.r_[0.5, a["populations"][1:]]},
-            lambda a: {"populations": np.r_[np.nan, a["populations"][1:]]},
-            lambda a: {"populations": a["populations"][:-1]},
-            lambda a: {"m": a["m"] * np.nan},
+            (lambda a: {"populations": np.r_[0.5, a["populations"][1:]]}, "populations must be finite and at least"),
+            (lambda a: {"populations": np.r_[np.nan, a["populations"][1:]]}, "populations must be finite and at least"),
+            (lambda a: {"populations": a["populations"][:-1]}, "populations shape (29,) does not match 30 locations"),
+            (lambda a: {"m": a["m"] * np.nan}, "contact matrix has negative, infinite or NaN entries"),
+            (lambda a: {"lat": np.r_[a["lat"][:3], 95.0, a["lat"][4:]]}, "location 'L0003': lat 95.0 outside"),
+            (lambda a: {"ids": np.r_[a["ids"][:1], a["ids"][:-1]]}, "duplicate location ids: ['L0000']"),
+            (lambda a: {"m": a["m"][:4, :4]}, "matrix shape (4, 4) does not match 30 locations"),
+            (lambda a: {"lat": np.r_[["north"], a["lat"][1:].astype(str)]}, "could not convert string to float"),
         ],
-        ids=["population_below_floor", "nan_population", "short_populations", "nan_counts"],
+        ids=["population_below_floor", "nan_population", "short_populations", "nan_counts", "lat_95", "repeated_ids",
+             "m_4x4", "text_lat"],
     )
-    def test_simulate_bad_matrix_fails_before_any_run(self, city_dir, tmp_path, monkeypatch, capsys, change):
+    def test_simulate_bad_matrix_fails_before_any_run(self, city_dir, tmp_path, monkeypatch, capsys, change, message):
         with np.load(city_dir / "matrix.npz") as data:
             arrays = dict(data)
         arrays.update(change(arrays))
@@ -180,7 +200,8 @@ class TestSimulateCompareTheory:
         code = main(["simulate", "--matrix", str(bad), "--beta", "1.55", "--gamma", "0.2",
                      "--out", str(tmp_path / "a.csv")])
         assert code == 1 and calls == []
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}") and err.count(str(bad)) == 1
 
     @pytest.mark.parametrize(
         "change",
@@ -201,9 +222,9 @@ class TestSimulateCompareTheory:
         code = main(["simulate", "--matrix", str(bad), "--beta", "0.5", "--gamma", "0.3333", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1 and not out.exists()
-        assert err.startswith("error: ") and "must hold real numbers" in err and "Traceback" not in err
+        assert err.startswith(f"error: {bad}: ") and "must hold real numbers" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["simulate", "theory"])
+    @pytest.mark.parametrize("command", ["simulate", "theory", "theory_transit"])
     def test_infinite_count_fails(self, city_dir, tmp_path, capsys, command):
         # the populations stay the finite ones stored, so only the count check sees it
         with np.load(city_dir / "matrix.npz") as data:
@@ -212,13 +233,16 @@ class TestSimulateCompareTheory:
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
         out = tmp_path / "out.csv"
+        good = str(city_dir / "matrix.npz")
         args = {
-            "simulate": ["--out", str(out)],
-            "theory": ["--source", "L0000", "--out", str(out)],
+            "simulate": ["simulate", "--matrix", str(bad), "--out", str(out)],
+            "theory": ["theory", "--matrix", str(bad), "--source", "L0000", "--out", str(out)],
+            "theory_transit": ["theory", "--matrix", good, "--transit-matrix", str(bad), "--source", "L0000",
+                               "--out", str(out)],
         }[command]
-        code = main([command, "--matrix", str(bad), "--beta", "0.5", "--gamma", "0.3333", *args])
+        code = main([*args, "--beta", "0.5", "--gamma", "0.3333"])
         assert code == 1 and not out.exists()
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {bad}: contact matrix has negative, infinite or NaN entries")
 
     @pytest.mark.parametrize(
         "write, message",
@@ -271,6 +295,21 @@ class TestSimulateCompareTheory:
                      "--out", str(out)])
         assert code == 1 and not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_compare_of_csvs_with_a_byte_order_mark_matches_without(self, city_dir, tmp_path):
+        runs = {}
+        for seed in ("1", "2"):
+            runs[seed] = tmp_path / f"run{seed}.csv"
+            assert main(["simulate", "--matrix", str(city_dir / "matrix.npz"), "--beta", "0.5", "--gamma", "0.3333",
+                         "--seed", seed, "--out", str(runs[seed])]) == 0
+            marked = tmp_path / f"marked{seed}.csv"
+            marked.write_text("\ufeff" + runs[seed].read_text(encoding="utf-8"), encoding="utf-8", newline="")
+        reports = []
+        for ptt, mpt in ((runs["1"], runs["2"]), (tmp_path / "marked1.csv", tmp_path / "marked2.csv")):
+            out = tmp_path / f"report_{ptt.stem}.json"
+            assert main(["compare", "--ptt", str(ptt), "--mpt", str(mpt), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_compare_csv_without_column_fails(self, tmp_path, capsys):
         good = tmp_path / "good.csv"
