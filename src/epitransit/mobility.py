@@ -50,15 +50,22 @@ class LocationTable:
     strings), ``lat`` and ``lon`` (float arrays, decimal degrees).
 
     The constructor is the one place that checks locations: it takes one
-    lat and one lon per id, rejects repeated ids, and rejects any lat
-    outside [-90, 90] or lon outside [-180, 180], NaN included. The
-    columns are copied.
+    string id and one lat and one lon per location, rejects repeated ids,
+    rejects coordinates that are not real numbers before it converts them
+    to float, and rejects any lat outside [-90, 90] or lon outside
+    [-180, 180], NaN included. The columns are copied.
     """
 
     def __init__(self, ids, lat, lon):
         self.ids = ids = list(ids)
-        self.lat = lat = np.array(lat, dtype=float)
-        self.lon = lon = np.array(lon, dtype=float)
+        not_str = [i for i in ids if not isinstance(i, str)]
+        if not_str:
+            raise ValidationError(f"location ids must be strings, got {not_str[0]!r}")
+        lat, lon = np.asarray(lat), np.asarray(lon)
+        _require_real("lat", lat)
+        _require_real("lon", lon)
+        self.lat = lat = lat.astype(float)
+        self.lon = lon = lon.astype(float)
         if lat.shape != (len(ids),) or lon.shape != (len(ids),):
             raise ValidationError(f"{len(ids)} location ids, but lat has shape {lat.shape} and lon {lon.shape}")
         errors = _coordinate_errors(ids, lat, lon)
@@ -76,6 +83,14 @@ class LocationTable:
     def distance_matrix(self) -> np.ndarray:
         """Pairwise haversine distances in km, computed on each access."""
         return haversine_km(self.lat[:, None], self.lon[:, None], self.lat[None, :], self.lon[None, :])
+
+
+def _require_real(name: str, values: np.ndarray) -> None:
+    # strings fail comparisons with a traceback, or parse in a float
+    # conversion; complex numbers pass comparisons, or lose their
+    # imaginary part in a float conversion
+    if values.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must hold real numbers (bool, integer or float), got dtype {values.dtype}")
 
 
 def _coordinate_errors(ids, lat: np.ndarray, lon: np.ndarray) -> list:
@@ -149,11 +164,8 @@ class ContactMatrix:
 
     def __post_init__(self):
         n = len(self.table)
-        # strings fail the comparisons below with a traceback; complex numbers pass them
         for name in ("m", "populations"):
-            dtype = getattr(self, name).dtype
-            if dtype.kind not in "biuf":
-                raise ValidationError(f"{name} must hold real numbers (bool, integer or float), got dtype {dtype}")
+            _require_real(name, getattr(self, name))
         if self.m.shape != (n, n):
             raise ValidationError(f"matrix shape {self.m.shape} does not match {n} locations")
         # min() and max() are NaN if any count is

@@ -9,11 +9,12 @@ every run there is: first the full-mobility arm, every disease on every
 cell is thinned once and every disease runs every pair on that one
 matrix, since thinning does not depend on the disease either. Both arms
 of a pair share the seed location and the introduction RNG stream, so
-metric differences isolate the matrix effect. The executor yields each
-run with its (cell, disease, pair) position, and no run depends on what
-else it runs. ``run_sweep`` folds the ledger, the cells, the example
-curves and the run counts from the whole stream; ``replay_run`` runs
-the executor on one ledger entry's cell, disease and pair, so every run
+metric differences isolate the matrix effect. (k, theta) alone names a
+cell, as the bands are disjoint, and seeds its thinning. The executor
+yields each run with its (cell, disease, pair) position; no run depends
+on what else it runs. ``run_sweep`` folds the ledger, the cells, the
+example curves and the run counts from the whole stream; ``replay_run``
+runs the executor on one entry's cell, disease and pair, so every run
 is reconstructible from its entry plus the scenario config.
 """
 
@@ -84,8 +85,10 @@ class ScenarioConfig:
     else every pair ``band_pairs`` yields (``mu``, k, theta); ``CompareConfig``
     and ``CityConfig``. Checked here: the counts, ``master_seed``,
     ``max_pairs``, the list shapes, unique disease names (a replay and the
-    exports find a disease by name), compare thresholds that name distinct
-    ``cells.csv`` columns, the city or matrix file, and ``seed_rule``
+    exports find a disease by name), unique bands and pairs (a cell named
+    twice would run twice and write its histogram key twice), compare
+    thresholds that name distinct ``cells.csv`` columns, the city or
+    matrix file, and ``seed_rule``
     (in ``engine.SEED_RULES`` or an integer; ``engine.seed_outbreak`` checks an
     index against the matrix). Ranges and pairs become tuples.
     """
@@ -136,15 +139,11 @@ class ScenarioConfig:
             raise ValueError("at least one disease required")
         for d in self.diseases:
             _params(self, d)
-        names = [d.name for d in self.diseases]
-        dupes = sorted({name for name in names if names.count(name) > 1})
-        if dupes:
-            raise ValueError(f"duplicate disease name(s): {', '.join(dupes)}")
-        stats = _stat_names(self.compare.thresholds)
-        clashes = sorted({name for name in stats if stats.count(name) > 1})
-        if clashes:
-            raise ValueError(f"compare thresholds share a column name: {', '.join(clashes)}")
+        _reject_repeats([d.name for d in self.diseases], "duplicate disease name(s)")
+        _reject_repeats(_stat_names(self.compare.thresholds), "compare thresholds share a column name")
         bands = [transit.DeltaBand.from_label(label) for label in self.delta_bands]
+        _reject_repeats(self.delta_bands, "delta_bands lists a band more than once")
+        _reject_repeats(self.pairs or [], "pairs lists a (k, theta) more than once")
         pairs = self.pairs if self.pairs is not None else [p for b in bands for p in band_pairs(self, b)]
         for k, theta in pairs:
             transit.GammaTripModel(k, theta, self.mu)
@@ -167,8 +166,21 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ScenarioConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        """The config in a JSON file, which may open with a UTF-8
+        byte-order mark. A ValueError from parsing or checking it is
+        raised again with the file's path in front."""
+        with open(path, encoding="utf-8-sig") as fh:
+            try:
+                return cls.from_json_dict(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+
+
+def _reject_repeats(values: list, what: str) -> None:
+    """Raise a ValueError that names each value listed more than once."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{what}: {', '.join(map(str, repeated))}")
 
 
 def _as_list(value, name: str, length: int | None = None) -> list:
@@ -218,6 +230,9 @@ def band_pairs(config: ScenarioConfig, band: transit.DeltaBand) -> list:
 
 # Per-cell scalars, in cells.csv column order.
 _CELL_COLUMNS = ("disease", "beta", "gamma", "r0", "band", "k", "theta", "lambda")
+# A ledger entry's keys: the cell's scalars but r0, then the run's.
+_LEDGER_KEYS = set(_CELL_COLUMNS) - {"r0"} | {
+    "run_index", "seed_draw", "replicate", "seed_location_index", "seed_location", "report"}
 
 
 @dataclass
@@ -285,19 +300,15 @@ def _cell_aggregates(reports: list, thresholds) -> dict:
 
 @dataclass(frozen=True)
 class PlannedCell:
-    """One calibrated (band, k, theta) cell of a sweep.
-
-    ``pair_index`` is the pair's position in ``band_pairs`` for its band;
-    a band's histogram is taken from its first pair only. A replayed
-    cell knows neither its pair's position nor, in an entry without one,
-    its band label, and holds None for them.
+    """One calibrated cell: its band's label, its pair's position in
+    ``band_pairs`` for that band, whose first pair gives the band's
+    histogram, and its model, which holds the (k, theta) that names it.
+    A replayed cell knows neither its pair's position nor, in an entry
+    without one, its band label, and holds None for them.
     """
 
-    band_index: int
     band: str
     pair_index: int
-    k: int
-    theta: int
     model: transit.GammaTripModel
 
 
@@ -308,9 +319,8 @@ def plan_cells(config: ScenarioConfig, matrix: ContactMatrix) -> tuple[list, lis
     entry per cell whose mode share is unreachable, both in band then
     pair order. No cell depends on the disease.
     """
-    bands = [transit.DeltaBand.from_label(label) for label in config.delta_bands]
     cells, infeasible = [], []
-    for band_index, band in enumerate(bands):
+    for band in map(transit.DeltaBand.from_label, config.delta_bands):
         pairs = band_pairs(config, band)
         if not pairs:
             log.warning("no (k, theta) pairs with mean in band %s", band.label)
@@ -323,7 +333,7 @@ def plan_cells(config: ScenarioConfig, matrix: ContactMatrix) -> tuple[list, lis
                     {"band": band.label, "k": k, "theta": theta, "achievable": exc.achievable}
                 )
                 continue
-            cells.append(PlannedCell(band_index, band.label, pair_index, k, theta, model))
+            cells.append(PlannedCell(band.label, pair_index, model))
     return cells, infeasible
 
 
@@ -381,9 +391,9 @@ def _execute(config: ScenarioConfig, matrix: ContactMatrix, params: list, cells:
     Then each cell is thinned once, every disease runs every pair on it,
     and its matrix is released before the next cell is thinned, so at
     most one thinned matrix is alive at a time; nothing yielded holds
-    one. A run depends on its position alone, not on what else runs.
-    With ``histograms`` given, the distance histogram of each band's
-    first pair is stored in it, keyed ``band:kK:tTHETA``.
+    one. A cell is thinned on the master seed and its (k, theta) alone,
+    and no run depends on what else runs. ``histograms``, if given, gets
+    each band's first pair's distance histogram, keyed ``band:kK:tTHETA``.
     """
     # a pair's introduction stream: both arms run on it, and run_simulation
     # only reads it, so one SeedSequence serves every run of the pair
@@ -394,12 +404,10 @@ def _execute(config: ScenarioConfig, matrix: ContactMatrix, params: list, cells:
             baselines[d].append(engine.run_simulation(matrix, p, pair[2], seed))
             yield None, d, pair, baselines[d][-1], None
     for c, cell in enumerate(cells):
-        # the cell's thinning seed does not depend on the disease
-        sub = transit.sample_transit_matrix(
-            matrix, cell.model, _seed_seq(config.master_seed, _TAG_TRANSIT, cell.band_index, cell.k, cell.theta)
-        )
+        k, theta = cell.model.k, cell.model.theta  # they name the cell, and alone seed its thinning
+        sub = transit.sample_transit_matrix(matrix, cell.model, _seed_seq(config.master_seed, _TAG_TRANSIT, k, theta))
         if histograms is not None and cell.pair_index == 0:
-            histograms[f"{cell.band}:k{cell.k}:t{cell.theta}"] = transit.distance_histogram(sub)
+            histograms[f"{cell.band}:k{k}:t{theta}"] = transit.distance_histogram(sub)
         for d, p in enumerate(params):
             for pair, seed, mpt in zip(pairs, seeds, baselines[d]):
                 yield c, d, pair, engine.run_simulation(sub, p, pair[2], seed), mpt
@@ -409,7 +417,7 @@ def _execute(config: ScenarioConfig, matrix: ContactMatrix, params: list, cells:
 def _cell_keys(disease: Disease, cell: PlannedCell) -> dict:
     return {
         "disease": disease.name, "beta": disease.beta, "gamma": disease.gamma,
-        "band": cell.band, "k": cell.k, "theta": cell.theta, "lambda": cell.model.lam,
+        "band": cell.band, "k": cell.model.k, "theta": cell.model.theta, "lambda": cell.model.lam,
     }
 
 
@@ -470,7 +478,6 @@ def run_sweep(config: ScenarioConfig, matrix: ContactMatrix | None = None) -> Sw
                 {
                     **_cell_keys(disease, cell),
                     "run_index": run_index,
-                    "band_index": cell.band_index,
                     "seed_draw": s,
                     "replicate": r,
                     "seed_location_index": loc,
@@ -514,13 +521,16 @@ def replay_run(config: ScenarioConfig, entry: dict, matrix: ContactMatrix | None
     run on the entry's one cell, one disease and one pair, after the
     sweep's own checked start, so the params and the counts are checked
     before the cell is calibrated, and the caller's matrix is left as it
-    was."""
+    was. An entry with a key that no sweep writes is refused by name: an
+    older ledger's band position marks a cell thinned on another seed."""
+    unknown = sorted(set(entry) - _LEDGER_KEYS)
+    if unknown:
+        raise ValueError(f"ledger entry holds key(s) that no sweep writes: {', '.join(unknown)}")
     disease = next((d for d in config.diseases if d.name == entry["disease"]), None)
     if disease is None:
         raise ValueError(f"ledger entry's disease {entry['disease']!r} is not in the config")
     matrix, params = _checked_start(config, [disease], matrix)
-    model = _calibrated_model(config, matrix, entry["k"], entry["theta"])
-    cell = PlannedCell(entry["band_index"], entry.get("band"), None, model.k, model.theta, model)
+    cell = PlannedCell(entry.get("band"), None, _calibrated_model(config, matrix, entry["k"], entry["theta"]))
     pair = (entry["seed_draw"], entry["replicate"], entry["seed_location_index"])
     *_, (_, _, _, ptt, mpt) = _execute(config, matrix, params, [cell], [pair])
     return metrics.compare(ptt, mpt, config.compare)

@@ -184,7 +184,7 @@ class TestSimulateCompareTheory:
             (lambda a: {"lat": np.r_[a["lat"][:3], 95.0, a["lat"][4:]]}, "location 'L0003': lat 95.0 outside"),
             (lambda a: {"ids": np.r_[a["ids"][:1], a["ids"][:-1]]}, "duplicate location ids: ['L0000']"),
             (lambda a: {"m": a["m"][:4, :4]}, "matrix shape (4, 4) does not match 30 locations"),
-            (lambda a: {"lat": np.r_[["north"], a["lat"][1:].astype(str)]}, "could not convert string to float"),
+            (lambda a: {"lat": np.r_[["north"], a["lat"][1:].astype(str)]}, "lat must hold real numbers"),
         ],
         ids=["population_below_floor", "nan_population", "short_populations", "nan_counts", "lat_95", "repeated_ids",
              "m_4x4", "text_lat"],
@@ -223,6 +223,33 @@ class TestSimulateCompareTheory:
         err = capsys.readouterr().err
         assert code == 1 and not out.exists()
         assert err.startswith(f"error: {bad}: ") and "must hold real numbers" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "change, command, message",
+        [
+            (lambda a: {"lat": a["lat"] + 1j}, "simulate", "lat must hold real numbers"),
+            (lambda a: {"lon": a["lon"] + 1j}, "simulate", "lon must hold real numbers"),
+            (lambda a: {"lat": a["lat"].astype(str)}, "simulate", "lat must hold real numbers"),
+            (lambda a: {"ids": np.arange(30)}, "theory", "location ids must be strings, got 0"),
+        ],
+        ids=["complex_lat", "complex_lon", "string_lat", "integer_ids"],
+    )
+    def test_location_table_of_the_wrong_types_fails_and_names_the_file(
+        self, city_dir, tmp_path, capsys, change, command, message
+    ):
+        # a complex lat used to lose its imaginary part, a string lat to be
+        # parsed, and integer ids to leave no location that --source names
+        with np.load(city_dir / "matrix.npz") as data:
+            arrays = dict(data)
+        arrays.update(change(arrays))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        out = tmp_path / "out.csv"
+        source = ["--source", "0"] if command == "theory" else []
+        code = main([command, "--matrix", str(bad), "--beta", "0.5", "--gamma", "0.3333", *source, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.startswith(f"error: {bad}: {message}") and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "theory", "theory_transit"])
     def test_infinite_count_fails(self, city_dir, tmp_path, capsys, command):
@@ -477,6 +504,34 @@ class TestSweepAndExport:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["master_seed"] == 7
         assert summary["config"]["output_dir"] == str(out)
+
+    def test_sweep_of_a_config_with_a_byte_order_mark_matches_without(self, tmp_path, monkeypatch):
+        # each sweep writes to "out" under its own directory, so that every
+        # file, the config echoed in summary.json too, can match byte for byte
+        config = {"diseases": [{"name": "h1n1", "beta": 0.5, "gamma": 1 / 3}], "seed_draws": 1, "replicates": 2,
+                  "pairs": [[3, 5]], "horizon": 60, "delta_bands": ["low"], "city": {"n_locations": 30},
+                  "output_dir": "out"}
+        written = {}
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            pathlib.Path("config.json").write_text(mark + json.dumps(config), encoding="utf-8")
+            assert main(["sweep", "--config", "config.json"]) == 0
+            written[name] = {path.name: path.read_bytes() for path in pathlib.Path("out").iterdir()}
+        assert "cells.csv" in written["plain"] and written["marked"] == written["plain"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"diseases": [}', "Expecting value"), ('{"seed_draws": 0}', "seed_draws must be an integer >= 1")],
+        ids=["json_syntax", "zero_seed_draws"],
+    )
+    def test_config_errors_name_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--output-dir", str(out)]) == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and "Traceback" not in err
 
     def test_sweep_unknown_key_is_validation_error(self, tmp_path):
         config_path = tmp_path / "bad.json"

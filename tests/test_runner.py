@@ -1,7 +1,8 @@
+import itertools
 import json
 import logging
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,9 @@ def tiny_config(**overrides):
 TWO_DISEASES = [Disease("h1n1", 0.5, 1 / 3), Disease("varicella", 1.55, 0.2)]
 # two pairs in each band: k*theta = 15 and 14 (low), 32 and 36 (mediate)
 TWO_BAND_PAIRS = [(3, 5), (2, 7), (2, 16), (3, 12)]
+# and 54 and 55 (high)
+THREE_BAND_PAIRS = [*TWO_BAND_PAIRS, (2, 27), (5, 11)]
+THREE_BANDS = ["low", "mediate", "high"]
 
 
 def _record_calls(monkeypatch, *targets) -> list:
@@ -123,6 +127,43 @@ def test_executor_runs_do_not_depend_on_what_else_it_runs(recorded_sweep, cells,
     assert seen == [(c, d, all_pairs[p]) for c in [None, *cells] for d in diseases for p in pairs]
 
 
+@pytest.fixture(scope="module")
+def three_band_sweep():
+    """A two-disease sweep of all three bands, in their usual order."""
+    config = tiny_config(diseases=TWO_DISEASES, delta_bands=THREE_BANDS, pairs=THREE_BAND_PAIRS)
+    matrix = base_matrix(config)
+    return config, matrix, run_sweep(config, matrix=matrix)
+
+
+def _by_cell(result: SweepResult) -> tuple:
+    """A sweep's ledger entries without their run_index, which counts the
+    cells before them, keyed (disease, band, k, theta, seed draw,
+    replicate); its cells rows, keyed (disease, band, k, theta); and its
+    histograms."""
+    entries = {
+        tuple(e[key] for key in ("disease", "band", "k", "theta", "seed_draw", "replicate")):
+            {key: value for key, value in e.items() if key != "run_index"}
+        for e in result.ledger
+    }
+    cells = {(c["disease"], c["band"], c["k"], c["theta"]): c for c in result.cells}
+    return entries, cells, result.histograms
+
+
+@pytest.mark.parametrize(
+    "bands", [list(p) for n in (1, 2, 3) for p in itertools.permutations(THREE_BANDS, n)], ids="+".join
+)
+def test_a_cell_does_not_depend_on_the_other_bands_of_its_sweep(three_band_sweep, bands):
+    # a cell is its (k, theta): a sweep of any bands in any order gives each
+    # of its cells the full sweep's reports, row and histogram, bit for bit
+    config, matrix, full = three_band_sweep
+    entries, cells, histograms = _by_cell(run_sweep(replace(config, delta_bands=bands), matrix=matrix))
+    want_entries, want_cells, want_histograms = _by_cell(full)
+    assert entries == {key: e for key, e in want_entries.items() if key[1] in bands}
+    assert cells == {key: c for key, c in want_cells.items() if key[1] in bands}
+    assert histograms == {key: h for key, h in want_histograms.items() if key.split(":")[0] in ["full", *bands]}
+    assert {key[1] for key in cells} == set(bands)
+
+
 class TestConfig:
     def test_json_roundtrip(self):
         # every field of the second config differs from its default, so a
@@ -171,6 +212,15 @@ class TestConfig:
             tiny_config(delta_bands=["low", "nope"])
         with pytest.raises(ValueError, match="duplicate disease name"):
             tiny_config(diseases=[Disease("flu", 0.5, 0.2), Disease("flu", 1.5, 0.2)])
+
+    def test_a_band_listed_twice_is_rejected(self):
+        # its cells would run twice, and write one histogram key twice
+        with pytest.raises(ValueError, match="delta_bands lists a band more than once: low$"):
+            tiny_config(delta_bands=["low", "mediate", "low"])
+
+    def test_a_pair_listed_twice_is_rejected(self):
+        with pytest.raises(ValueError, match=r"pairs lists a \(k, theta\) more than once: \(2, 6\)$"):
+            tiny_config(pairs=[(2, 6), (3, 5), [2, 6]])
 
     @pytest.mark.parametrize("pair", [(2, 6.5), (2.0, 6), (2, True)])
     def test_non_integer_pairs_rejected(self, pair):
@@ -316,6 +366,14 @@ class TestRunSweep:
         for entry in result.ledger:
             assert replay_run(config, entry, matrix=matrix).to_json_dict() == entry["report"]
 
+    def test_replay_of_an_entry_with_a_band_position_names_the_key(self, two_disease_sweep):
+        # an older ledger's entries held the band's position in the config,
+        # which seeded their thinning then and seeds nothing now
+        config, matrix, result, _ = two_disease_sweep
+        entry = dict(result.ledger[0], band_index=0)
+        with pytest.raises(ValueError, match=r"key\(s\) that no sweep writes: band_index$"):
+            replay_run(config, entry, matrix=matrix)
+
     def test_replay_of_a_disease_not_in_the_config_names_it(self, two_disease_sweep):
         config, matrix, result, _ = two_disease_sweep
         entry = dict(result.ledger[0], disease="measles")
@@ -342,8 +400,7 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="integer trip counts"):
             run_sweep(config, matrix=matrix)
         assert calls == []
-        entry = {"disease": "h1n1", "seed_draw": 0, "replicate": 0, "seed_location_index": 0,
-                 "k": 3, "theta": 5, "band_index": 0}
+        entry = {"disease": "h1n1", "seed_draw": 0, "replicate": 0, "seed_location_index": 0, "k": 3, "theta": 5}
         with pytest.raises(ValueError, match="integer trip counts"):
             replay_run(config, entry, matrix=matrix)
         assert calls == []
