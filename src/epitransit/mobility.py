@@ -7,7 +7,11 @@ The city's file formats live here alone: the locations and trips CSVs
 The contact matrix is oriented as ``m[destination, origin]``: entry
 ``m[j, k]`` is the number of daily trips from location ``k`` into
 location ``j``. Self-flows (the diagonal) are retained because they
-enter the population balance.
+enter the population balance. A matrix keeps only its nonzero entries;
+the builders (``build_contact_matrix``, ``matrix_from_flows``,
+``load_matrix_npz``, and ``generate_synthetic_city`` in ``synthcity``)
+derive the populations from a dense array's sums and then drop it, and a
+dense ``m`` is rebuilt only when it is read (see ``ContactMatrix``).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import csv
 import json
 import logging
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -145,38 +149,100 @@ def _haversine_rad(p1, l1, cos_p1, p2, l2, cos_p2) -> np.ndarray:
     return d
 
 
+class _Dense:
+    """The ``m`` field of ``ContactMatrix``: the dense n x n counts, built
+    from the matrix's ``nonzero`` entries by one scatter on first read and
+    kept in the reading matrix's ``__dict__``, where later reads find it
+    as a plain attribute. It defines no ``__set__``, so the dataclass
+    ``__init__`` puts the array it is given there too, and
+    ``__post_init__`` takes it out again. Read on the class, it raises
+    AttributeError, so that the dataclass field has no default."""
+
+    def __get__(self, matrix, owner=None):
+        if matrix is None:
+            raise AttributeError("m")
+        index, values = matrix.nonzero
+        n = matrix.n
+        m = np.zeros((n, n), dtype=values.dtype)
+        m.reshape(-1)[index] = values
+        vars(matrix)["m"] = _read_only(m)[0]
+        return m
+
+
 @dataclass(frozen=True)
 class ContactMatrix:
     """Daily origin-destination trip counts plus derived populations.
 
     ``m[j, k]`` holds trips from location ``k`` to location ``j``. The
-    matrix and population vector are immutable so simulation replicates
-    can share one instance without copying. Both arrays must be of a
-    real-number dtype (bool, integer or floating). Counts must be finite
-    and >= 0; populations must be finite and at least POPULATION_FLOOR,
-    which the engine relies on to keep S and I at zero or above.
+    matrix keeps only its nonzero entries, ``nonzero``: their row-major
+    flat indices (int32 when the matrix has fewer than 2**31 entries) and
+    their values in the dtype of the ``m`` it was given, 12 bytes an
+    entry at float64. ``m`` is still an init field that takes and returns
+    a dense array: the array given is read once and dropped, and the
+    first read of ``m`` rebuilds it by one scatter, the same values in
+    the same dtype (a count of -0.0 reads back as 0.0), and keeps it on
+    the matrix that read it (``_Dense``). ``dataclasses.replace`` reads
+    ``m`` and builds a checked matrix; ``copy`` shares the entries and
+    reads none of it.
+
+    The matrix and population vector are immutable so simulation
+    replicates can share one instance without copying. Both arrays must
+    be of a real-number dtype (bool, integer or floating). Counts must be
+    finite and >= 0, checked over the entries alone; populations must be
+    finite and at least POPULATION_FLOOR, which the engine relies on to
+    keep S and I at zero or above.
     """
 
-    m: np.ndarray
+    m: np.ndarray = _Dense()
     populations: np.ndarray
     table: LocationTable
     population_clamp_count: int = 0
+    nonzero: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        m = vars(self).pop("m")
+        for name, values in (("m", m), ("populations", self.populations)):
+            _require_real(name, values)
         n = len(self.table)
-        for name in ("m", "populations"):
-            _require_real(name, getattr(self, name))
-        if self.m.shape != (n, n):
-            raise ValidationError(f"matrix shape {self.m.shape} does not match {n} locations")
+        if m.shape != (n, n):
+            raise ValidationError(f"matrix shape {m.shape} does not match {n} locations")
+        index = np.flatnonzero(m != 0)  # NumPy finds the nonzeros of a mask faster than of numbers
+        values = m.take(index)
+        if m.size < 2**31:
+            index = index.astype(np.int32)
+        self._store(index, values)
+
+    def _store(self, index: np.ndarray, values: np.ndarray) -> None:
+        """Keep ``index`` and ``values`` as ``nonzero`` once the counts and
+        the populations are checked."""
         # min() and max() are NaN if any count is
-        if self.m.size and not (self.m.min() >= 0.0 and self.m.max() < np.inf):
+        if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
             raise ValidationError("contact matrix has negative, infinite or NaN entries")
+        n = len(self.table)
         if self.populations.shape != (n,):
             raise ValidationError(f"populations shape {self.populations.shape} does not match {n} locations")
         if not (np.all(self.populations >= POPULATION_FLOOR) and np.all(np.isfinite(self.populations))):
             raise ValidationError(f"populations must be finite and at least {POPULATION_FLOOR}")
-        self.m.flags.writeable = False
         self.populations.flags.writeable = False
+        vars(self)["nonzero"] = _read_only(index, values)
+
+    def _with_nonzero(self, index: np.ndarray, values: np.ndarray) -> "ContactMatrix":
+        """A checked matrix of the nonzero entries ``index`` and ``values``,
+        with this matrix's table, populations (the same read-only array)
+        and clamp count, and none of its caches."""
+        out = object.__new__(type(self))
+        vars(out).update(
+            populations=self.populations, table=self.table, population_clamp_count=self.population_clamp_count
+        )
+        out._store(index, values)
+        return out
+
+    def copy(self) -> "ContactMatrix":
+        """A matrix of its own that shares this one's entries, table and
+        populations, without reading ``m``: it holds no dense array and
+        none of this matrix's caches, so whatever is computed on it is
+        freed with it."""
+        return self._with_nonzero(*self.nonzero)
 
     @property
     def n(self) -> int:
@@ -190,32 +256,29 @@ class ContactMatrix:
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """(flat indices, distances in km) of the nonzero entries, row-major.
 
-        Indices are int32 when the matrix has fewer than 2**31 entries;
-        ``trip_counts`` holds their counts. Distances are computed for
-        these entries only and equal ``distance_matrix`` there, so
-        calibration, histograms and thinning never build the dense n x n
-        distance matrix. The radians of every location's coordinates and
-        the cosine of its latitude are computed once per location, in this
-        call, and gathered per entry into ``haversine_km``'s kernel: the
-        same elementwise steps on the same values, so the same bits,
-        without converting or taking a cosine per entry. Nothing is kept
-        on the table. A matrix made by ``with_entry_counts`` is born
-        with this cache set: its entries are a subset of its parent's, so
-        it inherits their indices and distances and never scans its n^2
-        counts or calls the haversine.
+        The indices are ``nonzero``'s own array; ``trip_counts`` holds
+        their counts. Distances are computed for these entries only and
+        equal ``distance_matrix`` there, so calibration, histograms and
+        thinning never build the dense n x n distance matrix. The radians
+        of every location's coordinates and the cosine of its latitude are
+        computed once per location, in this call, and gathered per entry
+        into ``haversine_km``'s kernel: the same elementwise steps on the
+        same values, so the same bits, without converting or taking a
+        cosine per entry. Nothing is kept on the table. A matrix made by
+        ``with_entry_counts`` is born with this cache set: its entries are
+        a subset of its parent's, so it inherits their distances and never
+        calls the haversine.
         The cache lives as long as the matrix: a sweep or replay computes
-        it on a ``dataclasses.replace`` copy that it owns, so the caller's
-        matrix is left as it was.
+        it on a ``copy`` that it owns, so the caller's matrix is left as it
+        was.
         """
-        index = np.flatnonzero(self.m != 0)
+        index = self.nonzero[0]
         rows, cols = np.divmod(index, self.n)
         lat, lon = np.radians(self.table.lat), np.radians(self.table.lon)
         cos_lat = np.cos(lat)
         distances = _haversine_rad(
             lat.take(rows), lon.take(rows), cos_lat.take(rows), lat.take(cols), lon.take(cols), cos_lat.take(cols)
         )
-        if self.m.size < 2**31:
-            index = index.astype(np.int32)
         return _read_only(index, distances)
 
     @cached_property
@@ -225,9 +288,8 @@ class ContactMatrix:
         per matrix. Raises ValueError otherwise, since calibration, the
         distance histogram and thinning all weigh whole trips; a sweep and
         a replay ask for it before anything is calibrated or run. A matrix
-        made by ``with_entry_counts`` is born with it, so it never gathers
-        its counts from its n^2 array."""
-        values = self.m.take(self.entries[0])
+        made by ``with_entry_counts`` is born with it."""
+        values = self.nonzero[1]
         counts = values.astype(np.int64)  # a fractional count is cut, so it differs
         if not np.array_equal(counts, values):
             raise ValueError("matrix entries must be integer trip counts for thinning")
@@ -250,15 +312,13 @@ class ContactMatrix:
         elsewhere, with this matrix's table, populations (the same
         read-only array) and clamp count.
 
-        It is born with its ``entries`` and ``trip_counts``: this matrix's
-        indices and distances, and ``counts`` as int64, at the positions
-        where ``counts`` is nonzero. Those positions are found once, the
-        three are taken by them, and only the kept counts are written into
-        the zeroed n^2 array. The kept entries are its row-major nonzeros,
-        each distance is the value its own haversine would give and each
-        count the value its own gather would give, so it never scans or
-        gathers from its n^2 counts. A negative count is kept too, and the
-        matrix's own check rejects it.
+        The positions where ``counts`` is nonzero are found once, and the
+        indices, distances and counts are taken by them. The matrix keeps
+        the kept indices and counts (as float64, the dtype of its ``m``)
+        as its ``nonzero``, and is born with its ``entries`` (those indices
+        and their distances) and ``trip_counts`` (the counts as int64), so
+        it never builds an n^2 array until ``m`` is read. A negative count
+        is kept too, and the matrix's own check rejects it.
         """
         if counts.dtype.kind not in "iu":
             raise TypeError(f"entry counts must be an integer array, got dtype {counts.dtype}")
@@ -267,14 +327,7 @@ class ContactMatrix:
             raise ValueError(f"{index.size} entries, but counts has shape {counts.shape}")
         kept = np.flatnonzero(counts != 0)  # NumPy finds the nonzeros of a mask faster than of integers
         index, counts = index.take(kept), counts.take(kept)
-        m = np.zeros(self.m.size)
-        m[index] = counts
-        out = ContactMatrix(
-            m=m.reshape(self.m.shape),
-            populations=self.populations,
-            table=self.table,
-            population_clamp_count=self.population_clamp_count,
-        )
+        out = self._with_nonzero(index, counts.astype(float))
         vars(out)["entries"] = _read_only(index, distances.take(kept))
         vars(out)["trip_counts"] = _read_only(counts.astype(np.int64, copy=False))[0]
         return out
@@ -435,8 +488,9 @@ def raise_if_errors(path, errors):
 
 def write_city_csvs(table: LocationTable, matrix: ContactMatrix, locations_path, trips_path) -> None:
     """Write a city as the two CSVs that ``load_trips`` reads back: one
-    row per location, and one trip row per nonzero entry of ``matrix.m``
-    at hour 8, since a daily matrix has no within-day structure."""
+    row per location, and one trip row per entry of ``matrix.nonzero``, in
+    row-major order, at hour 8, since a daily matrix has no within-day
+    structure."""
     with open(locations_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOCATION_COLUMNS)
@@ -445,16 +499,18 @@ def write_city_csvs(table: LocationTable, matrix: ContactMatrix, locations_path,
     with open(trips_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIP_COLUMNS)
-        dest_idx, origin_idx = np.nonzero(matrix.m)
-        for j, k in zip(dest_idx, origin_idx):
-            writer.writerow([table.ids[k], table.ids[j], 8, int(matrix.m[j, k])])
+        index, counts = matrix.nonzero
+        dest_idx, origin_idx = np.divmod(index, matrix.n)
+        for j, k, count in zip(dest_idx.tolist(), origin_idx.tolist(), counts.tolist()):
+            writer.writerow([table.ids[k], table.ids[j], 8, int(count)])
 
 
 def build_contact_matrix(table: LocationTable, trips) -> ContactMatrix:
     """Aggregate hourly trip records into a daily contact matrix.
 
     Populations are derived from the daily flow balance (see
-    ``derive_populations``).
+    ``derive_populations``) of the dense array the trips are summed into;
+    the matrix keeps its nonzero entries only.
     """
     n = len(table)
     m = np.zeros((n, n), dtype=float)
@@ -489,9 +545,10 @@ def matrix_from_flows(m, populations=None, table=None) -> ContactMatrix:
 
     Convenience for synthetic inputs. Populations default to the flow
     balance; a table of placeholder coordinates is synthesized when none
-    is given.
+    is given. The matrix keeps the nonzero flows as float64 and none of
+    ``m``.
     """
-    m = np.ascontiguousarray(np.asarray(m, dtype=float).copy())
+    m = np.asarray(m, dtype=float)
     n = m.shape[0]
     if table is None:
         table = LocationTable([f"L{i:04d}" for i in range(n)], np.zeros(n), np.zeros(n))
@@ -559,7 +616,9 @@ def load_matrix_npz(path) -> ContactMatrix:
     ``.npy`` array, a pickle, text, or an empty or truncated file), an
     array is missing or ``clamps`` is not one integer >= 0;
     ``LocationTable`` and ``ContactMatrix`` check the rest, and their
-    errors are raised again with the file's name in front."""
+    errors are raised again with the file's name in front. The matrix
+    keeps the nonzero entries of ``m`` in the file's dtype, so ``m`` reads
+    back as the saved array."""
     with open(path, "rb") as fh:
         try:
             data = np.load(fh, allow_pickle=False)
@@ -576,8 +635,8 @@ def load_matrix_npz(path) -> ContactMatrix:
         try:
             table = LocationTable(data["ids"].tolist(), data["lat"], data["lon"])
             return ContactMatrix(
-                m=data["m"].copy(),
-                populations=data["populations"].copy(),
+                m=data["m"],
+                populations=data["populations"],
                 table=table,
                 population_clamp_count=clamps.item(),
             )

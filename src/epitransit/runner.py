@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -300,15 +300,12 @@ def _cell_aggregates(reports: list, thresholds) -> dict:
 
 @dataclass(frozen=True)
 class PlannedCell:
-    """One calibrated cell: its band's label, its pair's position in
-    ``band_pairs`` for that band, whose first pair gives the band's
-    histogram, and its model, which holds the (k, theta) that names it.
-    A replayed cell knows neither its pair's position nor, in an entry
-    without one, its band label, and holds None for them.
+    """One calibrated cell: its band's label and its model, which holds
+    the (k, theta) that names it. A replayed cell from an entry without a
+    band label holds None for it.
     """
 
     band: str
-    pair_index: int
     model: transit.GammaTripModel
 
 
@@ -324,7 +321,7 @@ def plan_cells(config: ScenarioConfig, matrix: ContactMatrix) -> tuple[list, lis
         pairs = band_pairs(config, band)
         if not pairs:
             log.warning("no (k, theta) pairs with mean in band %s", band.label)
-        for pair_index, (k, theta) in enumerate(pairs):
+        for k, theta in pairs:
             try:
                 model = _calibrated_model(config, matrix, k, theta)
             except transit.InfeasibleModeShare as exc:
@@ -333,7 +330,7 @@ def plan_cells(config: ScenarioConfig, matrix: ContactMatrix) -> tuple[list, lis
                     {"band": band.label, "k": k, "theta": theta, "achievable": exc.achievable}
                 )
                 continue
-            cells.append(PlannedCell(band.label, pair_index, model))
+            cells.append(PlannedCell(band.label, model))
     return cells, infeasible
 
 
@@ -361,16 +358,18 @@ def _checked_start(config: ScenarioConfig, diseases: list, matrix: ContactMatrix
     """The matrix that a sweep or a replay works on, and each disease's
     params, once both are checked; nothing is calibrated or run yet.
 
-    The matrix is ``dataclasses.replace(matrix)``, a matrix of its own
-    that shares the caller's arrays, so its caches (``entries``,
-    ``trip_counts`` and ``inter_location_trips``) are computed once,
-    shared by every calibration, thinning and histogram, and freed with
-    it; the caller's matrix is left as it was. Every disease's params are
-    checked against the matrix (``engine.check_scale``), and its counts
-    are checked to be whole trips (``ContactMatrix.trip_counts``), which
-    thinning needs.
+    The matrix is ``matrix.copy()``, a matrix of its own that shares the
+    caller's stored entries and does not read its ``m``. So the dense
+    array that the engine reads and the caches (``entries``,
+    ``trip_counts`` and ``inter_location_trips``) are built on the copy,
+    once, shared by every run, calibration, thinning and histogram, and
+    freed with it; the caller's matrix is left as it was, and a matrix
+    that a caller keeps holds its entries alone. Every disease's params
+    are checked against the matrix (``engine.check_scale``), and its
+    counts are checked to be whole trips (``ContactMatrix.trip_counts``),
+    which thinning needs.
     """
-    matrix = base_matrix(config) if matrix is None else replace(matrix)
+    matrix = base_matrix(config) if matrix is None else matrix.copy()
     params = [_params(config, disease) for disease in diseases]
     for p in params:
         engine.check_scale(p, matrix)
@@ -393,7 +392,9 @@ def _execute(config: ScenarioConfig, matrix: ContactMatrix, params: list, cells:
     most one thinned matrix is alive at a time; nothing yielded holds
     one. A cell is thinned on the master seed and its (k, theta) alone,
     and no run depends on what else runs. ``histograms``, if given, gets
-    each band's first pair's distance histogram, keyed ``band:kK:tTHETA``.
+    the distance histogram of each band's first cell, keyed
+    ``band:kK:tTHETA``: its first feasible pair, since ``cells`` holds the
+    feasible cells alone, in band then pair order.
     """
     # a pair's introduction stream: both arms run on it, and run_simulation
     # only reads it, so one SeedSequence serves every run of the pair
@@ -406,7 +407,7 @@ def _execute(config: ScenarioConfig, matrix: ContactMatrix, params: list, cells:
     for c, cell in enumerate(cells):
         k, theta = cell.model.k, cell.model.theta  # they name the cell, and alone seed its thinning
         sub = transit.sample_transit_matrix(matrix, cell.model, _seed_seq(config.master_seed, _TAG_TRANSIT, k, theta))
-        if histograms is not None and cell.pair_index == 0:
+        if histograms is not None and (c == 0 or cells[c - 1].band != cell.band):
             histograms[f"{cell.band}:k{k}:t{theta}"] = transit.distance_histogram(sub)
         for d, p in enumerate(params):
             for pair, seed, mpt in zip(pairs, seeds, baselines[d]):
@@ -530,7 +531,7 @@ def replay_run(config: ScenarioConfig, entry: dict, matrix: ContactMatrix | None
     if disease is None:
         raise ValueError(f"ledger entry's disease {entry['disease']!r} is not in the config")
     matrix, params = _checked_start(config, [disease], matrix)
-    cell = PlannedCell(entry.get("band"), None, _calibrated_model(config, matrix, entry["k"], entry["theta"]))
+    cell = PlannedCell(entry.get("band"), _calibrated_model(config, matrix, entry["k"], entry["theta"]))
     pair = (entry["seed_draw"], entry["replicate"], entry["seed_location_index"])
     *_, (_, _, _, ptt, mpt) = _execute(config, matrix, params, [cell], [pair])
     return metrics.compare(ptt, mpt, config.compare)

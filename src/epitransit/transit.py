@@ -5,16 +5,18 @@ A trip of distance d is labeled transit with probability
 lambda is solved so the expected labeled fraction of inter-location
 trips equals the target mode share.
 
-The layer works on a matrix's nonzero entries, never on its n^2 cells:
-``ContactMatrix.entries`` (flat indices and distances) and
-``ContactMatrix.trip_counts`` (their counts, checked once per matrix to
-be whole trips) feed thinning, and ``ContactMatrix.inter_location_trips``
-(the off-diagonal distances and counts, derived from them once per
-matrix) feeds calibration and the distance histogram. The histogram
-bins those trips once, by division, for both its masses and its 95th
-percentile. A thinned matrix is born with its entries and its counts:
-its nonzeros are a subset of the entries of the matrix it was drawn
-from, and its counts are the binomial draws kept there.
+The layer works on a matrix's stored nonzero entries and never reads its
+dense ``m``: ``ContactMatrix.entries`` (the stored flat indices and their
+distances) and ``ContactMatrix.trip_counts`` (the stored counts, checked
+once per matrix to be whole trips) feed thinning, and
+``ContactMatrix.inter_location_trips`` (the off-diagonal distances and
+counts, derived from them once per matrix) feeds calibration and the
+distance histogram. The histogram bins those trips once, by division,
+for both its masses and its 95th percentile. A thinned matrix is stored
+as the entries it keeps and is born with their distances and counts: its
+nonzeros are a subset of the entries of the matrix it was drawn from,
+and its counts are the binomial draws kept there. Its dense ``m`` is
+built when the engine first reads it.
 """
 
 from __future__ import annotations
@@ -286,9 +288,10 @@ def sample_transit_matrix(matrix: ContactMatrix, model: GammaTripModel, rng_seed
     order: a Binomial(0, p) draw consumes no random numbers, so this
     gives the same matrix as drawing over all n^2 entries. The counts are
     the input's ``trip_counts``, checked once per matrix. The thinned
-    matrix is born with its ``entries`` and ``trip_counts``, the draws at
-    its kept entries (see ``ContactMatrix.with_entry_counts``), so its
-    histogram and calibration never scan or gather its n^2 counts. It
+    matrix is stored as its kept entries and born with its ``entries`` and
+    ``trip_counts``, the draws there (see
+    ``ContactMatrix.with_entry_counts``), so thinning, its histogram and
+    its calibration build no n^2 array. It
     shares the input matrix's read-only populations: the comparison is
     about reduced flows, not reduced populations. Output is
     bit-reproducible for a fixed seed.
@@ -305,8 +308,8 @@ def distance_histogram(matrix: ContactMatrix) -> dict:
     Weighted by trip counts over inter-location entries; self-flows are
     excluded since they carry no distance. Reads the matrix's cached
     ``inter_location_trips``, which a thinned matrix derives from the
-    entries and counts it was born with: its histogram scans and gathers
-    none of its n^2 counts and evaluates no haversine.
+    entries and counts it was born with: its histogram reads no dense
+    ``m`` and evaluates no haversine.
 
     Returns the dict a sweep stores and exports:
     ``{"bin_edges": [...], "masses": [...], "p95_km": float}``. A matrix

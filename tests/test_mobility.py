@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -23,6 +24,7 @@ from epitransit.mobility import (
     save_matrix_npz,
     write_network_stats,
 )
+from epitransit.synthcity import CityConfig, generate_synthetic_city
 
 
 class TestLocation:
@@ -337,6 +339,95 @@ class TestContactMatrix:
         off = (m.m != 0) & ~np.eye(4, dtype=bool)
         assert np.array_equal(counts, m.m[off]) and np.array_equal(distances, m.distance_matrix[off])
         assert not (distances.flags.writeable or counts.flags.writeable)
+
+
+class TestStoredEntries:
+    """A matrix keeps its nonzero entries; ``m`` is rebuilt from them."""
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.float32, ">f8", np.int64, np.int32, np.uint8, bool], ids=str
+    )
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    def test_m_rebuilds_the_dense_input_byte_for_byte(self, square_table, dtype, density):
+        rng = np.random.default_rng(7)
+        m = (rng.integers(1, 50, (4, 4)) * (rng.random((4, 4)) < density)).astype(dtype)
+        matrix = ContactMatrix(m=m, populations=np.full(4, 5.0), table=square_table)
+        assert "m" not in vars(matrix)
+        index, values = matrix.nonzero
+        assert index.dtype == np.int32 and np.array_equal(index, np.flatnonzero(m))
+        assert values.dtype == m.dtype and np.array_equal(values, m.ravel()[index])
+        rebuilt = matrix.m
+        assert rebuilt.dtype == m.dtype and rebuilt.shape == m.shape and rebuilt.tobytes() == m.tobytes()
+        assert matrix.m is rebuilt and not rebuilt.flags.writeable
+
+    def test_m_of_a_fortran_ordered_input_reads_row_major(self, square_table):
+        m = np.asfortranarray(np.arange(16.0).reshape(4, 4))
+        matrix = ContactMatrix(m=m, populations=np.full(4, 5.0), table=square_table)
+        assert np.array_equal(matrix.m, m) and matrix.m.flags.c_contiguous
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("where", [(0, 1), (2, 2), (3, 0)])
+    def test_nan_infinite_and_negative_counts_raise(self, square_table, bad, where):
+        m = np.ones((4, 4))
+        m[where] = bad
+        with pytest.raises(ValidationError, match="contact matrix has negative, infinite or NaN entries"):
+            ContactMatrix(m=m, populations=np.full(4, 5.0), table=square_table)
+
+    def test_negative_integer_counts_raise(self, square_table):
+        m = np.zeros((4, 4), dtype=np.int64)
+        m[1, 2] = -3
+        with pytest.raises(ValidationError, match="contact matrix has negative, infinite or NaN entries"):
+            ContactMatrix(m=m, populations=np.full(4, 5.0), table=square_table)
+
+    def test_replace_of_m_or_populations_gives_a_checked_matrix(self, square_table):
+        # as perfbench's tests plant a changed entry or population
+        matrix = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5), TripRecord("C", "C", 9, 48)])
+        m = matrix.m.copy()
+        m[2, 3] = 7.0
+        changed = dataclasses.replace(matrix, m=m)
+        assert np.array_equal(changed.m, m) and np.array_equal(changed.nonzero[0], np.flatnonzero(m))
+        assert changed.populations is matrix.populations and changed.table is matrix.table
+        m[2, 3] = np.nan
+        with pytest.raises(ValidationError, match="contact matrix has negative, infinite or NaN entries"):
+            dataclasses.replace(matrix, m=m)
+        populations = matrix.populations * 2.0
+        doubled = dataclasses.replace(matrix, populations=populations)
+        assert doubled.populations is populations and np.array_equal(doubled.m, matrix.m)
+        with pytest.raises(ValidationError, match="populations must be finite"):
+            dataclasses.replace(matrix, populations=np.full(4, POPULATION_FLOOR / 2))
+        with pytest.raises(ValidationError, match="populations shape"):
+            dataclasses.replace(matrix, populations=np.full(3, 5.0))
+
+    def test_copy_shares_the_entries_and_holds_no_dense_array_or_cache(self, square_table):
+        matrix = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5), TripRecord("C", "C", 9, 48)])
+        matrix.m, matrix.entries, matrix.trip_counts
+        copy = matrix.copy()
+        assert set(vars(copy)) == {"nonzero", "populations", "table", "population_clamp_count"}
+        assert all(a is b for a, b in zip(copy.nonzero, matrix.nonzero))
+        assert copy.populations is matrix.populations and copy.table is matrix.table
+        assert np.array_equal(copy.m, matrix.m) and copy.m is not matrix.m
+
+    def test_builders_hold_no_dense_array_until_m_is_read(self, square_table, tmp_path):
+        city = generate_synthetic_city(CityConfig(n_locations=30), 3)[1]
+        built = [
+            build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5), TripRecord("C", "C", 9, 48)]),
+            matrix_from_flows(np.eye(4) * 30.0),
+            city,
+        ]
+        for matrix in built:
+            assert "m" not in vars(matrix) and not _square_arrays(matrix)
+        save_matrix_npz(city, tmp_path / "city.npz")
+        loaded = load_matrix_npz(tmp_path / "city.npz")
+        assert "m" not in vars(loaded) and not _square_arrays(loaded)
+        for matrix in built + [loaded]:
+            matrix.m
+            assert [a.shape for a in _square_arrays(matrix)] == [(matrix.n, matrix.n)]
+
+
+def _square_arrays(matrix) -> list:
+    """The n x n arrays that a matrix holds."""
+    held = [v for value in vars(matrix).values() for v in (value if isinstance(value, tuple) else (value,))]
+    return [v for v in held if isinstance(v, np.ndarray) and v.shape == (matrix.n, matrix.n)]
 
 
 class TestDerivePopulations:

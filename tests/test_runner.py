@@ -27,6 +27,12 @@ from epitransit.synthcity import CityConfig
 from epitransit.transit import DeltaBand
 
 
+def _square_arrays(matrix) -> list:
+    """The n x n arrays that a matrix holds."""
+    held = [v for value in vars(matrix).values() for v in (value if isinstance(value, tuple) else (value,))]
+    return [v for v in held if isinstance(v, np.ndarray) and v.shape == (matrix.n, matrix.n)]
+
+
 def tiny_config(**overrides):
     defaults = dict(
         diseases=[Disease("h1n1", 0.5, 1 / 3)],
@@ -274,23 +280,38 @@ class TestRunSweep:
             assert stats["n"] + stats["censored"] == 6
 
     def test_sweep_leaves_the_matrix_as_it_found_it(self, two_disease_sweep):
-        # the caches it computed last as long as the sweep
+        # the dense array and the caches it computed last as long as the sweep
         matrix = two_disease_sweep[1]
-        assert not {"entries", "trip_counts", "inter_location_trips"} & set(vars(matrix))
+        assert not {"m", "entries", "trip_counts", "inter_location_trips"} & set(vars(matrix))
+        assert _square_arrays(matrix) == []
         config = tiny_config()
         matrix = base_matrix(config)
-        entries, trips = matrix.entries, matrix.inter_location_trips
+        m, entries, trips = matrix.m, matrix.entries, matrix.inter_location_trips
         run_sweep(config, matrix=matrix)
-        assert matrix.entries is entries and matrix.inter_location_trips is trips
+        assert matrix.m is m and matrix.entries is entries and matrix.inter_location_trips is trips
 
     def test_replay_leaves_the_matrix_as_it_found_it(self, two_disease_sweep):
         config, _, result, _ = two_disease_sweep
         matrix = base_matrix(config)
         replay_run(config, result.ledger[0], matrix=matrix)
-        assert not {"entries", "trip_counts", "inter_location_trips"} & set(vars(matrix))
-        entries, trips = matrix.entries, matrix.inter_location_trips
+        assert not {"m", "entries", "trip_counts", "inter_location_trips"} & set(vars(matrix))
+        assert _square_arrays(matrix) == []
+        m, entries, trips = matrix.m, matrix.entries, matrix.inter_location_trips
         replay_run(config, result.ledger[0], matrix=matrix)
-        assert matrix.entries is entries and matrix.inter_location_trips is trips
+        assert matrix.m is m and matrix.entries is entries and matrix.inter_location_trips is trips
+
+    def test_a_band_whose_first_pair_is_infeasible_writes_its_first_feasible_cell_histogram(self, tmp_path):
+        # every location at one point: the k = 2 density is 0 at distance 0, so
+        # (2, 7) is infeasible, while (1, 15), also in the low band, is not
+        flows = np.full((6, 6), 5.0)
+        np.fill_diagonal(flows, 100.0)
+        config = tiny_config(pairs=[(2, 7), (1, 15)])
+        result = run_sweep(config, matrix=matrix_from_flows(flows))
+        assert [(c["k"], c["theta"]) for c in result.infeasible_cells] == [(2, 7)]
+        assert [(c["band"], c["k"], c["theta"]) for c in result.cells] == [("low", 1, 15)]
+        assert sorted(result.histograms) == ["full", "low:k1:t15"]
+        export_results(result, tmp_path)
+        assert (tmp_path / "distance_hist_low_k1_t15.csv").is_file()
 
     def test_plan_calibrates_each_cell_once(self, two_disease_sweep):
         config, _, result, calls = two_disease_sweep
