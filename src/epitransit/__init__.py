@@ -6,7 +6,6 @@ from .metrics import CompareConfig, ComparisonReport, compare
 from .mobility import (
     ContactMatrix,
     LocationTable,
-    TripRecord,
     build_contact_matrix,
     load_trips,
     network_stats,
@@ -31,7 +30,6 @@ __all__ = [
     "PrevalenceSeries",
     "ScenarioConfig",
     "SweepResult",
-    "TripRecord",
     "build_contact_matrix",
     "calibrate",
     "compare",

@@ -26,7 +26,7 @@ from . import engine, metrics, runner, theory
 from .mobility import (
     ValidationError,
     build_contact_matrix,
-    field_count_error,
+    csv_rows,
     load_matrix_npz,
     load_trips,
     network_stats,
@@ -208,19 +208,21 @@ def _write_prevalence_csv(series: engine.PrevalenceSeries, path) -> None:
 
 def _read_prevalence_csv(path):
     """The prevalence and infected-location fraction columns of a
-    prevalence CSV, whose i-th row must read day i. Every bad row is
-    reported in one ValidationError."""
+    prevalence CSV, whose header must name the first three columns, in
+    any order, and whose i-th row must read day i. Every bad row is
+    reported in one ValidationError, by the file line it ends on (see
+    ``mobility.csv_rows``)."""
     prev, frac, errors = [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _PREVALENCE_COLUMNS[:3] if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        missing = [c for c in _PREVALENCE_COLUMNS[:3] if c not in header]
         if missing:
             raise ValidationError(f"{path}: header lacks column(s) {', '.join(missing)}")
-        for day, row in enumerate(reader):
+        for rownum, fields in csv_rows(reader, len(header), errors):
+            row = dict(zip(header, fields))  # a repeated name reads its last column
+            day = len(prev) + len(errors)  # every row before this one is kept or has an error
             try:
-                wrong_width = field_count_error(row, reader.fieldnames)
-                if wrong_width:
-                    raise ValueError(wrong_width)
                 if int(row["day"]) != day:
                     raise ValueError(f"day {row['day']} where day {day} belongs")
                 values = [float(row[name]) for name in _PREVALENCE_COLUMNS[1:3]]
@@ -228,7 +230,7 @@ def _read_prevalence_csv(path):
                     if not 0.0 <= value <= 1.0:
                         raise ValueError(f"{name} {value} outside [0, 1]")
             except ValueError as exc:
-                errors.append(f"row {reader.line_num}: {exc}")
+                errors.append((rownum, str(exc)))
                 continue
             prev.append(values[0])
             frac.append(values[1])

@@ -3,15 +3,19 @@
 The city's file formats live here alone: the locations and trips CSVs
 (headers ``LOCATION_COLUMNS`` and ``TRIP_COLUMNS``, written by
 ``write_city_csvs``), the matrix ``.npz`` and the network statistics JSON.
+Every CSV is read by ``csv.reader`` through ``csv_rows``; ``load_trips``
+appends each trip row's table indices, hour and count to typed columns and
+merges them by one sort.
 
 The contact matrix is oriented as ``m[destination, origin]``: entry
 ``m[j, k]`` is the number of daily trips from location ``k`` into
 location ``j``. Self-flows (the diagonal) are retained because they
-enter the population balance. A matrix keeps only its nonzero entries;
-the builders (``build_contact_matrix``, ``matrix_from_flows``,
-``load_matrix_npz``, and ``generate_synthetic_city`` in ``synthcity``)
-derive the populations from a dense array's sums and then drop it, and a
-dense ``m`` is rebuilt only when it is read (see ``ContactMatrix``).
+enter the population balance. A matrix keeps only its nonzero entries,
+whole counts below 2**32 in 4 bytes (see ``ContactMatrix``); the builders
+(``build_contact_matrix``, ``matrix_from_flows``, ``load_matrix_npz``, and
+``generate_synthetic_city`` in ``synthcity``) derive the populations from a
+dense array's sums and then drop it, and a dense ``m`` is rebuilt only when
+it is read.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import csv
 import json
 import logging
 import zipfile
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,16 +42,6 @@ POPULATION_FLOOR = 1.0
 
 class ValidationError(ValueError):
     """An input file or record failed validation."""
-
-
-@dataclass(frozen=True, slots=True)
-class TripRecord:
-    """Directed movement count between two locations within one hour slot."""
-
-    origin: str
-    destination: str
-    hour: int
-    count: int
 
 
 class LocationTable:
@@ -163,7 +158,7 @@ class _Dense:
             raise AttributeError("m")
         index, values = matrix.nonzero
         n = matrix.n
-        m = np.zeros((n, n), dtype=values.dtype)
+        m = np.zeros((n, n), dtype=matrix.dtype)
         m.reshape(-1)[index] = values
         vars(matrix)["m"] = _read_only(m)[0]
         return m
@@ -176,14 +171,17 @@ class ContactMatrix:
     ``m[j, k]`` holds trips from location ``k`` to location ``j``. The
     matrix keeps only its nonzero entries, ``nonzero``: their row-major
     flat indices (int32 when the matrix has fewer than 2**31 entries) and
-    their values in the dtype of the ``m`` it was given, 12 bytes an
-    entry at float64. ``m`` is still an init field that takes and returns
-    a dense array: the array given is read once and dropped, and the
-    first read of ``m`` rebuilds it by one scatter, the same values in
-    the same dtype (a count of -0.0 reads back as 0.0), and keeps it on
-    the matrix that read it (``_Dense``). ``dataclasses.replace`` reads
-    ``m`` and builds a checked matrix; ``copy`` shares the entries and
-    reads none of it.
+    their values, and ``dtype``, the dtype of the ``m`` it was given. The
+    values are uint32 when ``dtype`` takes more than 4 bytes and every
+    value is a whole number in [0, 2**32), so an entry of whole trip
+    counts takes 8 bytes instead of 12 at float64; any other values are
+    kept in ``dtype`` (``_stored``). ``m`` is still an init field that
+    takes and returns a dense array: the array given is read once and
+    dropped, and the first read of ``m`` rebuilds it by one scatter in
+    ``dtype``, the same values bit for bit (a count of -0.0 reads back as
+    0.0), and keeps it on the matrix that read it (``_Dense``).
+    ``dataclasses.replace`` reads ``m`` and builds a checked matrix;
+    ``copy`` shares the entries and reads none of it.
 
     The matrix and population vector are immutable so simulation
     replicates can share one instance without copying. Both arrays must
@@ -198,6 +196,7 @@ class ContactMatrix:
     table: LocationTable
     population_clamp_count: int = 0
     nonzero: tuple = field(init=False, repr=False, compare=False)
+    dtype: np.dtype = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = vars(self).pop("m")
@@ -210,11 +209,11 @@ class ContactMatrix:
         values = m.take(index)
         if m.size < 2**31:
             index = index.astype(np.int32)
-        self._store(index, values)
+        self._store(index, values, m.dtype)
 
-    def _store(self, index: np.ndarray, values: np.ndarray) -> None:
-        """Keep ``index`` and ``values`` as ``nonzero`` once the counts and
-        the populations are checked."""
+    def _store(self, index: np.ndarray, values: np.ndarray, dtype: np.dtype) -> None:
+        """Keep ``index`` and ``values`` as ``nonzero``, and ``dtype`` as the
+        dtype of ``m``, once the counts and the populations are checked."""
         # min() and max() are NaN if any count is
         if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
             raise ValidationError("contact matrix has negative, infinite or NaN entries")
@@ -224,17 +223,19 @@ class ContactMatrix:
         if not (np.all(self.populations >= POPULATION_FLOOR) and np.all(np.isfinite(self.populations))):
             raise ValidationError(f"populations must be finite and at least {POPULATION_FLOOR}")
         self.populations.flags.writeable = False
-        vars(self)["nonzero"] = _read_only(index, values)
+        vars(self)["dtype"] = dtype
+        vars(self)["nonzero"] = _read_only(index, _stored(values, dtype))
 
-    def _with_nonzero(self, index: np.ndarray, values: np.ndarray) -> "ContactMatrix":
-        """A checked matrix of the nonzero entries ``index`` and ``values``,
-        with this matrix's table, populations (the same read-only array)
-        and clamp count, and none of its caches."""
+    def _with_nonzero(self, index: np.ndarray, values: np.ndarray, dtype: np.dtype) -> "ContactMatrix":
+        """A checked matrix of the nonzero entries ``index`` and ``values``
+        of an ``m`` of ``dtype``, with this matrix's table, populations
+        (the same read-only array) and clamp count, and none of its
+        caches."""
         out = object.__new__(type(self))
         vars(out).update(
             populations=self.populations, table=self.table, population_clamp_count=self.population_clamp_count
         )
-        out._store(index, values)
+        out._store(index, values, dtype)
         return out
 
     def copy(self) -> "ContactMatrix":
@@ -242,7 +243,7 @@ class ContactMatrix:
         populations, without reading ``m``: it holds no dense array and
         none of this matrix's caches, so whatever is computed on it is
         freed with it."""
-        return self._with_nonzero(*self.nonzero)
+        return self._with_nonzero(*self.nonzero, self.dtype)
 
     @property
     def n(self) -> int:
@@ -314,8 +315,8 @@ class ContactMatrix:
 
         The positions where ``counts`` is nonzero are found once, and the
         indices, distances and counts are taken by them. The matrix keeps
-        the kept indices and counts (as float64, the dtype of its ``m``)
-        as its ``nonzero``, and is born with its ``entries`` (those indices
+        the kept indices and counts as its ``nonzero``, with float64 as the
+        dtype of its ``m``, and is born with its ``entries`` (those indices
         and their distances) and ``trip_counts`` (the counts as int64), so
         it never builds an n^2 array until ``m`` is read. A negative count
         is kept too, and the matrix's own check rejects it.
@@ -327,7 +328,7 @@ class ContactMatrix:
             raise ValueError(f"{index.size} entries, but counts has shape {counts.shape}")
         kept = np.flatnonzero(counts != 0)  # NumPy finds the nonzeros of a mask faster than of integers
         index, counts = index.take(kept), counts.take(kept)
-        out = self._with_nonzero(index, counts.astype(float))
+        out = self._with_nonzero(index, counts, np.dtype(float))
         vars(out)["entries"] = _read_only(index, distances.take(kept))
         vars(out)["trip_counts"] = _read_only(counts.astype(np.int64, copy=False))[0]
         return out
@@ -335,6 +336,19 @@ class ContactMatrix:
     def cross_trips(self) -> float:
         """Total daily trips between distinct locations."""
         return float(self.m.sum() - np.trace(self.m))
+
+
+def _stored(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The values that a matrix of ``dtype`` keeps for ``values``, which
+    are checked to be >= 0: uint32 if ``dtype`` takes more than 4 bytes
+    and every value is a whole number below 2**32, else ``values`` in
+    ``dtype``. The range is checked before the cast, so no value
+    overflows it."""
+    if dtype.itemsize > 4 and (values.size == 0 or values.max() < 2**32):
+        whole = values.astype(np.uint32, copy=False)
+        if np.array_equal(whole, values):  # a fractional value is cut, so it differs
+            return whole
+    return values.astype(dtype, copy=False)
 
 
 def _read_only(*arrays) -> tuple:
@@ -346,143 +360,192 @@ def _read_only(*arrays) -> tuple:
 LOCATION_COLUMNS = ("id", "lat", "lon")
 TRIP_COLUMNS = ("origin", "destination", "hour", "count")
 
+# A merged record of ``load_trips``: origin and destination are indices
+# into the location table.
+TRIP_DTYPE = np.dtype([("origin", np.int32), ("destination", np.int32), ("hour", np.uint8), ("count", np.int64)])
 
-def _dict_reader(fh, path, expected: tuple) -> csv.DictReader:
-    """A DictReader whose header must read ``expected`` once stripped of
-    padding; rows are keyed by the stripped names."""
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None or tuple(c.strip() for c in reader.fieldnames) != expected:
-        raise ValidationError(f"{path}: expected header '{','.join(expected)}', got {reader.fieldnames}")
-    reader.fieldnames = list(expected)
+# Trip counts are summed as their bits above and below bit 27. A count of
+# at most 2**53 has both parts below 2**27, so the int64 sums of fewer than
+# 2**36 rows are exact, and a total above 2**53 is found without wrapping.
+_LOW_BITS = 27
+_LOW_MASK = (1 << _LOW_BITS) - 1
+
+
+def csv_reader(fh, path, header: tuple):
+    """A ``csv.reader`` of ``fh`` past its header row, which must read
+    ``header`` once its names are stripped of padding."""
+    reader = csv.reader(fh)
+    got = next(reader, None)
+    if got is None or tuple(c.strip() for c in got) != header:
+        raise ValidationError(f"{path}: expected header '{','.join(header)}', got {got}")
     return reader
 
 
-def field_count_error(row: dict, fieldnames) -> str | None:
-    """The error of a ``csv.DictReader`` row that does not hold one field
-    per name in ``fieldnames``, its header, or None. DictReader keeps such
-    a row: it lists the extra fields under the key None and gives each
-    missing field the value None. The missing fields are the last ones,
-    so two lookups tell a well-formed row."""
-    if None not in row and row[fieldnames[-1]] is not None:
-        return None
-    width = len(fieldnames)
-    got = width + len(row[None]) if None in row else sum(v is not None for v in row.values())
-    return f"expected {width} fields, got {got}"
+def csv_rows(reader, width: int, errors: list):
+    """(file line, fields) of each row that ``reader``, a ``csv.reader``,
+    yields with ``width`` fields. A row's line is the one it ends on;
+    blank lines, which it yields as no fields, are skipped but counted. A
+    row of any other width is noted in ``errors`` as (line, message)."""
+    for row in reader:
+        if len(row) == width:
+            yield reader.line_num, row
+        elif row:
+            errors.append((reader.line_num, f"expected {width} fields, got {len(row)}"))
 
 
 def load_locations(path) -> LocationTable:
     """Read a ``id,lat,lon`` CSV into LocationTable columns; ids are
     stripped of padding. Every row that does not parse or is out of range
-    is reported in one ValidationError, by row number and in row order.
-    A row's number is the file line it ends on, so blank lines, which
-    are skipped, are counted."""
+    is reported in one ValidationError, by row number and in row order
+    (see ``csv_rows``)."""
     ids, lat, lon, rownums, errors = [], [], [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _dict_reader(fh, path, LOCATION_COLUMNS)
-        for row in reader:
-            rownum = reader.line_num
-            wrong_width = field_count_error(row, LOCATION_COLUMNS)
-            if wrong_width:
-                errors.append((rownum, wrong_width))
-                continue
+        for rownum, (loc_id, la, lo) in csv_rows(csv_reader(fh, path, LOCATION_COLUMNS), 3, errors):
             try:
-                loc_id, la, lo = row["id"].strip(), float(row["lat"]), float(row["lon"])
+                la, lo = float(la), float(lo)
             except ValueError as exc:
                 errors.append((rownum, str(exc)))
                 continue
-            ids.append(loc_id)
+            ids.append(loc_id.strip())
             lat.append(la)
             lon.append(lo)
             rownums.append(rownum)
     lat, lon = np.array(lat), np.array(lon)
     errors += [(rownums[i], msg) for i, msg in _coordinate_errors(ids, lat, lon)]
-    raise_if_errors(path, [f"row {rownum}: {msg}" for rownum, msg in sorted(errors)])
+    raise_if_errors(path, sorted(errors))
     return LocationTable(ids, lat, lon)
 
 
 def load_trips(trip_file, locations_file):
     """Load and validate trips against a location table.
 
-    Ids are stripped of padding and matched against the table; records
-    carry the table's own id strings. Rows for one (origin, destination,
-    hour), as in concatenated shards, add up: their counts are summed
-    into one record. A count must lie in [1, 2**53]: 2**53 is the largest
-    integer that a float count holds exactly. Any malformed row, one
-    with too few or too many fields among them, is collected and
-    reported by the file line it ends on; one or more malformed rows
-    abort the load with a message identifying them. So does any (origin, destination)
-    whose daily total, over every hour and duplicate row, exceeds 2**53,
-    since its matrix entry could not hold it; the message names both ids.
+    Each row is checked as it is read: its hour and count must parse as
+    integers, its ids, stripped of padding, must be in the table, its hour
+    must lie in 0-23 and its count in [1, 2**53], since 2**53 is the
+    largest integer that a float count holds exactly. A good row's table
+    indices, hour and count are appended to typed columns. Every bad row,
+    one with too few or too many fields among them, is reported in one
+    ValidationError by the file line it ends on (see ``csv_rows``).
 
-    Returns (LocationTable, list of TripRecord).
+    Rows for one (origin, destination, hour), as in concatenated shards,
+    add up: the columns are merged by one sort of their keys, and the
+    counts of each key are summed exactly. So are the daily totals of each
+    (origin, destination), over every hour and duplicate row; if any is
+    above 2**53, since its matrix entry could not hold it, the load fails
+    with a message that counts such pairs and names the first, in the
+    order of its ids, with its total.
+
+    Returns (LocationTable, trips): ``trips`` is an array of TRIP_DTYPE
+    records, one per distinct (origin, destination, hour), in the order of
+    their table indices and hour, with the summed count.
     """
     table = load_locations(locations_file)
-    index, ids = table.index, table.ids
-    merged: dict[tuple, int] = {}
+    index = table.index
+    origins, destinations, hours, counts = array("i"), array("i"), array("B"), array("q")
     errors = []
-    n_rows = 0
     with open(trip_file, newline="", encoding="utf-8-sig") as fh:
-        reader = _dict_reader(fh, trip_file, TRIP_COLUMNS)
-        for row in reader:
-            rownum = reader.line_num
-            n_rows += 1
-            wrong_width = field_count_error(row, TRIP_COLUMNS)
-            if wrong_width:
-                errors.append(f"row {rownum}: {wrong_width}")
-                continue
+        for rownum, (origin, destination, hour, count) in csv_rows(csv_reader(fh, trip_file, TRIP_COLUMNS), 4, errors):
             try:
-                hour = int(row["hour"])
-                count = int(row["count"])
-                origin, destination = row["origin"].strip(), row["destination"].strip()
+                hour, count = int(hour), int(count)
             except ValueError as exc:
-                errors.append(f"row {rownum}: unparseable ({exc})")
+                errors.append((rownum, f"unparseable ({exc})"))
                 continue
+            origin, destination = origin.strip(), destination.strip()
             k = index.get(origin)
             if k is None:
-                errors.append(f"row {rownum}: unknown origin {origin!r}")
+                errors.append((rownum, f"unknown origin {origin!r}"))
                 continue
             j = index.get(destination)
             if j is None:
-                errors.append(f"row {rownum}: unknown destination {destination!r}")
+                errors.append((rownum, f"unknown destination {destination!r}"))
                 continue
             if not 0 <= hour <= 23:
-                errors.append(f"row {rownum}: hour {hour} outside 0-23")
+                errors.append((rownum, f"hour {hour} outside 0-23"))
                 continue
             if count < 1:
-                errors.append(f"row {rownum}: non-positive count {count}")
+                errors.append((rownum, f"non-positive count {count}"))
                 continue
             if count > 2**53:
-                errors.append(f"row {rownum}: count above 2**53, the largest a float count holds exactly")
+                errors.append((rownum, "count above 2**53, the largest a float count holds exactly"))
                 continue
-            key = (ids[k], ids[j], hour)
-            merged[key] = merged.get(key, 0) + count
+            origins.append(k)
+            destinations.append(j)
+            hours.append(hour)
+            counts.append(count)
     raise_if_errors(trip_file, errors)
-    if sum(merged.values()) > 2**53:  # else no daily total can be above it
-        daily: dict[tuple, int] = {}
-        for (o, d, _), count in merged.items():
-            daily[o, d] = daily.get((o, d), 0) + count
-        over = sorted(key for key, total in daily.items() if total > 2**53)
-        if over:
-            o, d = over[0]
-            raise ValidationError(
-                f"{trip_file}: {len(over)} (origin, destination) pair(s) with more than 2**53 daily trips, "
-                f"the largest a float count holds exactly; first: {o!r} to {d!r}, {daily[o, d]} trips"
+    return table, _merge_trips(trip_file, table, origins, destinations, hours, counts)
+
+
+def _merge_trips(trip_file, table: LocationTable, origins, destinations, hours, counts) -> np.ndarray:
+    """The TRIP_DTYPE records of ``load_trips``'s checked columns, one per
+    (origin, destination, hour) key with the sum of its counts; raises
+    ValidationError if a pair's daily total is above 2**53."""
+    n = len(table)
+    key = np.asarray(origins, dtype=np.int64) * n
+    key += np.asarray(destinations)
+    key *= HOURS_PER_DAY
+    key += np.asarray(hours)
+    order = np.argsort(key)
+    key = key.take(order)
+    counts = np.asarray(counts).take(order)
+    del order  # lowers the ingest's peak memory
+    starts = _run_starts(key)
+    high, low = _exact_sums(counts >> _LOW_BITS, counts & _LOW_MASK, starts)
+    pairs, hour = np.divmod(key.take(starts), HOURS_PER_DAY)
+    pair_starts = _run_starts(pairs)
+    pair_high, pair_low = _exact_sums(high, low, pair_starts)
+    # 2**53 is 2**26 in the high part: a total is above it if its high part
+    # is, or if it equals 2**26 with a low part left over
+    over = np.flatnonzero(pair_high + (pair_low > 0) > 1 << (53 - _LOW_BITS))
+    if over.size:
+        ids = table.ids
+        daily = {
+            (ids[pair // n], ids[pair % n]): (h << _LOW_BITS) + lo
+            for pair, h, lo in zip(
+                pairs.take(pair_starts.take(over)).tolist(), pair_high.take(over).tolist(), pair_low.take(over).tolist()
             )
-    n_merged = n_rows - len(merged)
+        }
+        o, d = min(daily)
+        raise ValidationError(
+            f"{trip_file}: {len(daily)} (origin, destination) pair(s) with more than 2**53 daily trips, "
+            f"the largest a float count holds exactly; first: {o!r} to {d!r}, {daily[o, d]} trips"
+        )
+    n_merged = counts.size - starts.size
     if n_merged:
         log.info("%s: merged %d duplicate (origin, destination, hour) rows", trip_file, n_merged)
-    trips = [TripRecord(o, d, h, c) for (o, d, h), c in sorted(merged.items())]
-    return table, trips
+    trips = np.empty(starts.size, TRIP_DTYPE)
+    trips["origin"], trips["destination"] = np.divmod(pairs, n)
+    trips["hour"] = hour
+    high <<= _LOW_BITS
+    high += low  # each key's sum is at most its pair's daily total, so at most 2**53
+    trips["count"] = high
+    return trips
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """The positions where a run of equal values begins in sorted ``keys``."""
+    return np.flatnonzero(np.diff(keys, prepend=-1))
+
+
+def _exact_sums(high: np.ndarray, low: np.ndarray, starts: np.ndarray) -> tuple:
+    """The sums of ``high * 2**27 + low`` over the runs that begin at
+    ``starts``, as the same (high, low) split with low below 2**27."""
+    high, low = np.add.reduceat(high, starts), np.add.reduceat(low, starts)
+    high += low >> _LOW_BITS
+    low &= _LOW_MASK
+    return high, low
 
 
 def raise_if_errors(path, errors):
-    """Raise one ValidationError that counts a file's row errors and quotes
-    the first three, after logging the 4th to the 20th, so that each row
+    """Raise one ValidationError that counts a file's row errors, given as
+    (row number, message) in the order to report them, and quotes the
+    first three, after logging the 4th to the 20th, so that each row
     reported is printed once; no-op when empty."""
     if errors:
-        for msg in errors[3:20]:
+        quoted = [f"row {rownum}: {msg}" for rownum, msg in errors[:20]]
+        for msg in quoted[3:]:
             log.error("%s: %s", path, msg)
-        head = "; ".join(errors[:3])
+        head = "; ".join(quoted[:3])
         raise ValidationError(f"{path}: {len(errors)} malformed row(s): {head}")
 
 
@@ -505,19 +568,23 @@ def write_city_csvs(table: LocationTable, matrix: ContactMatrix, locations_path,
             writer.writerow([table.ids[k], table.ids[j], 8, int(count)])
 
 
-def build_contact_matrix(table: LocationTable, trips) -> ContactMatrix:
-    """Aggregate hourly trip records into a daily contact matrix.
+def build_contact_matrix(table: LocationTable, trips: np.ndarray) -> ContactMatrix:
+    """Aggregate the hourly trip records of ``load_trips`` into a daily
+    contact matrix.
 
+    Every record's count is added into its (destination, origin) entry of
+    a dense float64 array by one scatter, ``np.bincount``; the sums are
+    exact, since ``load_trips`` bounds every daily total by 2**53.
     Populations are derived from the daily flow balance (see
-    ``derive_populations``) of the dense array the trips are summed into;
-    the matrix keeps its nonzero entries only.
+    ``derive_populations``) of that array; the matrix keeps its nonzero
+    entries only.
     """
     n = len(table)
-    m = np.zeros((n, n), dtype=float)
-    for trip in trips:
-        j = table.index[trip.destination]
-        k = table.index[trip.origin]
-        m[j, k] += trip.count
+    flat = trips["destination"].astype(np.int64)
+    flat *= n
+    flat += trips["origin"]
+    m = np.bincount(flat, weights=trips["count"], minlength=n * n)
+    m = m.astype(float, copy=False).reshape(n, n)  # bincount gives int64 zeros when there are no trips
     populations, clamps = derive_populations(m)
     return ContactMatrix(m=m, populations=populations, table=table, population_clamp_count=clamps)
 
@@ -545,8 +612,8 @@ def matrix_from_flows(m, populations=None, table=None) -> ContactMatrix:
 
     Convenience for synthetic inputs. Populations default to the flow
     balance; a table of placeholder coordinates is synthesized when none
-    is given. The matrix keeps the nonzero flows as float64 and none of
-    ``m``.
+    is given. The matrix keeps the nonzero flows of a float64 ``m``
+    (see ``ContactMatrix``) and none of the array.
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
@@ -617,8 +684,8 @@ def load_matrix_npz(path) -> ContactMatrix:
     array is missing or ``clamps`` is not one integer >= 0;
     ``LocationTable`` and ``ContactMatrix`` check the rest, and their
     errors are raised again with the file's name in front. The matrix
-    keeps the nonzero entries of ``m`` in the file's dtype, so ``m`` reads
-    back as the saved array."""
+    keeps the nonzero entries of ``m`` with the file's dtype as its own
+    (see ``ContactMatrix``), so ``m`` reads back as the saved array."""
     with open(path, "rb") as fh:
         try:
             data = np.load(fh, allow_pickle=False)

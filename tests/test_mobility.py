@@ -1,16 +1,18 @@
 import dataclasses
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from epitransit.mobility import (
     EARTH_RADIUS_KM,
     POPULATION_FLOOR,
     ContactMatrix,
     LocationTable,
-    TripRecord,
     ValidationError,
     build_contact_matrix,
     degree_histogram,
@@ -25,6 +27,20 @@ from epitransit.mobility import (
     write_network_stats,
 )
 from epitransit.synthcity import CityConfig, generate_synthetic_city
+
+# The locations of the ``square_table`` fixture, as rows of a locations CSV.
+SQUARE_ROWS = ["A,0.0,0.0", "B,0.0,1.0", "C,1.0,0.0", "D,1.0,1.0"]
+
+
+@pytest.fixture
+def ingest(write_csvs):
+    """The matrix ingested from the given trip rows over the locations of
+    ``square_table``."""
+
+    def _ingest(*trip_rows):
+        return build_contact_matrix(*load_trips(*write_csvs(SQUARE_ROWS, trip_rows)))
+
+    return _ingest
 
 
 class TestLocation:
@@ -89,7 +105,8 @@ class TestLoadTrips:
         trips_path, locs_path = write_csvs(["A,0.0,0.0", "B,0.0,1.0"], ["A,B,9,3"])
         table, trips = load_trips(trips_path, locs_path)
         assert len(table) == 2
-        assert trips == [TripRecord("A", "B", 9, 3)]
+        assert trips.dtype.names == ("origin", "destination", "hour", "count")
+        assert trips.tolist() == [(0, 1, 9, 3)]
 
     def test_hour_out_of_bounds_names_row(self, write_csvs):
         trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,24,3"])
@@ -125,17 +142,16 @@ class TestLoadTrips:
             "A,B,14,2",
         ]
         trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], rows)
-        _, trips = load_trips(trips_path, locs_path)
+        table, trips = load_trips(trips_path, locs_path)
         assert len(trips) == 9
-        merged = {(t.origin, t.destination, t.hour): t.count for t in trips}
+        merged = {(table.ids[o], table.ids[d], h): c for o, d, h, c in trips.tolist()}
         assert merged[("A", "B", 9)] == 7
 
     def test_padded_ids_stripped(self, write_csvs):
         trips_path, locs_path = write_csvs([" A ,0,0", "B,0,1"], ["  A, B ,9,3", "A,B,9,1"])
         table, trips = load_trips(trips_path, locs_path)
         assert table.ids == ["A", "B"]
-        assert trips == [TripRecord("A", "B", 9, 4)]
-        assert trips[0].origin is table.ids[0] and trips[0].destination is table.ids[1]
+        assert trips.tolist() == [(0, 1, 9, 4)]
 
     def test_unknown_location(self, write_csvs):
         trips_path, locs_path = write_csvs(["A,0,0"], ["A,Z,9,1"])
@@ -172,6 +188,26 @@ class TestLoadTrips:
             load_trips(trips_path, locs_path)
         assert str(exc.value) == (
             f"{trips_path}: 1 (origin, destination) pair(s) with more than 2**53 daily trips, "
+            f"the largest a float count holds exactly; first: 'A' to 'B', {2**53 + 1} trips"
+        )
+
+    def test_daily_total_summed_exactly_past_int64(self, write_csvs):
+        # 1,100 rows of 2**53 on one key: an int64 sum wraps after 1,024 of
+        # them. 'B' has index 0, so the first pair by index is ('B', 'A');
+        # the message names the first by id, ('A', 'B').
+        rows = [f"B,A,9,{2**53}"] * 1100
+        trips_path, locs_path = write_csvs(["B,0,0", "A,0,1"], rows)
+        with pytest.raises(ValidationError) as exc:
+            load_trips(trips_path, locs_path)
+        assert str(exc.value) == (
+            f"{trips_path}: 1 (origin, destination) pair(s) with more than 2**53 daily trips, "
+            f"the largest a float count holds exactly; first: 'B' to 'A', {1100 * 2**53} trips"
+        )
+        trips_path, locs_path = write_csvs(["B,0,0", "A,0,1"], rows + [f"A,B,3,{2**53}", "A,B,4,1"])
+        with pytest.raises(ValidationError) as exc:
+            load_trips(trips_path, locs_path)
+        assert str(exc.value) == (
+            f"{trips_path}: 2 (origin, destination) pair(s) with more than 2**53 daily trips, "
             f"the largest a float count holds exactly; first: 'A' to 'B', {2**53 + 1} trips"
         )
 
@@ -216,6 +252,54 @@ class TestLoadTrips:
             "row 3: unknown origin 'Z'"
         )
 
+    @given(data=st.data())
+    def test_ingest_sums_every_row_of_a_key_exactly(self, tmp_path_factory, data):
+        # Rows of a few (origin, destination, hour) keys, over a few pairs
+        # and hours, shuffled, with padded ids and blank lines, against a
+        # reference that sums Python ints into a dict.
+        ids = data.draw(st.lists(st.text("abAB", min_size=1, max_size=3), min_size=1, max_size=5, unique=True))
+        n = len(ids)
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), min_size=1, max_size=4))
+        hours = data.draw(st.lists(st.integers(0, 23), min_size=1, max_size=3))
+        # two counts of 2**52 or more on one pair overflow it, save 2**52 twice
+        count = st.one_of(st.integers(1, 9), st.integers(2**52, 2**53))
+        records = data.draw(
+            st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(hours), count), min_size=1, max_size=30)
+        )
+        pad = st.text(" ", max_size=2)
+        lines = [
+            f"{data.draw(pad)}{o}{data.draw(pad)},{data.draw(pad)}{d}{data.draw(pad)},{h},{c}"
+            for (o, d), h, c in records
+        ]
+        lines = data.draw(st.permutations(lines + [""] * data.draw(st.integers(0, 3))))
+        folder = tmp_path_factory.mktemp("ingest")
+        (folder / "locations.csv").write_text("id,lat,lon\n" + "".join(f"{i},0,{x}\n" for x, i in enumerate(ids)))
+        (folder / "trips.csv").write_text("origin,destination,hour,count\n" + "".join(f"{line}\n" for line in lines))
+
+        keys, daily = {}, {}
+        for (o, d), h, c in records:
+            keys[o, d, h] = keys.get((o, d, h), 0) + c
+            daily[o, d] = daily.get((o, d), 0) + c
+        over = sorted(pair for pair, total in daily.items() if total > 2**53)
+        if over:
+            with pytest.raises(ValidationError) as exc:
+                load_trips(folder / "trips.csv", folder / "locations.csv")
+            o, d = over[0]
+            assert str(exc.value).endswith(
+                f"{len(over)} (origin, destination) pair(s) with more than 2**53 daily trips, "
+                f"the largest a float count holds exactly; first: {o!r} to {d!r}, {daily[o, d]} trips"
+            )
+            return
+        table, trips = load_trips(folder / "trips.csv", folder / "locations.csv")
+        assert len(trips) == len(keys)
+        assert {(ids[o], ids[d], h): c for o, d, h, c in trips.tolist()} == keys
+        want = np.zeros((n, n))
+        for (o, d), total in daily.items():
+            want[ids.index(d), ids.index(o)] = total  # at most 2**53, so exact as a float
+        matrix = build_contact_matrix(table, trips)
+        assert matrix.m.dtype == want.dtype and matrix.m.tobytes() == want.tobytes()
+        assert matrix.populations.tobytes() == derive_populations(want)[0].tobytes()
+
     def test_wrong_header_rejected(self, tmp_path):
         (tmp_path / "locations.csv").write_text("id,lat,lon\nA,0,0\n")
         (tmp_path / "trips.csv").write_text("from,to,hour,count\nA,A,9,1\n")
@@ -224,61 +308,50 @@ class TestLoadTrips:
 
 
 class TestContactMatrix:
-    def test_single_trip(self, square_table):
-        m = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5)])
+    def test_single_trip(self, ingest):
+        m = ingest("A,B,9,5")
         expected = np.zeros((4, 4))
         expected[1, 0] = 5.0  # m[dest=B][origin=A]
         assert np.array_equal(m.m, expected)
 
-    def test_hourly_aggregation(self, square_table):
-        trips = [TripRecord("A", "B", 8, 2), TripRecord("A", "B", 18, 3)]
-        m = build_contact_matrix(square_table, trips)
+    def test_hourly_aggregation(self, ingest):
+        m = ingest("A,B,8,2", "A,B,18,3")
         assert m.m[1, 0] == 5.0
 
-    def test_against_bruteforce_fixture(self, square_table):
+    def test_against_bruteforce_fixture(self, square_table, ingest):
         # 3 locations, 6 trips; oracle is a plain dict aggregation
-        trips = [
-            TripRecord("A", "B", 1, 2),
-            TripRecord("B", "C", 2, 7),
-            TripRecord("A", "B", 3, 1),
-            TripRecord("C", "A", 4, 4),
-            TripRecord("A", "A", 5, 3),
-            TripRecord("B", "C", 6, 2),
-        ]
+        trips = [("A", "B", 1, 2), ("B", "C", 2, 7), ("A", "B", 3, 1), ("C", "A", 4, 4), ("A", "A", 5, 3), ("B", "C", 6, 2)]
         oracle = {}
-        for t in trips:
-            oracle[(t.destination, t.origin)] = oracle.get((t.destination, t.origin), 0) + t.count
-        m = build_contact_matrix(square_table, trips)
+        for origin, dest, _, count in trips:
+            oracle[(dest, origin)] = oracle.get((dest, origin), 0) + count
+        m = ingest(*(",".join(map(str, t)) for t in trips))
         for (dest, origin), count in oracle.items():
             j, k = square_table.index[dest], square_table.index[origin]
             assert m.m[j, k] == count
-        assert m.m.sum() == sum(t.count for t in trips)
+        assert m.m.sum() == sum(t[3] for t in trips)
 
-    def test_immutable(self, square_table):
-        m = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5)])
+    def test_immutable(self, ingest):
+        m = ingest("A,B,9,5")
         with pytest.raises(ValueError):
             m.m[0, 0] = 1.0
         with pytest.raises(ValueError):
             m.populations[0] = 1.0
 
-    def test_aggregation_linearity(self, square_table):
+    def test_aggregation_linearity(self, square_table, ingest):
         rng = np.random.default_rng(5)
         ids = square_table.ids
 
         def random_trips(n):
             return [
-                TripRecord(
-                    ids[rng.integers(4)], ids[rng.integers(4)], int(rng.integers(24)),
-                    int(rng.integers(1, 10)),
-                )
+                f"{ids[rng.integers(4)]},{ids[rng.integers(4)]},{rng.integers(24)},{rng.integers(1, 10)}"
                 for _ in range(n)
             ]
 
         a, b = random_trips(20), random_trips(15)
-        combined = build_contact_matrix(square_table, a + b)
-        separate = build_contact_matrix(square_table, a).m + build_contact_matrix(square_table, b).m
+        combined = ingest(*a, *b)
+        separate = ingest(*a).m + ingest(*b).m
         assert np.array_equal(combined.m, separate)
-        assert combined.m.sum() == sum(t.count for t in a + b)
+        assert combined.m.sum() == sum(int(t.rsplit(",", 1)[1]) for t in a + b)
 
     @pytest.mark.parametrize(
         "flows, populations",
@@ -331,10 +404,8 @@ class TestContactMatrix:
         with pytest.raises(ValidationError, match=r"matrix shape \(3, 3\) does not match 4 locations"):
             ContactMatrix(m=np.zeros((3, 3)), populations=np.ones(4), table=square_table)
 
-    def test_inter_location_trips_are_the_off_diagonal_entries(self, square_table):
-        m = build_contact_matrix(
-            square_table, [TripRecord("A", "B", 9, 5), TripRecord("C", "C", 9, 4), TripRecord("D", "A", 9, 2)]
-        )
+    def test_inter_location_trips_are_the_off_diagonal_entries(self, ingest):
+        m = ingest("A,B,9,5", "C,C,9,4", "D,A,9,2")
         distances, counts = m.inter_location_trips
         off = (m.m != 0) & ~np.eye(4, dtype=bool)
         assert np.array_equal(counts, m.m[off]) and np.array_equal(distances, m.distance_matrix[off])
@@ -355,10 +426,48 @@ class TestStoredEntries:
         assert "m" not in vars(matrix)
         index, values = matrix.nonzero
         assert index.dtype == np.int32 and np.array_equal(index, np.flatnonzero(m))
-        assert values.dtype == m.dtype and np.array_equal(values, m.ravel()[index])
+        # whole counts below 2**32 take 4 bytes where m's dtype takes more
+        assert matrix.dtype == m.dtype
+        assert values.dtype == (np.uint32 if m.dtype.itemsize > 4 else m.dtype)
+        assert np.array_equal(values, m.ravel()[index])
         rebuilt = matrix.m
         assert rebuilt.dtype == m.dtype and rebuilt.shape == m.shape and rebuilt.tobytes() == m.tobytes()
         assert matrix.m is rebuilt and not rebuilt.flags.writeable
+
+    @pytest.mark.parametrize(
+        "count, stored",
+        [
+            (2.0**32 - 1, np.uint32),
+            (0.5, np.float64),
+            (2.0**32, np.float64),
+            (2.0**53, np.float64),
+            (3.4e38, np.float64),
+            (np.finfo(float).max, np.float64),
+        ],
+        ids=["whole_below_2_32", "fractional", "2_32", "2_53", "3.4e38", "float_max"],
+    )
+    def test_only_whole_counts_below_2_32_take_four_bytes(self, square_table, count, stored):
+        m = np.eye(4) * 24.0
+        m[1, 0] = count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = ContactMatrix(m=m, populations=np.full(4, 5.0), table=square_table)
+            rebuilt = matrix.m
+        index, values = matrix.nonzero
+        assert values.dtype == stored and index.itemsize + values.itemsize == (8 if stored == np.uint32 else 12)
+        assert rebuilt.dtype == m.dtype and rebuilt.tobytes() == m.tobytes()
+
+    def test_integer_counts_of_2_32_and_above_keep_their_dtype(self, square_table):
+        m = np.eye(4, dtype=np.int64) * 2**32
+        matrix = ContactMatrix(m=m, populations=np.full(4, 5.0), table=square_table)
+        assert matrix.nonzero[1].dtype == np.int64 and matrix.m.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("big", [2**32 - 1, 2**32], ids=["below_2_32", "2_32"])
+    def test_entry_counts_take_four_bytes_below_2_32(self, big):
+        matrix = matrix_from_flows(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        thinned = matrix.with_entry_counts(np.array([big, 0, 1]))
+        assert thinned.nonzero[1].dtype == (np.uint32 if big < 2**32 else np.float64)
+        assert thinned.m.tobytes() == np.array([[0.0, float(big)], [0.0, 1.0]]).tobytes()
 
     def test_m_of_a_fortran_ordered_input_reads_row_major(self, square_table):
         m = np.asfortranarray(np.arange(16.0).reshape(4, 4))
@@ -379,9 +488,9 @@ class TestStoredEntries:
         with pytest.raises(ValidationError, match="contact matrix has negative, infinite or NaN entries"):
             ContactMatrix(m=m, populations=np.full(4, 5.0), table=square_table)
 
-    def test_replace_of_m_or_populations_gives_a_checked_matrix(self, square_table):
+    def test_replace_of_m_or_populations_gives_a_checked_matrix(self, ingest):
         # as perfbench's tests plant a changed entry or population
-        matrix = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5), TripRecord("C", "C", 9, 48)])
+        matrix = ingest("A,B,9,5", "C,C,9,48")
         m = matrix.m.copy()
         m[2, 3] = 7.0
         changed = dataclasses.replace(matrix, m=m)
@@ -398,19 +507,20 @@ class TestStoredEntries:
         with pytest.raises(ValidationError, match="populations shape"):
             dataclasses.replace(matrix, populations=np.full(3, 5.0))
 
-    def test_copy_shares_the_entries_and_holds_no_dense_array_or_cache(self, square_table):
-        matrix = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5), TripRecord("C", "C", 9, 48)])
+    def test_copy_shares_the_entries_and_holds_no_dense_array_or_cache(self, ingest):
+        matrix = ingest("A,B,9,5", "C,C,9,48")
         matrix.m, matrix.entries, matrix.trip_counts
         copy = matrix.copy()
-        assert set(vars(copy)) == {"nonzero", "populations", "table", "population_clamp_count"}
+        assert set(vars(copy)) == {"nonzero", "dtype", "populations", "table", "population_clamp_count"}
+        assert copy.dtype == matrix.dtype == np.float64
         assert all(a is b for a, b in zip(copy.nonzero, matrix.nonzero))
         assert copy.populations is matrix.populations and copy.table is matrix.table
         assert np.array_equal(copy.m, matrix.m) and copy.m is not matrix.m
 
-    def test_builders_hold_no_dense_array_until_m_is_read(self, square_table, tmp_path):
+    def test_builders_hold_no_dense_array_until_m_is_read(self, ingest, tmp_path):
         city = generate_synthetic_city(CityConfig(n_locations=30), 3)[1]
         built = [
-            build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5), TripRecord("C", "C", 9, 48)]),
+            ingest("A,B,9,5", "C,C,9,48"),
             matrix_from_flows(np.eye(4) * 30.0),
             city,
         ]
@@ -494,8 +604,8 @@ class TestDistances:
 
 
 class TestNetworkStats:
-    def test_single_trip_degrees(self, square_table):
-        m = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5)])
+    def test_single_trip_degrees(self, ingest):
+        m = ingest("A,B,9,5")
         stats = network_stats(m)
         # A and B have degree 5, the two other locations 0
         assert stats["n"] == 4 and stats["e"] == 1
@@ -510,15 +620,15 @@ class TestNetworkStats:
         assert stats["degree_histogram"][-1] == [16.0, 32.0, 1]
         assert stats["e"] == 0
 
-    def test_empty_matrix(self, square_table):
-        m = build_contact_matrix(square_table, [])
+    def test_empty_matrix(self, ingest):
+        m = ingest()
         stats = network_stats(m)
         assert stats == {"n": 4, "e": 0, "mean_degree": 0.0, "degree_histogram": [[0.0, 1.0, 4]]}
 
-    def test_json_export(self, square_table, tmp_path):
+    def test_json_export(self, ingest, tmp_path):
         import json
 
-        m = build_contact_matrix(square_table, [TripRecord("A", "B", 9, 5)])
+        m = ingest("A,B,9,5")
         path = tmp_path / "stats.json"
         write_network_stats(network_stats(m), path)
         data = json.loads(path.read_text())
