@@ -3,30 +3,36 @@
 The city's file formats live here alone: the locations and trips CSVs
 (headers ``LOCATION_COLUMNS`` and ``TRIP_COLUMNS``, written by
 ``write_city_csvs``), the matrix ``.npz`` and the network statistics JSON.
-Every CSV is read by ``csv.reader`` through ``csv_rows``; ``load_trips``
-appends each trip row's table indices, hour and count to typed columns and
-merges them by one sort.
+Every CSV header, and every row of a locations or prevalence CSV, is read
+by ``csv.reader`` (``csv_reader``, ``csv_rows``). ``load_trips`` reads the
+trip rows with one ``np.loadtxt`` call, which maps ids to table indices as
+it reads, checks whole columns, and reads the file again row by row only
+to name the bad rows (``_trip_row_errors``); the merged records come in the
+matrix's row-major order.
 
 The contact matrix is oriented as ``m[destination, origin]``: entry
 ``m[j, k]`` is the number of daily trips from location ``k`` into
 location ``j``. Self-flows (the diagonal) are retained because they
 enter the population balance. A matrix keeps only its nonzero entries,
-whole counts below 2**32 in 4 bytes (see ``ContactMatrix``); the builders
-(``build_contact_matrix``, ``matrix_from_flows``, ``load_matrix_npz``, and
-``generate_synthetic_city`` in ``synthcity``) derive the populations from a
-dense array's sums and then drop it, and a dense ``m`` is rebuilt only when
-it is read.
+whole counts below 2**32 in 4 bytes (see ``ContactMatrix``).
+``build_contact_matrix`` stores the merged trips' entries and sums the
+populations over them; the other builders (``matrix_from_flows``,
+``load_matrix_npz``, and ``generate_synthetic_city`` in ``synthcity``)
+derive the populations from a dense array's sums and then drop it. A dense
+``m`` is rebuilt only when it is read.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import logging
+import re
+import warnings
 import zipfile
-from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -206,14 +212,12 @@ class ContactMatrix:
         if m.shape != (n, n):
             raise ValidationError(f"matrix shape {m.shape} does not match {n} locations")
         index = np.flatnonzero(m != 0)  # NumPy finds the nonzeros of a mask faster than of numbers
-        values = m.take(index)
-        if m.size < 2**31:
-            index = index.astype(np.int32)
-        self._store(index, values, m.dtype)
+        self._store(index, m.take(index), m.dtype)
 
     def _store(self, index: np.ndarray, values: np.ndarray, dtype: np.dtype) -> None:
-        """Keep ``index`` and ``values`` as ``nonzero``, and ``dtype`` as the
-        dtype of ``m``, once the counts and the populations are checked."""
+        """Keep ``index`` (as int32 when the matrix has fewer than 2**31
+        entries) and ``values`` as ``nonzero``, and ``dtype`` as the dtype of
+        ``m``, once the counts and the populations are checked."""
         # min() and max() are NaN if any count is
         if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
             raise ValidationError("contact matrix has negative, infinite or NaN entries")
@@ -222,21 +226,28 @@ class ContactMatrix:
             raise ValidationError(f"populations shape {self.populations.shape} does not match {n} locations")
         if not (np.all(self.populations >= POPULATION_FLOOR) and np.all(np.isfinite(self.populations))):
             raise ValidationError(f"populations must be finite and at least {POPULATION_FLOOR}")
+        if n * n < 2**31:
+            index = index.astype(np.int32, copy=False)
         self.populations.flags.writeable = False
         vars(self)["dtype"] = dtype
         vars(self)["nonzero"] = _read_only(index, _stored(values, dtype))
 
-    def _with_nonzero(self, index: np.ndarray, values: np.ndarray, dtype: np.dtype) -> "ContactMatrix":
-        """A checked matrix of the nonzero entries ``index`` and ``values``
-        of an ``m`` of ``dtype``, with this matrix's table, populations
-        (the same read-only array) and clamp count, and none of its
-        caches."""
-        out = object.__new__(type(self))
-        vars(out).update(
-            populations=self.populations, table=self.table, population_clamp_count=self.population_clamp_count
-        )
+    @classmethod
+    def _of_nonzero(
+        cls, index: np.ndarray, values: np.ndarray, dtype: np.dtype, populations, table, population_clamp_count
+    ) -> "ContactMatrix":
+        """A checked matrix of the nonzero entries ``index`` (row-major flat
+        indices) and ``values`` of an ``m`` of ``dtype``, built without a
+        dense array."""
+        out = object.__new__(cls)
+        vars(out).update(populations=populations, table=table, population_clamp_count=population_clamp_count)
         out._store(index, values, dtype)
         return out
+
+    def _with_nonzero(self, index: np.ndarray, values: np.ndarray, dtype: np.dtype) -> "ContactMatrix":
+        """``_of_nonzero`` with this matrix's table, populations (the same
+        read-only array) and clamp count, and none of its caches."""
+        return self._of_nonzero(index, values, dtype, self.populations, self.table, self.population_clamp_count)
 
     def copy(self) -> "ContactMatrix":
         """A matrix of its own that shares this one's entries, table and
@@ -364,6 +375,15 @@ TRIP_COLUMNS = ("origin", "destination", "hour", "count")
 # into the location table.
 TRIP_DTYPE = np.dtype([("origin", np.int32), ("destination", np.int32), ("hour", np.uint8), ("count", np.int64)])
 
+# A trips CSV row as ``np.loadtxt`` reads it: ids as table indices, -1 if
+# unknown.
+_TRIP_ROW_DTYPE = np.dtype([("origin", np.int32), ("destination", np.int32), ("hour", np.int64), ("count", np.int64)])
+
+# The integers that NumPy's text reader parses: an optional sign and ASCII
+# digits, padded by any whitespace that str.isspace accepts. int() takes
+# more ("1_000", non-ASCII digits), so the row checks require this too.
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
 # Trip counts are summed as their bits above and below bit 27. A count of
 # at most 2**53 has both parts below 2**27, so the int64 sums of fewer than
 # 2**36 rows are exact, and a total above 2**53 is found without wrapping.
@@ -419,79 +439,180 @@ def load_locations(path) -> LocationTable:
 def load_trips(trip_file, locations_file):
     """Load and validate trips against a location table.
 
-    Each row is checked as it is read: its hour and count must parse as
-    integers, its ids, stripped of padding, must be in the table, its hour
-    must lie in 0-23 and its count in [1, 2**53], since 2**53 is the
-    largest integer that a float count holds exactly. A good row's table
-    indices, hour and count are appended to typed columns. Every bad row,
-    one with too few or too many fields among them, is reported in one
-    ValidationError by the file line it ends on (see ``csv_rows``).
+    Past the header, one ``np.loadtxt`` call reads every row
+    (``_read_trip_rows``): it parses hour and count as integers and maps
+    each id, as read or else stripped of padding, to its table index. Then
+    whole columns are checked: ids must be in the table, hours in 0-23 and
+    counts in [1, 2**53], since 2**53 is the largest integer that a float
+    count holds exactly. An hour or count must be an integer as NumPy's
+    reader parses it: an optional sign and ASCII digits, padded by
+    whitespace; ``1_000`` and non-ASCII digits are unparseable, though
+    ``int()`` takes them. If the reader refuses a row, a row with too few or
+    too many fields among them, or a column check fails, the file is read
+    again row by row (``_trip_row_errors``) and every bad row is reported
+    in one ValidationError by the file line it ends on (see ``csv_rows``).
 
     Rows for one (origin, destination, hour), as in concatenated shards,
-    add up: the columns are merged by one sort of their keys, and the
-    counts of each key are summed exactly. So are the daily totals of each
-    (origin, destination), over every hour and duplicate row; if any is
-    above 2**53, since its matrix entry could not hold it, the load fails
-    with a message that counts such pairs and names the first, in the
-    order of its ids, with its total.
+    add up, and so do the daily totals of each (origin, destination), over
+    every hour and duplicate row (see ``_merge_trips``). If any daily total
+    is above 2**53, since its matrix entry could not hold it, the load fails
+    with a message that counts such pairs and names the first, in the order
+    of its ids, with its total.
 
     Returns (LocationTable, trips): ``trips`` is an array of TRIP_DTYPE
-    records, one per distinct (origin, destination, hour), in the order of
-    their table indices and hour, with the summed count.
+    records, one per distinct (origin, destination, hour), with the summed
+    count, ordered by destination index, then origin index, then hour: the
+    matrix's row-major order, which ``build_contact_matrix`` relies on.
     """
     table = load_locations(locations_file)
-    index = table.index
-    origins, destinations, hours, counts = array("i"), array("i"), array("B"), array("q")
+    return table, _merge_trips(trip_file, table, _read_trip_rows(trip_file, table.index))
+
+
+def _read_trip_rows(trip_file, index: dict) -> np.ndarray:
+    """Every data row of ``trip_file`` as a _TRIP_ROW_DTYPE record, read by
+    one ``np.loadtxt`` call and checked by whole columns; raises the row
+    errors of ``_trip_row_errors`` if any row is bad.
+
+    NumPy parses hour and count in C only if the file is ASCII. Its integer
+    parser hands each character to C's ``isdigit``, whose result is
+    undefined past U+00FF: some such characters read as digits, and some
+    crash the process. So in a file with any non-ASCII character, in its ids
+    say, ``_parse_integer`` converts hour and count, with the same grammar.
+    """
+    convert = _TableIndex(index).__getitem__
+    converters = {0: convert, 1: convert}
+    if not _is_ascii(trip_file):
+        converters[2] = converters[3] = _parse_integer
+    with open(trip_file, newline="", encoding="utf-8-sig") as fh:
+        csv_reader(fh, trip_file, TRIP_COLUMNS)
+        try:
+            with warnings.catch_warnings():
+                # a file of no data rows, blank lines or none, loads as no trips
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(
+                    fh,
+                    dtype=_TRIP_ROW_DTYPE,
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    ndmin=1,
+                    converters=converters,
+                    encoding=None,  # converters take str; NumPy 1.x passes bytes by default
+                )
+        except ValueError:
+            rows = None
+    if rows is None or not _columns_valid(rows):
+        raise_if_errors(trip_file, _trip_row_errors(trip_file, index))
+        raise ValidationError(f"{trip_file}: NumPy's reader refused a row that passes every row check")
+    return rows
+
+
+class _TableIndex(dict):
+    """A table's map of id to index, whose lookup is a ``loadtxt``
+    converter: an id field is looked up as read and, failing that, stripped
+    of padding; -1 if neither is a table id. Table ids are stripped, so this
+    is the index of the stripped field."""
+
+    def __missing__(self, field: str) -> int:
+        return self.get(field.strip(), -1)
+
+
+def _is_ascii(path) -> bool:
+    """Whether a file holds only ASCII past a UTF-8 byte-order mark, read
+    1 MiB at a time."""
+    with open(path, "rb") as fh:
+        chunks = iter(partial(fh.read, 1 << 20), b"")
+        return next(chunks, b"").removeprefix(codecs.BOM_UTF8).isascii() and all(c.isascii() for c in chunks)
+
+
+def _parse_integer(field: str) -> int:
+    """``field`` as an integer of the grammar that NumPy's reader parses
+    (``_INTEGER``): ``int()``'s ValueError if it refuses the field, else a
+    ValueError of its own if the grammar does. A ``loadtxt`` converter, and
+    the row checks' parser."""
+    value = int(field)
+    if not _INTEGER.fullmatch(field):
+        raise ValueError(f"not an integer in ASCII digits: {field!r}")
+    return value
+
+
+def _columns_valid(rows: np.ndarray) -> bool:
+    """Whether every row's ids are known, its hour in 0-23 and its count in
+    [1, 2**53]."""
+    if rows.size == 0:
+        return True
+    hour, count = rows["hour"], rows["count"]
+    return bool(
+        rows["origin"].min() >= 0
+        and rows["destination"].min() >= 0
+        and hour.min() >= 0
+        and hour.max() <= 23
+        and count.min() >= 1
+        and count.max() <= 2**53
+    )
+
+
+def _trip_row_errors(trip_file, index: dict) -> list:
+    """(file line, message) of each bad row of ``trip_file``, in row order:
+    ``csv_rows``'s width errors and ``_trip_row_error``'s. Run only when
+    ``np.loadtxt`` refuses a row or a column check fails, to name the bad
+    rows; it returns no data."""
     errors = []
     with open(trip_file, newline="", encoding="utf-8-sig") as fh:
-        for rownum, (origin, destination, hour, count) in csv_rows(csv_reader(fh, trip_file, TRIP_COLUMNS), 4, errors):
-            try:
-                hour, count = int(hour), int(count)
-            except ValueError as exc:
-                errors.append((rownum, f"unparseable ({exc})"))
-                continue
-            origin, destination = origin.strip(), destination.strip()
-            k = index.get(origin)
-            if k is None:
-                errors.append((rownum, f"unknown origin {origin!r}"))
-                continue
-            j = index.get(destination)
-            if j is None:
-                errors.append((rownum, f"unknown destination {destination!r}"))
-                continue
-            if not 0 <= hour <= 23:
-                errors.append((rownum, f"hour {hour} outside 0-23"))
-                continue
-            if count < 1:
-                errors.append((rownum, f"non-positive count {count}"))
-                continue
-            if count > 2**53:
-                errors.append((rownum, "count above 2**53, the largest a float count holds exactly"))
-                continue
-            origins.append(k)
-            destinations.append(j)
-            hours.append(hour)
-            counts.append(count)
-    raise_if_errors(trip_file, errors)
-    return table, _merge_trips(trip_file, table, origins, destinations, hours, counts)
+        for rownum, fields in csv_rows(csv_reader(fh, trip_file, TRIP_COLUMNS), 4, errors):
+            error = _trip_row_error(index, *fields)
+            if error:
+                errors.append((rownum, error))
+    return errors
 
 
-def _merge_trips(trip_file, table: LocationTable, origins, destinations, hours, counts) -> np.ndarray:
-    """The TRIP_DTYPE records of ``load_trips``'s checked columns, one per
+def _trip_row_error(index: dict, origin: str, destination: str, hour: str, count: str) -> str | None:
+    """What is wrong with one trip row's fields, or None: the first of an
+    unparseable hour or count, an unknown origin or destination (stripped
+    of padding), an hour outside 0-23, and a count outside [1, 2**53]."""
+    try:
+        hour, count = _parse_integer(hour), _parse_integer(count)
+    except ValueError as exc:
+        return f"unparseable ({exc})"
+    origin, destination = origin.strip(), destination.strip()
+    if origin not in index:
+        return f"unknown origin {origin!r}"
+    if destination not in index:
+        return f"unknown destination {destination!r}"
+    if not 0 <= hour <= 23:
+        return f"hour {hour} outside 0-23"
+    if count < 1:
+        return f"non-positive count {count}"
+    if count > 2**53:
+        return "count above 2**53, the largest a float count holds exactly"
+    return None
+
+
+def _merge_trips(trip_file, table: LocationTable, rows: np.ndarray) -> np.ndarray:
+    """The TRIP_DTYPE records of ``load_trips``'s checked rows, one per
     (origin, destination, hour) key with the sum of its counts; raises
-    ValidationError if a pair's daily total is above 2**53."""
+    ValidationError if a pair's daily total is above 2**53.
+
+    Keys sort by destination, then origin, then hour, so a pair's part of
+    the key, ``destination * n + origin``, is its flat index in ``m`` and
+    the records come in the matrix's row-major order. Each temporary is
+    dropped once it is used, which lowers the ingest's peak memory."""
     n = len(table)
-    key = np.asarray(origins, dtype=np.int64) * n
-    key += np.asarray(destinations)
+    key = rows["destination"].astype(np.int64)
+    key *= n
+    key += rows["origin"]
     key *= HOURS_PER_DAY
-    key += np.asarray(hours)
+    key += rows["hour"]
     order = np.argsort(key)
     key = key.take(order)
-    counts = np.asarray(counts).take(order)
-    del order  # lowers the ingest's peak memory
+    counts = rows["count"].take(order)
+    del rows, order
     starts = _run_starts(key)
+    n_merged = counts.size - starts.size
     high, low = _exact_sums(counts >> _LOW_BITS, counts & _LOW_MASK, starts)
+    del counts
     pairs, hour = np.divmod(key.take(starts), HOURS_PER_DAY)
+    del key, starts
     pair_starts = _run_starts(pairs)
     pair_high, pair_low = _exact_sums(high, low, pair_starts)
     # 2**53 is 2**26 in the high part: a total is above it if its high part
@@ -500,7 +621,7 @@ def _merge_trips(trip_file, table: LocationTable, origins, destinations, hours, 
     if over.size:
         ids = table.ids
         daily = {
-            (ids[pair // n], ids[pair % n]): (h << _LOW_BITS) + lo
+            (ids[pair % n], ids[pair // n]): (h << _LOW_BITS) + lo
             for pair, h, lo in zip(
                 pairs.take(pair_starts.take(over)).tolist(), pair_high.take(over).tolist(), pair_low.take(over).tolist()
             )
@@ -510,11 +631,12 @@ def _merge_trips(trip_file, table: LocationTable, origins, destinations, hours, 
             f"{trip_file}: {len(daily)} (origin, destination) pair(s) with more than 2**53 daily trips, "
             f"the largest a float count holds exactly; first: {o!r} to {d!r}, {daily[o, d]} trips"
         )
-    n_merged = counts.size - starts.size
+    del pair_starts, pair_high, pair_low
     if n_merged:
         log.info("%s: merged %d duplicate (origin, destination, hour) rows", trip_file, n_merged)
-    trips = np.empty(starts.size, TRIP_DTYPE)
-    trips["origin"], trips["destination"] = np.divmod(pairs, n)
+    trips = np.empty(pairs.size, TRIP_DTYPE)
+    trips["destination"], trips["origin"] = np.divmod(pairs, n)
+    del pairs
     trips["hour"] = hour
     high <<= _LOW_BITS
     high += low  # each key's sum is at most its pair's daily total, so at most 2**53
@@ -570,26 +692,56 @@ def write_city_csvs(table: LocationTable, matrix: ContactMatrix, locations_path,
 
 def build_contact_matrix(table: LocationTable, trips: np.ndarray) -> ContactMatrix:
     """Aggregate the hourly trip records of ``load_trips`` into a daily
-    contact matrix.
+    contact matrix, with no dense array.
 
-    Every record's count is added into its (destination, origin) entry of
-    a dense float64 array by one scatter, ``np.bincount``; the sums are
-    exact, since ``load_trips`` bounds every daily total by 2**53.
-    Populations are derived from the daily flow balance (see
-    ``derive_populations``) of that array; the matrix keeps its nonzero
-    entries only.
+    The records come in the matrix's row-major order, so the records of one
+    (destination, origin) entry are one run, and one ``np.add.reduceat``
+    sums them all; the sums are exact, since ``load_trips`` bounds every
+    daily total by 2**53. The entries are stored as they are (see
+    ``ContactMatrix``), as the nonzero entries of a float64 ``m``; records
+    in any other order raise ValueError.
+
+    Populations follow ``derive_populations``'s balance, with the inflow,
+    outflow and self-flow of each location summed over the entries by
+    ``np.bincount``. Float sums of whole counts are exact, so they equal
+    the dense array's sums bit for bit, while every total stays below
+    2**53. Past that a sum may round and its order matters, so then the
+    dense array is built and ``derive_populations`` sums it.
     """
     n = len(table)
-    flat = trips["destination"].astype(np.int64)
-    flat *= n
-    flat += trips["origin"]
-    m = np.bincount(flat, weights=trips["count"], minlength=n * n)
-    m = m.astype(float, copy=False).reshape(n, n)  # bincount gives int64 zeros when there are no trips
-    populations, clamps = derive_populations(m)
-    return ContactMatrix(m=m, populations=populations, table=table, population_clamp_count=clamps)
+    index = trips["destination"].astype(np.int64)
+    index *= n
+    index += trips["origin"]
+    starts = _run_starts(index)
+    values = np.add.reduceat(trips["count"], starts).astype(float)
+    index = index.take(starts)
+    del starts
+    if np.any(np.diff(index) <= 0):
+        raise ValueError("trip records must come in the order load_trips returns them")
+    rows, cols = np.divmod(index, n)
+    inflow = np.bincount(rows, values, minlength=n)
+    outflow = np.bincount(cols, values, minlength=n)
+    if max(inflow.max(initial=0.0), outflow.max(initial=0.0)) < 2.0**53:
+        diagonal = rows == cols
+        self_flow = np.bincount(rows[diagonal], values[diagonal], minlength=n)
+        populations, clamps = _balance_populations(self_flow, inflow, outflow)
+    else:
+        m = np.zeros(n * n)
+        m[index] = values
+        populations, clamps = derive_populations(m.reshape(n, n))
+    return ContactMatrix._of_nonzero(index, values, np.dtype(float), populations, table, clamps)
 
 
 def derive_populations(m: np.ndarray):
+    """Populations from the daily balance (self + inflow - outflow) / 24 of
+    a dense matrix (see ``_balance_populations``).
+
+    Returns (populations, clamp_count).
+    """
+    return _balance_populations(np.diagonal(m), m.sum(axis=1), m.sum(axis=0))
+
+
+def _balance_populations(self_flow: np.ndarray, inflow: np.ndarray, outflow: np.ndarray):
     """Populations from the daily balance (self + inflow - outflow) / 24.
 
     Values below POPULATION_FLOOR (including negatives from net
@@ -598,9 +750,7 @@ def derive_populations(m: np.ndarray):
 
     Returns (populations, clamp_count).
     """
-    inflow = m.sum(axis=1)
-    outflow = m.sum(axis=0)
-    raw = (np.diagonal(m) + inflow - outflow) / HOURS_PER_DAY
+    raw = (self_flow + inflow - outflow) / HOURS_PER_DAY
     clamps = int(np.count_nonzero(raw < POPULATION_FLOOR))
     if clamps:
         log.warning("population floor applied to %d location(s)", clamps)

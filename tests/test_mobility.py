@@ -1,6 +1,9 @@
+import csv
 import dataclasses
 import logging
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from epitransit.mobility import (
     EARTH_RADIUS_KM,
     POPULATION_FLOOR,
+    TRIP_DTYPE,
     ContactMatrix,
     LocationTable,
     ValidationError,
@@ -25,6 +29,7 @@ from epitransit.mobility import (
     network_stats,
     save_matrix_npz,
     write_network_stats,
+    _trip_row_errors,
 )
 from epitransit.synthcity import CityConfig, generate_synthetic_city
 
@@ -306,6 +311,140 @@ class TestLoadTrips:
         with pytest.raises(ValidationError, match="expected header 'origin,destination,hour,count'"):
             load_trips(tmp_path / "trips.csv", tmp_path / "locations.csv")
 
+    @pytest.mark.parametrize(
+        "field",
+        ["1_000", "\u0663", "9\U0002c6ca", "\uc6ca"],
+        ids=["underscore", "arabic_indic_digit", "astral", "hangul"],
+    )
+    @pytest.mark.parametrize("column", ["hour", "count"])
+    def test_integers_numpy_does_not_parse_are_unparseable(self, write_csvs, field, column):
+        # int() takes "1_000" and ARABIC-INDIC DIGIT THREE; NumPy's reader
+        # takes neither. Its C isdigit() misreads HANGUL SYLLABLE UNG as a
+        # digit and crashes on the astral character, which is why a
+        # non-ASCII file is parsed in Python.
+        row = f"A,B,{field},3" if column == "hour" else f"A,B,9,{field}"
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,9,3", "", row])
+        with pytest.raises(ValidationError) as exc:
+            load_trips(trips_path, locs_path)
+        assert str(exc.value).startswith(f"{trips_path}: 1 malformed row(s): row 4: unparseable (")
+
+    def test_unparseable_messages(self, write_csvs):
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,1_000,3", "A,B,x,1_000", "A,B,9,٣"])
+        with pytest.raises(ValidationError) as exc:
+            load_trips(trips_path, locs_path)
+        assert str(exc.value) == (
+            f"{trips_path}: 3 malformed row(s): "
+            "row 2: unparseable (not an integer in ASCII digits: '1_000'); "
+            "row 3: unparseable (invalid literal for int() with base 10: 'x'); "
+            "row 4: unparseable (not an integer in ASCII digits: '٣')"
+        )
+
+    @pytest.mark.parametrize("pad", [" ", "\t", "\xa0", "\u2000"], ids=["space", "tab", "nbsp", "en_quad"])
+    def test_integers_padded_by_whitespace_load(self, write_csvs, pad):
+        # NumPy's reader, like int(), strips any whitespace that str.isspace
+        # accepts
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], [f"A,B,{pad}9{pad},{pad}+3{pad}"])
+        assert load_trips(trips_path, locs_path)[1].tolist() == [(0, 1, 9, 3)]
+
+    def test_non_ascii_ids_load(self, write_csvs):
+        trips_path, locs_path = write_csvs(["Zürich,0,0", "東京,0,1"], ["Zürich,東京,9,3", " 東京 ,Zürich,8,2"])
+        table, trips = load_trips(trips_path, locs_path)
+        assert trips.tolist() == [(1, 0, 8, 2), (0, 1, 9, 3)]
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["header_only", "blank_lines", "crlf_blank_line"])
+    def test_no_data_rows_load_as_no_trips_without_a_warning(self, tmp_path, body):
+        (tmp_path / "locations.csv").write_text("id,lat,lon\nA,0,0\n")
+        (tmp_path / "trips.csv").write_bytes(f"origin,destination,hour,count\n{body}".encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table, trips = load_trips(tmp_path / "trips.csv", tmp_path / "locations.csv")
+            matrix = build_contact_matrix(table, trips)
+        assert trips.dtype.names == ("origin", "destination", "hour", "count") and trips.size == 0
+        assert matrix.m.tolist() == [[0.0]] and matrix.populations.tolist() == [POPULATION_FLOOR]
+
+    def test_records_come_in_row_major_order(self, write_csvs):
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,9,1", "B,A,9,2", "A,A,3,3", "A,A,2,4", "B,A,9,5"])
+        table, trips = load_trips(trips_path, locs_path)
+        # by destination, then origin, then hour
+        assert trips.tolist() == [(0, 0, 2, 4), (0, 0, 3, 3), (1, 0, 9, 7), (0, 1, 9, 1)]
+
+    @given(data=st.data())
+    def test_any_file_loads_as_csv_reader_reads_it_or_names_its_bad_rows(self, tmp_path_factory, data):
+        # Padded and quoted fields (ids with commas, quotes and newlines),
+        # signs, blank lines, CRLF and a byte-order mark; in a hostile file
+        # also unknown ids, hours and counts out of range, fields from an
+        # alphabet with "_", "٣" and NBSP, whitespace-only lines and wrong
+        # widths. A file is ASCII or not, since that picks how NumPy parses
+        # its integers. The reference reads the file with csv.reader and
+        # takes an integer as ASCII digits with an optional sign, padded by
+        # whitespace.
+        hostile, ascii_only = data.draw(st.booleans()), data.draw(st.booleans())
+        ids = ["A", "b,c", 'q"t', "n\nl"] if ascii_only else ["Ä", "b,ç", 'q"ţ', "n\nł"]
+        pad = st.text(" \t" if ascii_only else " \t\xa0", max_size=2)
+
+        def padded(values):
+            return st.builds(lambda a, v, b: f"{a}{v}{b}", pad, values, pad)
+
+        if hostile:
+            id_field = padded(st.sampled_from(ids + ["Z"]))
+            number = padded(st.builds(lambda s, n: f"{s}{n}", st.sampled_from(["", "+", "-"]), st.integers(0, 30)))
+            junk = st.text(' \t,"\n\r_+-09AZ' + ("" if ascii_only else "\xa0\u0663\ufeff"), max_size=4)
+            id_field, number = st.one_of(id_field, id_field, junk), st.one_of(number, number, junk)
+            widths, fillers = [4, 4, 3, 5], ["", " ", "\t"]
+        else:
+            id_field = padded(st.sampled_from(ids))
+            number = padded(st.builds(lambda s, n: f"{s}{n}", st.sampled_from(["", "+"]), st.integers(1, 23)))
+            widths, fillers = [4], [""]
+
+        def written(field, quote):
+            special = any(c in field for c in ',"\n\r')
+            return f'"{field.replace(chr(34), chr(34) * 2)}"' if quote or special else field
+
+        def fields(width):
+            kinds = [id_field, id_field, number, number, number][:width]
+            return st.tuples(*(st.builds(written, kind, st.booleans()) for kind in kinds)).map(",".join)
+
+        rows = data.draw(st.lists(st.sampled_from(widths).flatmap(fields), max_size=8))
+        lines = data.draw(st.permutations(rows + data.draw(st.lists(st.sampled_from(fillers), max_size=2))))
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        bom = data.draw(st.sampled_from(["", "\ufeff"]))
+        folder = tmp_path_factory.mktemp("hostile")
+        locs_path, trips_path = folder / "locations.csv", folder / "trips.csv"
+        with open(locs_path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["id", "lat", "lon"], *([i, 0, x] for x, i in enumerate(ids))])
+        text = bom + newline.join(["origin,destination,hour,count", *lines]) + newline
+        trips_path.write_bytes(text.encode())
+
+        merged, bad = {}, []
+        with open(trips_path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for fields in reader:
+                fields = [f.strip() for f in fields]
+                if not fields:
+                    continue
+                ok = len(fields) == 4 and all(re.fullmatch("[+-]?[0-9]+", f) for f in fields[2:])
+                if ok:
+                    o, d, h, c = fields[0], fields[1], int(fields[2]), int(fields[3])
+                    ok = o in ids and d in ids and 0 <= h <= 23 and 1 <= c <= 2**53
+                if ok:
+                    merged[o, d, h] = merged.get((o, d, h), 0) + c
+                else:
+                    bad.append(reader.line_num)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not bad:
+                table, trips = load_trips(trips_path, locs_path)
+                assert {(table.ids[o], table.ids[d], h): c for o, d, h, c in trips.tolist()} == merged
+                return
+            errors = _trip_row_errors(trips_path, load_locations(locs_path).index)
+            assert [line for line, _ in errors] == bad
+            with pytest.raises(ValidationError) as exc:
+                load_trips(trips_path, locs_path)
+        quoted_errors = "; ".join(f"row {line}: {msg}" for line, msg in errors[:3])
+        assert str(exc.value) == f"{trips_path}: {len(errors)} malformed row(s): {quoted_errors}"
+
 
 class TestContactMatrix:
     def test_single_trip(self, ingest):
@@ -410,6 +549,38 @@ class TestContactMatrix:
         off = (m.m != 0) & ~np.eye(4, dtype=bool)
         assert np.array_equal(counts, m.m[off]) and np.array_equal(distances, m.distance_matrix[off])
         assert not (distances.flags.writeable or counts.flags.writeable)
+
+    def test_built_from_the_merged_records_without_an_n2_array(self):
+        # 2000 locations: a dense float64 matrix would take 32 MB
+        n = 2000
+        table = LocationTable([f"L{i}" for i in range(n)], np.zeros(n), np.zeros(n))
+        trips = np.array([(3, 3, 9, 2), (5, 3, 8, 7), (1999, 1999, 8, 1)], dtype=TRIP_DTYPE)
+        tracemalloc.start()
+        try:
+            matrix = build_contact_matrix(table, trips)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert [a.tolist() for a in matrix.nonzero] == [[3 * n + 3, 3 * n + 5, n * n - 1], [2, 7, 1]]
+        assert matrix.populations.tobytes() == derive_populations(matrix.m)[0].tobytes()
+
+    def test_records_out_of_row_major_order_rejected(self, square_table):
+        trips = np.array([(0, 1, 8, 7), (1, 0, 8, 2)], dtype=TRIP_DTYPE)
+        with pytest.raises(ValueError, match="in the order load_trips returns them"):
+            build_contact_matrix(square_table, trips)
+
+    @pytest.mark.parametrize("inflow", [True, False], ids=["inflow", "outflow"])
+    @pytest.mark.parametrize("first", [2**53, 1], ids=["big_first", "big_last"])
+    def test_populations_of_totals_past_2_53_are_the_dense_sums(self, write_csvs, inflow, first):
+        # A total past 2**53 rounds, so the order of its sum matters: NumPy
+        # sums a dense row of 8 or more pairwise, not in entry order. The
+        # populations are still those of the dense array's sums.
+        n = 11
+        counts = [first] + [1] * (n - 2) + [2**53 + 1 - first]
+        rows = [f"L{k},L0,9,{c}" if inflow else f"L0,L{k},9,{c}" for k, c in enumerate(counts)]
+        matrix = build_contact_matrix(*load_trips(*write_csvs([f"L{k},0,{k}" for k in range(n)], rows)))
+        assert matrix.populations.tobytes() == derive_populations(matrix.m)[0].tobytes()
 
 
 class TestStoredEntries:
