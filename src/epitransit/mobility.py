@@ -379,10 +379,18 @@ TRIP_DTYPE = np.dtype([("origin", np.int32), ("destination", np.int32), ("hour",
 # unknown.
 _TRIP_ROW_DTYPE = np.dtype([("origin", np.int32), ("destination", np.int32), ("hour", np.int64), ("count", np.int64)])
 
-# The integers that NumPy's text reader parses: an optional sign and ASCII
-# digits, padded by any whitespace that str.isspace accepts. int() takes
-# more ("1_000", non-ASCII digits), so the row checks require this too.
-_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+# The integers that NumPy's text reader parses in a trips file read as
+# Latin-1 (see ``_read_trip_rows``): an optional sign and ASCII digits,
+# padded by the ASCII characters that str.isspace accepts. int() takes
+# other text ("1_000", non-ASCII digits and whitespace) and refuses
+# "\x1c"-"\x1f", so the row checks parse this grammar instead.
+_INTEGER = re.compile(r"[\t-\r\x1c- ]*([+-]?[0-9]+)[\t-\r\x1c- ]*")
+
+# The bounds of a trip row's hour and count, which ``_columns_valid`` and
+# ``_trip_row_error`` both check. 2**53 is the largest integer that a
+# float count holds exactly.
+_MAX_HOUR = HOURS_PER_DAY - 1
+_MAX_COUNT = 2**53
 
 # Trip counts are summed as their bits above and below bit 27. A count of
 # at most 2**53 has both parts below 2**27, so the int64 sums of fewer than
@@ -445,12 +453,14 @@ def load_trips(trip_file, locations_file):
     whole columns are checked: ids must be in the table, hours in 0-23 and
     counts in [1, 2**53], since 2**53 is the largest integer that a float
     count holds exactly. An hour or count must be an integer as NumPy's
-    reader parses it: an optional sign and ASCII digits, padded by
-    whitespace; ``1_000`` and non-ASCII digits are unparseable, though
-    ``int()`` takes them. If the reader refuses a row, a row with too few or
-    too many fields among them, or a column check fails, the file is read
-    again row by row (``_trip_row_errors``) and every bad row is reported
-    in one ValidationError by the file line it ends on (see ``csv_rows``).
+    reader parses it: an optional sign and ASCII digits, padded by ASCII
+    whitespace; ``1_000``, non-ASCII digits and non-ASCII padding such as
+    NBSP are unparseable, though ``int()`` takes them. A file that is not
+    UTF-8 raises UnicodeDecodeError. If the reader refuses a row, a row
+    with too few or too many fields among them, or a column check fails,
+    the file is read again row by row (``_trip_row_errors``) and every bad
+    row is reported in one ValidationError by the file line it ends on
+    (see ``csv_rows``).
 
     Rows for one (origin, destination, hour), as in concatenated shards,
     add up, and so do the daily totals of each (origin, destination), over
@@ -473,22 +483,31 @@ def _read_trip_rows(trip_file, index: dict) -> np.ndarray:
     one ``np.loadtxt`` call and checked by whole columns; raises the row
     errors of ``_trip_row_errors`` if any row is bad.
 
-    NumPy parses hour and count in C only if the file is ASCII. Its integer
-    parser hands each character to C's ``isdigit``, whose result is
-    undefined past U+00FF: some such characters read as digits, and some
-    crash the process. So in a file with any non-ASCII character, in its ids
-    say, ``_parse_integer`` converts hour and count, with the same grammar.
+    The file must be UTF-8 (``_check_utf8``), and the reader reads it as
+    Latin-1, one character per byte. NumPy's C integer parser hands each
+    character to C's ``isdigit``, which is defined only up to 255, and true
+    there for the ASCII digits alone in every POSIX locale; past U+00FF
+    some characters read as digits and some crash the process. The
+    commas, quotes and line ends of UTF-8 text are ASCII bytes, and no byte
+    of a non-ASCII character is, so the reader finds the same rows and
+    fields. A non-ASCII character in an hour or count begins with a byte
+    that is no digit, sign or whitespace, so the field is refused, and ids
+    are looked up by their UTF-8 bytes (``_TableIndex``).
     """
-    convert = _TableIndex(index).__getitem__
-    converters = {0: convert, 1: convert}
-    if not _is_ascii(trip_file):
-        converters[2] = converters[3] = _parse_integer
     with open(trip_file, newline="", encoding="utf-8-sig") as fh:
         csv_reader(fh, trip_file, TRIP_COLUMNS)
+    _check_utf8(trip_file)
+    with open(trip_file, newline="", encoding="latin-1") as fh:
+        next(csv.reader(fh))  # the header, checked above; a byte-order mark is part of it
+        convert = _TableIndex(index).__getitem__
         try:
             with warnings.catch_warnings():
                 # a file of no data rows, blank lines or none, loads as no trips
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                # NumPy 1.23-1.26 read a field such as "2.5" or "1e3" as a
+                # float and truncate it, with only this warning; as an error
+                # it refuses the field, as later NumPy does
+                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
                 rows = np.loadtxt(
                     fh,
                     dtype=_TRIP_ROW_DTYPE,
@@ -496,7 +515,7 @@ def _read_trip_rows(trip_file, index: dict) -> np.ndarray:
                     quotechar='"',
                     comments=None,
                     ndmin=1,
-                    converters=converters,
+                    converters={0: convert, 1: convert},
                     encoding=None,  # converters take str; NumPy 1.x passes bytes by default
                 )
         except ValueError:
@@ -508,37 +527,44 @@ def _read_trip_rows(trip_file, index: dict) -> np.ndarray:
 
 
 class _TableIndex(dict):
-    """A table's map of id to index, whose lookup is a ``loadtxt``
-    converter: an id field is looked up as read and, failing that, stripped
-    of padding; -1 if neither is a table id. Table ids are stripped, so this
-    is the index of the stripped field."""
+    """A table's map of id to index, keyed by the Latin-1 reading of each
+    id's UTF-8 bytes, whose lookup is a ``loadtxt`` converter of such a
+    reading: an id field is looked up as read and, failing that, decoded
+    and stripped of padding; -1 if neither is a table id. Table ids are
+    stripped, so this is the index of the stripped field."""
+
+    def __init__(self, index: dict):
+        super().__init__((loc_id.encode().decode("latin-1"), i) for loc_id, i in index.items())
+        self.index = index
 
     def __missing__(self, field: str) -> int:
-        return self.get(field.strip(), -1)
+        return self.index.get(field.encode("latin-1").decode().strip(), -1)
 
 
-def _is_ascii(path) -> bool:
-    """Whether a file holds only ASCII past a UTF-8 byte-order mark, read
-    1 MiB at a time."""
+def _check_utf8(path) -> None:
+    """Raise UnicodeDecodeError unless the file is UTF-8, read 1 MiB at a
+    time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
     with open(path, "rb") as fh:
-        chunks = iter(partial(fh.read, 1 << 20), b"")
-        return next(chunks, b"").removeprefix(codecs.BOM_UTF8).isascii() and all(c.isascii() for c in chunks)
+        for chunk in iter(partial(fh.read, 1 << 20), b""):
+            decoder.decode(chunk)
+    decoder.decode(b"", final=True)
 
 
 def _parse_integer(field: str) -> int:
     """``field`` as an integer of the grammar that NumPy's reader parses
-    (``_INTEGER``): ``int()``'s ValueError if it refuses the field, else a
-    ValueError of its own if the grammar does. A ``loadtxt`` converter, and
-    the row checks' parser."""
-    value = int(field)
-    if not _INTEGER.fullmatch(field):
+    (``_INTEGER``), or ValueError: ``int()``'s if it refuses the field too,
+    else one of its own."""
+    match = _INTEGER.fullmatch(field)
+    if match is None:
+        int(field)
         raise ValueError(f"not an integer in ASCII digits: {field!r}")
-    return value
+    return int(match[1])
 
 
 def _columns_valid(rows: np.ndarray) -> bool:
-    """Whether every row's ids are known, its hour in 0-23 and its count in
-    [1, 2**53]."""
+    """Whether every row passes ``_trip_row_error``'s range checks: its ids
+    are known, its hour is in 0-_MAX_HOUR and its count in [1, _MAX_COUNT]."""
     if rows.size == 0:
         return True
     hour, count = rows["hour"], rows["count"]
@@ -546,9 +572,9 @@ def _columns_valid(rows: np.ndarray) -> bool:
         rows["origin"].min() >= 0
         and rows["destination"].min() >= 0
         and hour.min() >= 0
-        and hour.max() <= 23
+        and hour.max() <= _MAX_HOUR
         and count.min() >= 1
-        and count.max() <= 2**53
+        and count.max() <= _MAX_COUNT
     )
 
 
@@ -579,11 +605,11 @@ def _trip_row_error(index: dict, origin: str, destination: str, hour: str, count
         return f"unknown origin {origin!r}"
     if destination not in index:
         return f"unknown destination {destination!r}"
-    if not 0 <= hour <= 23:
-        return f"hour {hour} outside 0-23"
+    if not 0 <= hour <= _MAX_HOUR:
+        return f"hour {hour} outside 0-{_MAX_HOUR}"
     if count < 1:
         return f"non-positive count {count}"
-    if count > 2**53:
+    if count > _MAX_COUNT:
         return "count above 2**53, the largest a float count holds exactly"
     return None
 

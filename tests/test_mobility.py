@@ -313,15 +313,17 @@ class TestLoadTrips:
 
     @pytest.mark.parametrize(
         "field",
-        ["1_000", "\u0663", "9\U0002c6ca", "\uc6ca"],
-        ids=["underscore", "arabic_indic_digit", "astral", "hangul"],
+        ["1_000", "\u0663", "\xa09", "9\u2000", "9\U0002c6ca", "\uc6ca", "2.5", "3.0", "1e3"],
+        ids=["underscore", "arabic_indic_digit", "nbsp", "en_quad", "astral", "hangul", "half", "point_zero", "exp"],
     )
     @pytest.mark.parametrize("column", ["hour", "count"])
+    @pytest.mark.filterwarnings("default")
     def test_integers_numpy_does_not_parse_are_unparseable(self, write_csvs, field, column):
-        # int() takes "1_000" and ARABIC-INDIC DIGIT THREE; NumPy's reader
-        # takes neither. Its C isdigit() misreads HANGUL SYLLABLE UNG as a
-        # digit and crashes on the astral character, which is why a
-        # non-ASCII file is parsed in Python.
+        # int() takes "1_000", ARABIC-INDIC DIGIT THREE and non-ASCII
+        # padding; NumPy's reader of a file read as Latin-1 takes none of
+        # them. Read as text, its C isdigit() misreads HANGUL SYLLABLE UNG as
+        # a digit and crashes on the astral character. Under the default
+        # warning filters, as the command line runs, a float is refused too.
         row = f"A,B,{field},3" if column == "hour" else f"A,B,9,{field}"
         trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,9,3", "", row])
         with pytest.raises(ValidationError) as exc:
@@ -339,17 +341,62 @@ class TestLoadTrips:
             "row 4: unparseable (not an integer in ASCII digits: '٣')"
         )
 
-    @pytest.mark.parametrize("pad", [" ", "\t", "\xa0", "\u2000"], ids=["space", "tab", "nbsp", "en_quad"])
+    @pytest.mark.parametrize("pad", [" ", "\t", "\x0b", "\x1c"], ids=["space", "tab", "vertical_tab", "file_sep"])
     def test_integers_padded_by_whitespace_load(self, write_csvs, pad):
-        # NumPy's reader, like int(), strips any whitespace that str.isspace
-        # accepts
-        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], [f"A,B,{pad}9{pad},{pad}+3{pad}"])
-        assert load_trips(trips_path, locs_path)[1].tolist() == [(0, 1, 9, 3)]
+        # NumPy's reader strips the ASCII characters that str.isspace
+        # accepts, "\x1c"-"\x1f" among them, which int() refuses
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], [f"A,B,{pad}9{pad},{pad}+3{pad}", "B,A,9,1"])
+        assert load_trips(trips_path, locs_path)[1].tolist() == [(1, 0, 9, 1), (0, 1, 9, 3)]
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], [f"A,B,{pad}9{pad},{pad}+3{pad}", "B,A,9,0"])
+        with pytest.raises(ValidationError, match=r"1 malformed row\(s\): row 3: non-positive count 0$"):
+            load_trips(trips_path, locs_path)
+
+    @pytest.mark.filterwarnings("default")
+    def test_floats_refused_where_numpy_reads_them_with_a_warning(self, write_csvs, monkeypatch):
+        # NumPy 1.23-1.26 read "2.5" or "1e3" in an integer column as a
+        # float, truncated, with only a DeprecationWarning; NumPy 2 refuses
+        # it. This stands in for the older reader.
+        loadtxt = np.loadtxt
+
+        def int_via_float(field):
+            try:
+                return int(field)
+            except ValueError:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+                return int(float(field))
+
+        def older_loadtxt(fh, converters, **kwargs):
+            return loadtxt(fh, converters={2: int_via_float, 3: int_via_float, **converters}, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", older_loadtxt)
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,9,2.5", "A,B,9.5,3", "B,A,1,1e3"])
+        with pytest.raises(ValidationError) as exc:
+            load_trips(trips_path, locs_path)
+        assert str(exc.value) == (
+            f"{trips_path}: 3 malformed row(s): "
+            "row 2: unparseable (invalid literal for int() with base 10: '2.5'); "
+            "row 3: unparseable (invalid literal for int() with base 10: '9.5'); "
+            "row 4: unparseable (invalid literal for int() with base 10: '1e3')"
+        )
 
     def test_non_ascii_ids_load(self, write_csvs):
-        trips_path, locs_path = write_csvs(["Zürich,0,0", "東京,0,1"], ["Zürich,東京,9,3", " 東京 ,Zürich,8,2"])
+        # the UTF-8 of "à" ends in the byte of NBSP, and that of "Å" in the
+        # byte of NEL, which str.strip() would take off a Latin-1 reading
+        trips_path, locs_path = write_csvs(
+            ["Zürich,0,0", "東京,0,1", "là,0,2", "Å,0,3"],
+            ["Zürich,東京,9,3", " 東京 ,Zürich,8,2", "là , Å,7,1", "\xa0Å\xa0,là,7,4"],
+        )
         table, trips = load_trips(trips_path, locs_path)
-        assert trips.tolist() == [(1, 0, 8, 2), (0, 1, 9, 3)]
+        assert trips.tolist() == [(1, 0, 8, 2), (0, 1, 9, 3), (3, 2, 7, 4), (2, 3, 7, 1)]
+
+    @pytest.mark.parametrize("raw", [b"A,B,9,3\xa0", b"A,B,\x859,3", b"A\xff,B,9,3"], ids=["nbsp", "nel", "id"])
+    def test_a_file_that_is_not_utf8_is_refused(self, write_csvs, raw):
+        # read as Latin-1, a stray NBSP or NEL byte is whitespace to NumPy;
+        # the bad row comes past the first block a text file decodes
+        trips_path, locs_path = write_csvs(["A,0,0", "B,0,1"], ["A,B,9,1"] * 4000)
+        trips_path.write_bytes(trips_path.read_bytes() + raw + b"\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_trips(trips_path, locs_path)
 
     @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["header_only", "blank_lines", "crlf_blank_line"])
     def test_no_data_rows_load_as_no_trips_without_a_warning(self, tmp_path, body):
@@ -373,27 +420,29 @@ class TestLoadTrips:
         # Padded and quoted fields (ids with commas, quotes and newlines),
         # signs, blank lines, CRLF and a byte-order mark; in a hostile file
         # also unknown ids, hours and counts out of range, fields from an
-        # alphabet with "_", "٣" and NBSP, whitespace-only lines and wrong
-        # widths. A file is ASCII or not, since that picks how NumPy parses
-        # its integers. The reference reads the file with csv.reader and
+        # alphabet with "_", "٣", ".", "e" and NBSP, non-ASCII padding of
+        # numbers, whitespace-only lines and wrong widths. A file is ASCII or
+        # not. The reference reads the file with csv.reader, strips ids and
         # takes an integer as ASCII digits with an optional sign, padded by
-        # whitespace.
+        # ASCII whitespace.
         hostile, ascii_only = data.draw(st.booleans()), data.draw(st.booleans())
-        ids = ["A", "b,c", 'q"t', "n\nl"] if ascii_only else ["Ä", "b,ç", 'q"ţ', "n\nł"]
-        pad = st.text(" \t" if ascii_only else " \t\xa0", max_size=2)
+        ids = ["A", "b,c", 'q"t', "n\nl"] if ascii_only else ["Ä", "b,ç", 'q"ţ', "n\nł", "là", "Å"]
+        id_pad = st.text(" \t" if ascii_only else " \t\xa0\x85", max_size=2)
+        number_pad = id_pad if hostile else st.text(" \t\x1c", max_size=2)
 
-        def padded(values):
+        def padded(values, pad):
             return st.builds(lambda a, v, b: f"{a}{v}{b}", pad, values, pad)
 
         if hostile:
-            id_field = padded(st.sampled_from(ids + ["Z"]))
-            number = padded(st.builds(lambda s, n: f"{s}{n}", st.sampled_from(["", "+", "-"]), st.integers(0, 30)))
-            junk = st.text(' \t,"\n\r_+-09AZ' + ("" if ascii_only else "\xa0\u0663\ufeff"), max_size=4)
+            id_field = padded(st.sampled_from(ids + ["Z"]), id_pad)
+            signed = st.builds(lambda s, n: f"{s}{n}", st.sampled_from(["", "+", "-"]), st.integers(0, 30))
+            number = padded(signed, number_pad)
+            junk = st.text(' \t,"\n\r_+-.e09AZ' + ("" if ascii_only else "\xa0\u0663\ufeff"), max_size=4)
             id_field, number = st.one_of(id_field, id_field, junk), st.one_of(number, number, junk)
             widths, fillers = [4, 4, 3, 5], ["", " ", "\t"]
         else:
-            id_field = padded(st.sampled_from(ids))
-            number = padded(st.builds(lambda s, n: f"{s}{n}", st.sampled_from(["", "+"]), st.integers(1, 23)))
+            id_field = padded(st.sampled_from(ids), id_pad)
+            number = padded(st.builds(lambda s, n: f"{s}{n}", st.sampled_from(["", "+"]), st.integers(1, 23)), number_pad)
             widths, fillers = [4], [""]
 
         def written(field, quote):
@@ -420,12 +469,13 @@ class TestLoadTrips:
             reader = csv.reader(fh)
             next(reader)
             for fields in reader:
-                fields = [f.strip() for f in fields]
                 if not fields:
                     continue
-                ok = len(fields) == 4 and all(re.fullmatch("[+-]?[0-9]+", f) for f in fields[2:])
+                space = "[\t\n\x0b\x0c\r\x1c-\x1f ]*"
+                numbers = [re.fullmatch(f"{space}([+-]?[0-9]+){space}", f) for f in fields[2:]]
+                ok = len(fields) == 4 and all(numbers)
                 if ok:
-                    o, d, h, c = fields[0], fields[1], int(fields[2]), int(fields[3])
+                    o, d, h, c = fields[0].strip(), fields[1].strip(), int(numbers[0][1]), int(numbers[1][1])
                     ok = o in ids and d in ids and 0 <= h <= 23 and 1 <= c <= 2**53
                 if ok:
                     merged[o, d, h] = merged.get((o, d, h), 0) + c
